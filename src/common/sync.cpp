@@ -1,6 +1,8 @@
 #include "common/sync.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <map>
@@ -65,8 +67,44 @@ struct HeldLock {
 
 /// The calling thread's held-lock stack, in acquisition order. Maintained
 /// unconditionally (cheap: one push/pop per lock) so toggling the detector
-/// while locks are held never desynchronizes it.
-thread_local std::vector<HeldLock> t_held;
+/// while locks are held never desynchronizes it. Fixed capacity, so it is
+/// trivially destructible: the main thread's thread_locals are destroyed
+/// before static objects at exit, and static destructors still take locks
+/// (the thread pool's takes its queue mutex), which would push onto a freed
+/// std::vector.
+class HeldStack {
+ public:
+  static constexpr std::size_t kCapacity = 64;
+
+  bool empty() const { return size_ == 0; }
+  const HeldLock* begin() const { return locks_; }
+  const HeldLock* end() const { return locks_ + size_; }
+
+  void Push(HeldLock held) {
+    if (size_ == kCapacity) {
+      // Not LW_CHECK: the check handler takes a lock itself.
+      std::fputs("lw::Mutex: more than 64 locks held by one thread\n", stderr);
+      std::abort();
+    }
+    locks_[size_++] = held;
+  }
+  /// Drops the most recent entry for `mu`; false when the thread holds none.
+  bool Remove(const Mutex& mu) {
+    for (std::size_t i = size_; i-- > 0;) {
+      if (locks_[i].mu == &mu) {
+        std::copy(locks_ + i + 1, locks_ + size_, locks_ + i);
+        --size_;
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  HeldLock locks_[kCapacity];
+  std::size_t size_ = 0;
+};
+thread_local HeldStack t_held;
 
 /// True while a violation is being reported: the check handler may itself
 /// take locks (check.cpp's handler slot), and re-running the detector from
@@ -88,9 +126,9 @@ std::string Describe(const Mutex& mu) {
 std::string DescribeHeld() {
   if (t_held.empty()) return "{}";
   std::string out = "{";
-  for (std::size_t i = 0; i < t_held.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += Describe(*t_held[i].mu);
+  for (const HeldLock& held : t_held) {
+    if (&held != t_held.begin()) out += ", ";
+    out += Describe(*held.mu);
   }
   out += "}";
   return out;
@@ -211,12 +249,7 @@ bool OnAcquire(const Mutex& mu, std::uint64_t id) {
 /// must be skipped (the thread does not hold the mutex; unlocking anyway is
 /// undefined behaviour on std::mutex).
 bool OnRelease(const Mutex& mu) {
-  for (auto it = t_held.rbegin(); it != t_held.rend(); ++it) {
-    if (it->mu == &mu) {
-      t_held.erase(std::next(it).base());
-      return true;
-    }
-  }
+  if (t_held.Remove(mu)) return true;
   if (t_reporting || !DeadlockDetectorEnabled()) return true;
   ReportViolation("unlocking lw::Mutex " + Describe(mu) +
                   " that this thread does not hold; held " + DescribeHeld());
@@ -240,7 +273,7 @@ Mutex::~Mutex() {
 void Mutex::Lock() LW_NO_THREAD_SAFETY_ANALYSIS {
   if (OnAcquire(*this, id_)) {
     mu_.lock();
-    t_held.push_back(HeldLock{this, id_});
+    t_held.Push(HeldLock{this, id_});
   }
 }
 

@@ -1,8 +1,8 @@
 #include "ocs/palomar.h"
 
 #include <algorithm>
+#include <bitset>
 #include <cassert>
-#include <set>
 
 #include "common/check.h"
 #include "telemetry/hub.h"
@@ -12,11 +12,21 @@ namespace lightwave::ocs {
 using common::Result;
 using common::Status;
 
+namespace {
+
+bool InUsableRange(int port) { return port >= 0 && port < kPalomarUsablePorts; }
+
+std::size_t Slot(int port) { return static_cast<std::size_t>(port); }
+
+}  // namespace
+
 PalomarSwitch::PalomarSwitch(std::uint64_t seed, std::string name)
     : name_(std::move(name)),
       core_(common::Rng(seed)),
       north_usable_(kPalomarPortCount, true),
       south_usable_(kPalomarPortCount, true) {
+  north_to_south_.fill(kNoPort);
+  south_to_north_.fill(kNoPort);
   north_physical_.resize(kPalomarUsablePorts);
   south_physical_.resize(kPalomarUsablePorts);
   for (int i = 0; i < kPalomarUsablePorts; ++i) {
@@ -77,15 +87,9 @@ common::Status PalomarSwitch::RemapToSpare(bool north_side, int logical_port) {
   spares.pop_back();
 
   // Re-establish any connection that was riding the old path.
-  int north_logical = -1;
-  if (north_side) {
-    if (north_to_south_.contains(logical_port)) north_logical = logical_port;
-  } else {
-    auto it = south_to_north_.find(logical_port);
-    if (it != south_to_north_.end()) north_logical = it->second;
-  }
-  if (north_logical >= 0) {
-    const int south = north_to_south_.at(north_logical);
+  const int north_logical = CircuitNorth(north_side, logical_port);
+  if (north_logical != kNoPort) {
+    const int south = north_to_south_[Slot(north_logical)];
     (void)Disconnect(north_logical);
     auto reconnected = Connect(north_logical, south);
     if (!reconnected.ok()) return reconnected.error();
@@ -95,8 +99,7 @@ common::Status PalomarSwitch::RemapToSpare(bool north_side, int logical_port) {
 }
 
 Result<Connection> PalomarSwitch::EstablishInternal(int north, int south) {
-  if (north < 0 || north >= kPalomarUsablePorts || south < 0 ||
-      south >= kPalomarUsablePorts) {
+  if (!InUsableRange(north) || !InUsableRange(south)) {
     NoteRejected();
     return common::InvalidArgument("port index out of usable range");
   }
@@ -107,7 +110,7 @@ Result<Connection> PalomarSwitch::EstablishInternal(int north, int south) {
     NoteRejected();
     return common::Unavailable("port has a dead mirror chain");
   }
-  if (north_to_south_.contains(north) || south_to_north_.contains(south)) {
+  if (north_to_south_[Slot(north)] != kNoPort || south_to_north_[Slot(south)] != kNoPort) {
     NoteRejected();
     return common::AlreadyExists("port already connected");
   }
@@ -122,9 +125,10 @@ Result<Connection> PalomarSwitch::EstablishInternal(int north, int south) {
       .insertion_loss = metrics->insertion_loss,
       .return_loss = metrics->return_loss,
   };
-  north_to_south_[north] = south;
-  south_to_north_[south] = north;
-  active_[north] = conn;
+  north_to_south_[Slot(north)] = south;
+  south_to_north_[Slot(south)] = north;
+  active_[Slot(north)] = conn;
+  ++connection_count_;
   last_alignment_ms_ = metrics->alignment_time_ms;
   ++telemetry_.connects;
   if (connect_counter_ != nullptr) connect_counter_->Inc();
@@ -141,65 +145,86 @@ Result<Connection> PalomarSwitch::Connect(int north, int south) {
   return result;
 }
 
+int PalomarSwitch::CircuitNorth(bool north_side, int port) const {
+  if (!north_side) return south_to_north_[Slot(port)];
+  return north_to_south_[Slot(port)] != kNoPort ? port : kNoPort;
+}
+
+void PalomarSwitch::TearDown(int north) {
+  south_to_north_[Slot(north_to_south_[Slot(north)])] = kNoPort;
+  north_to_south_[Slot(north)] = kNoPort;
+  active_[Slot(north)] = Connection{};
+  --connection_count_;
+  ++telemetry_.disconnects;
+}
+
 Status PalomarSwitch::Disconnect(int north) {
-  auto it = north_to_south_.find(north);
-  if (it == north_to_south_.end()) {
+  if (!InUsableRange(north) || north_to_south_[Slot(north)] == kNoPort) {
     NoteRejected();
     return common::NotFound("no connection on north port");
   }
-  south_to_north_.erase(it->second);
-  north_to_south_.erase(it);
-  active_.erase(north);
-  ++telemetry_.disconnects;
+  TearDown(north);
   MaybeValidate("Disconnect");
   return Status::Ok();
 }
 
-Result<ReconfigureReport> PalomarSwitch::Reconfigure(const std::map<int, int>& target) {
-  // Validate first: bijective, in-range, usable. No state change on failure.
-  std::vector<bool> south_seen(kPalomarUsablePorts, false);
-  for (const auto& [north, south] : target) {
-    if (north < 0 || north >= kPalomarUsablePorts || south < 0 ||
-        south >= kPalomarUsablePorts) {
-      NoteRejected();
+Status PalomarSwitch::CheckPairs(const std::map<int, int>& pairs, bool ports_free) const {
+  std::bitset<kPalomarUsablePorts> south_seen;
+  for (const auto& [north, south] : pairs) {
+    if (!InUsableRange(north) || !InUsableRange(south)) {
       return common::InvalidArgument("target references out-of-range port");
     }
-    if (south_seen[static_cast<std::size_t>(south)]) {
-      NoteRejected();
+    if (south_seen.test(Slot(south))) {
       return common::InvalidArgument("target is not bijective (south reused)");
     }
-    south_seen[static_cast<std::size_t>(south)] = true;
-    if (!north_usable_[static_cast<std::size_t>(PhysicalPort(true, north))] ||
-        !south_usable_[static_cast<std::size_t>(PhysicalPort(false, south))]) {
-      NoteRejected();
+    south_seen.set(Slot(south));
+    if (!PortUsable(true, north) || !PortUsable(false, south)) {
       return common::Unavailable("target references dead port");
     }
+    if (ports_free && (north_to_south_[Slot(north)] != kNoPort ||
+                       south_to_north_[Slot(south)] != kNoPort)) {
+      return common::AlreadyExists("target port already connected");
+    }
+  }
+  return Status::Ok();
+}
+
+double PalomarSwitch::FinishTransaction(double max_alignment_ms, const char* boundary) {
+  const double duration_ms = kCommandOverheadMs + max_alignment_ms;
+  telemetry_.cumulative_switch_ms += duration_ms;
+  ++telemetry_.reconfigurations;
+  if (reconfig_counter_ != nullptr) reconfig_counter_->Inc();
+  if (switch_duration_hist_ != nullptr) switch_duration_hist_->Observe(duration_ms);
+  MaybeValidate(boundary);
+  return duration_ms;
+}
+
+Result<ReconfigureReport> PalomarSwitch::Reconfigure(const std::map<int, int>& target) {
+  // Validate first: bijective, in-range, usable. No state change on failure.
+  if (auto invalid = CheckPairs(target, /*ports_free=*/false); !invalid.ok()) {
+    NoteRejected();
+    return invalid.error();
   }
 
   ReconfigureReport report;
   double max_alignment_ms = 0.0;
 
   // Tear down connections that are absent or changed in the target.
-  std::vector<int> to_remove;
-  for (const auto& [north, south] : north_to_south_) {
+  for (int north = 0; north < kPalomarUsablePorts; ++north) {
+    const int south = north_to_south_[Slot(north)];
+    if (south == kNoPort) continue;
     auto it = target.find(north);
-    if (it == target.end() || it->second != south) {
-      to_remove.push_back(north);
+    if (it != target.end() && it->second == south) {
+      report.undisturbed.push_back(active_[Slot(north)]);
     } else {
-      report.undisturbed.push_back(active_.at(north));
+      report.removed.push_back(active_[Slot(north)]);
+      TearDown(north);
     }
-  }
-  for (int north : to_remove) {
-    report.removed.push_back(active_.at(north));
-    south_to_north_.erase(north_to_south_.at(north));
-    north_to_south_.erase(north);
-    active_.erase(north);
-    ++telemetry_.disconnects;
   }
 
   // Establish the new connections.
   for (const auto& [north, south] : target) {
-    if (north_to_south_.contains(north)) continue;  // undisturbed
+    if (north_to_south_[Slot(north)] != kNoPort) continue;  // undisturbed
     auto result = EstablishInternal(north, south);
     if (!result.ok()) {
       // Mirror chain death mid-transaction: report what we achieved so the
@@ -211,26 +236,64 @@ Result<ReconfigureReport> PalomarSwitch::Reconfigure(const std::map<int, int>& t
     max_alignment_ms = std::max(max_alignment_ms, last_alignment_ms_);
   }
 
-  report.duration_ms = kCommandOverheadMs + max_alignment_ms;
-  telemetry_.cumulative_switch_ms += report.duration_ms;
-  ++telemetry_.reconfigurations;
-  if (reconfig_counter_ != nullptr) reconfig_counter_->Inc();
-  if (switch_duration_hist_ != nullptr) switch_duration_hist_->Observe(report.duration_ms);
-  MaybeValidate("Reconfigure");
+  report.duration_ms = FinishTransaction(max_alignment_ms, "Reconfigure");
   return report;
 }
 
+Status PalomarSwitch::CheckConnectDelta(const std::map<int, int>& delta) const {
+  return CheckPairs(delta, /*ports_free=*/true);
+}
+
+Result<double> PalomarSwitch::ConnectDelta(const std::map<int, int>& delta) {
+  if (auto invalid = CheckConnectDelta(delta); !invalid.ok()) {
+    NoteRejected();
+    return invalid.error();
+  }
+  // Ascending north: the order in which Reconfigure's target walk reaches
+  // new circuits, so the optical core's RNG draws are the same.
+  double max_alignment_ms = 0.0;
+  for (const auto& [north, south] : delta) {
+    auto result = EstablishInternal(north, south);
+    if (!result.ok()) return result.error();  // mirror death, as in Reconfigure
+    max_alignment_ms = std::max(max_alignment_ms, last_alignment_ms_);
+  }
+  return FinishTransaction(max_alignment_ms, "ConnectDelta");
+}
+
+Result<double> PalomarSwitch::DisconnectDelta(const std::map<int, int>& delta) {
+  for (const auto& [north, south] : delta) {
+    if (!InUsableRange(north) || !InUsableRange(south)) {
+      NoteRejected();
+      return common::InvalidArgument("target references out-of-range port");
+    }
+  }
+  for (const auto& [north, south] : delta) {
+    if (north_to_south_[Slot(north)] == south) TearDown(north);
+  }
+  return FinishTransaction(0.0, "DisconnectDelta");
+}
+
 std::optional<Connection> PalomarSwitch::ConnectionOn(int north) const {
-  auto it = active_.find(north);
-  if (it == active_.end()) return std::nullopt;
-  return it->second;
+  if (!InUsableRange(north) || north_to_south_[Slot(north)] == kNoPort) return std::nullopt;
+  return active_[Slot(north)];
 }
 
 std::vector<Connection> PalomarSwitch::Connections() const {
   std::vector<Connection> all;
-  all.reserve(active_.size());
-  for (const auto& [north, conn] : active_) all.push_back(conn);
+  all.reserve(static_cast<std::size_t>(connection_count_));
+  for (const Connection& conn : active_) {
+    if (conn.north != kNoPort) all.push_back(conn);
+  }
   return all;
+}
+
+std::map<int, int> PalomarSwitch::CurrentMapping() const {
+  std::map<int, int> mapping;
+  for (int north = 0; north < kPalomarUsablePorts; ++north) {
+    const int south = north_to_south_[Slot(north)];
+    if (south != kNoPort) mapping.emplace_hint(mapping.end(), north, south);
+  }
+  return mapping;
 }
 
 bool PalomarSwitch::InjectMirrorFailure(bool north_side, int port) {
@@ -239,30 +302,19 @@ bool PalomarSwitch::InjectMirrorFailure(bool north_side, int port) {
   const auto& array = north_side ? core_.array_a() : core_.array_b();
   const int physical = array.PhysicalMirror(port_phys);
   const bool survived = core_.FailMirror(north_side ? 0 : 1, physical);
+  const int north_port = CircuitNorth(north_side, port);
   if (!survived) {
     (north_side ? north_usable_ : south_usable_)[static_cast<std::size_t>(port_phys)] =
         false;
     // Tear down any active connection through the dead port.
-    if (north_side) {
-      if (north_to_south_.contains(port)) (void)Disconnect(port);
-    } else {
-      auto it = south_to_north_.find(port);
-      if (it != south_to_north_.end()) (void)Disconnect(it->second);
-    }
+    if (north_port != kNoPort) (void)Disconnect(north_port);
     MaybeValidate("InjectMirrorFailure");
     return false;
   }
   // Spare mirror mapped in; the path must be re-aligned. Re-establish any
   // active connection through this port.
-  int north_port = -1;
-  if (north_side) {
-    if (north_to_south_.contains(port)) north_port = port;
-  } else {
-    auto it = south_to_north_.find(port);
-    if (it != south_to_north_.end()) north_port = it->second;
-  }
-  if (north_port >= 0) {
-    const int south = north_to_south_.at(north_port);
+  if (north_port != kNoPort) {
+    const int south = north_to_south_[Slot(north_port)];
     (void)Disconnect(north_port);
     (void)Connect(north_port, south);
   }
@@ -277,26 +329,30 @@ bool PalomarSwitch::PortUsable(bool north_side, int port) const {
 }
 
 common::Status PalomarSwitch::ValidateInvariants() const {
-  // Bijectivity: the two direction maps must be exact mutual inverses.
-  if (north_to_south_.size() != south_to_north_.size()) {
-    return common::Internal("N->S and S->N maps differ in size");
+  // Bijectivity: the two direction tables must be exact mutual inverses,
+  // and the active table and the count must hold one entry per circuit.
+  int norths = 0, souths = 0, actives = 0;
+  for (int port = 0; port < kPalomarUsablePorts; ++port) {
+    norths += north_to_south_[Slot(port)] != kNoPort ? 1 : 0;
+    souths += south_to_north_[Slot(port)] != kNoPort ? 1 : 0;
+    actives += active_[Slot(port)].north != kNoPort ? 1 : 0;
   }
-  if (active_.size() != north_to_south_.size()) {
+  if (norths != souths) return common::Internal("N->S and S->N maps differ in size");
+  if (actives != norths || connection_count_ != norths) {
     return common::Internal("active-connection table out of sync with N->S map");
   }
-  for (const auto& [north, south] : north_to_south_) {
-    if (north < 0 || north >= kPalomarUsablePorts || south < 0 ||
-        south >= kPalomarUsablePorts) {
+  for (int north = 0; north < kPalomarUsablePorts; ++north) {
+    const int south = north_to_south_[Slot(north)];
+    if (south == kNoPort) continue;
+    if (!InUsableRange(south)) {
       return common::Internal("connection references out-of-range port");
     }
-    auto inverse = south_to_north_.find(south);
-    if (inverse == south_to_north_.end() || inverse->second != north) {
+    if (south_to_north_[Slot(south)] != north) {
       return common::Internal("S->N map is not the inverse of N->S at north " +
                               std::to_string(north));
     }
-    auto conn = active_.find(north);
-    if (conn == active_.end() || conn->second.north != north ||
-        conn->second.south != south) {
+    const Connection& conn = active_[Slot(north)];
+    if (conn.north != north || conn.south != south) {
       return common::Internal("active table disagrees with N->S map at north " +
                               std::to_string(north));
     }
@@ -312,17 +368,18 @@ common::Status PalomarSwitch::ValidateInvariants() const {
   for (bool north_side : {true, false}) {
     const auto& mapping = north_side ? north_physical_ : south_physical_;
     const auto& spares = north_side ? north_spares_ : south_spares_;
-    std::set<int> seen;
+    std::bitset<kPalomarPortCount> seen;
     for (int physical : mapping) {
       if (physical < 0 || physical >= kPalomarPortCount) {
         return common::Internal("physical patch position out of range");
       }
-      if (!seen.insert(physical).second) {
+      if (seen.test(Slot(physical))) {
         return common::Internal("two logical ports patched to one physical position");
       }
+      seen.set(Slot(physical));
     }
     for (int spare : spares) {
-      if (spare < 0 || spare >= kPalomarPortCount || seen.contains(spare)) {
+      if (spare < 0 || spare >= kPalomarPortCount || seen.test(Slot(spare))) {
         return common::Internal("spare pool overlaps the active patch map");
       }
     }
@@ -336,7 +393,7 @@ void PalomarSwitch::MaybeValidate(const char* boundary) const {
 }
 
 void PalomarSwitch::TestOnlyCorruptMapping(int north, int south) {
-  north_to_south_[north] = south;
+  north_to_south_[Slot(north)] = south;
 }
 
 void PalomarSwitch::TestOnlyKillPortUnderConnection(bool north_side, int logical_port) {
@@ -346,8 +403,9 @@ void PalomarSwitch::TestOnlyKillPortUnderConnection(bool north_side, int logical
 
 std::vector<Connection> PalomarSwitch::SurveyConnections() const {
   std::vector<Connection> surveyed;
-  surveyed.reserve(active_.size());
-  for (const auto& [north, conn] : active_) {
+  surveyed.reserve(static_cast<std::size_t>(connection_count_));
+  for (const Connection& conn : active_) {
+    if (conn.north == kNoPort) continue;
     const CorePathMetrics metrics = core_.MeasurePath(PhysicalPort(true, conn.north),
                                                       PhysicalPort(false, conn.south));
     surveyed.push_back(Connection{

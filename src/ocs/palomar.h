@@ -3,9 +3,13 @@
 // fabric; 8 are spares for link testing and repairs. Reconfiguration is
 // transactional: connections shared between the old and new configuration
 // are left untouched ("undisturbed"), which is what lets the scheduler place
-// new slices without interfering with running jobs (§4.2.4).
+// new slices without interfering with running jobs (§4.2.4). The delta
+// transactions (ConnectDelta / DisconnectDelta) touch only the ports they
+// name, so on the slice install/remove path every other circuit is
+// undisturbed by construction and a transaction costs O(changed ports).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -75,14 +79,30 @@ class PalomarSwitch {
   /// the target is not bijective or references dead/out-of-range ports.
   common::Result<ReconfigureReport> Reconfigure(const std::map<int, int>& target);
 
+  /// Adds the circuits in `delta` (north -> south) in one transaction that
+  /// touches only those ports. State, telemetry and alignment RNG draws are
+  /// exactly those of Reconfigure(CurrentMapping() plus delta): circuits are
+  /// established in ascending north order. Fails with no state change when a
+  /// port is out of range, dead or already connected, or a south repeats.
+  /// Returns the transaction duration (command overhead + slowest alignment).
+  common::Result<double> ConnectDelta(const std::map<int, int>& delta);
+  /// ConnectDelta's validation alone: no state change, no rejection counted.
+  common::Status CheckConnectDelta(const std::map<int, int>& delta) const;
+
+  /// Tears down the circuits in `delta` in one transaction, exactly as
+  /// Reconfigure(CurrentMapping() minus delta) would: a pair that is not a
+  /// live circuit is left alone. Fails with no state change when a port is
+  /// out of range. Returns the transaction duration.
+  common::Result<double> DisconnectDelta(const std::map<int, int>& delta);
+
   /// Current connection on a north port.
   std::optional<Connection> ConnectionOn(int north) const;
   std::vector<Connection> Connections() const;
-  int ConnectionCount() const { return static_cast<int>(north_to_south_.size()); }
-  /// The complete current cross-connect map (logical north -> south); the
-  /// ground truth the control plane's snapshot/rollback machinery is judged
-  /// against in tests.
-  const std::map<int, int>& CurrentMapping() const { return north_to_south_; }
+  int ConnectionCount() const { return connection_count_; }
+  /// The complete current cross-connect map (logical north -> south), built
+  /// on demand; the ground truth the control plane's snapshot/rollback
+  /// machinery is judged against in tests.
+  std::map<int, int> CurrentMapping() const;
 
   /// Injects a mirror failure affecting the given port side. Returns true if
   /// the port survived (a spare mirror was mapped in). A destroyed port
@@ -135,7 +155,22 @@ class PalomarSwitch {
   static constexpr double kCommandOverheadMs = 2.0;
 
  private:
+  /// Port-table entry of a port with no circuit.
+  static constexpr int kNoPort = -1;
+
   common::Result<Connection> EstablishInternal(int north, int south);
+  /// North end of the circuit through `port` on the given side, or kNoPort.
+  int CircuitNorth(bool north_side, int port) const;
+  /// Removes the live circuit on `north` from the port tables.
+  void TearDown(int north);
+  /// Validation shared by Reconfigure targets and ConnectDelta deltas: every
+  /// port in range and alive, no south used twice, and with `ports_free` no
+  /// port already connected. Changes no state.
+  common::Status CheckPairs(const std::map<int, int>& pairs, bool ports_free) const;
+  /// Closes a successful transaction: one reconfiguration lasting the
+  /// command overhead plus `max_alignment_ms`, its telemetry, and the
+  /// boundary validation. Returns the duration.
+  double FinishTransaction(double max_alignment_ms, const char* boundary);
   void NoteRejected();
   /// Runs ValidateInvariants through LW_CHECK_OK when validation mode is on.
   void MaybeValidate(const char* boundary) const;
@@ -143,9 +178,12 @@ class PalomarSwitch {
   std::string name_;
   OpticalCore core_;
   Chassis chassis_;
-  std::map<int, int> north_to_south_;   // logical ports
-  std::map<int, int> south_to_north_;   // logical ports
-  std::map<int, Connection> active_;    // keyed by logical north port
+  // Flat port tables over logical ports; kNoPort marks a free port, and a
+  // free north's active_ slot is a default Connection (north == kNoPort).
+  std::array<int, kPalomarUsablePorts> north_to_south_;
+  std::array<int, kPalomarUsablePorts> south_to_north_;
+  std::array<Connection, kPalomarUsablePorts> active_;  // indexed by north
+  int connection_count_ = 0;
   std::vector<bool> north_usable_;      // indexed by physical port
   std::vector<bool> south_usable_;      // indexed by physical port
   std::vector<int> north_physical_;     // logical -> physical

@@ -46,32 +46,26 @@ Result<SliceId> Superpod::InstallSliceWithId(SliceId slice_id,
   }
 
   auto wanted = topology.OcsConnections(plan_);
-  // Single-cube slices have self-loop-only rings; they still program the
-  // wraparound so the cube sees a closed 4x4x4 torus.
-  double install_ms = 0.0;
-  std::map<int, std::map<int, int>> installed;
-  for (const auto& [ocs_id, new_conns] : wanted) {
+  // Check every switch before programming any, so a failed install leaves
+  // the fabric untouched.
+  for (const auto& [ocs_id, conns] : wanted) {
     if (!ocs_up_[static_cast<std::size_t>(ocs_id)]) {
       return common::Unavailable("ocs " + std::to_string(ocs_id) + " is down");
     }
-    ocs::PalomarSwitch& sw = ocs(ocs_id);
-    // Merge: current connections stay; slice connections are added.
-    std::map<int, int> target;
-    for (const auto& conn : sw.Connections()) target[conn.north] = conn.south;
-    const std::size_t before = target.size();
-    for (const auto& [n, s] : new_conns) target[n] = s;
-    if (target.size() != before + new_conns.size()) {
-      return common::Internal("port conflict merging slice into ocs " +
-                              std::to_string(ocs_id));
+    if (auto invalid = ocs(ocs_id).CheckConnectDelta(conns); !invalid.ok()) {
+      return common::Error{invalid.error().code,
+                           "ocs " + std::to_string(ocs_id) + ": " + invalid.error().message};
     }
-    auto report = sw.Reconfigure(target);
-    if (!report.ok()) return report.error();
-    // The undisturbed guarantee: everything previously connected stayed.
-    if (report.value().undisturbed.size() != before || !report.value().removed.empty()) {
-      return common::Internal("reconfiguration disturbed existing slices");
-    }
-    install_ms = std::max(install_ms, report.value().duration_ms);
-    installed[ocs_id] = new_conns;
+  }
+  // Each switch gains only the slice's circuits, so every running slice is
+  // undisturbed by construction. Single-cube slices have self-loop-only
+  // rings; they still program the wraparound so the cube sees a closed
+  // 4x4x4 torus.
+  double install_ms = 0.0;
+  for (const auto& [ocs_id, conns] : wanted) {
+    auto duration = ocs(ocs_id).ConnectDelta(conns);
+    if (!duration.ok()) return duration.error();  // a mirror died mid-transaction
+    install_ms = std::max(install_ms, duration.value());
   }
 
   if (slice_id >= next_slice_id_) next_slice_id_ = slice_id + 1;
@@ -79,7 +73,7 @@ Result<SliceId> Superpod::InstallSliceWithId(SliceId slice_id,
   slices_.emplace(slice_id, InstalledSlice{
                                 .id = slice_id,
                                 .topology = topology,
-                                .connections = std::move(installed),
+                                .connections = std::move(wanted),
                                 .install_time_ms = install_ms,
                             });
   return slice_id;
@@ -93,16 +87,10 @@ Status Superpod::RemoveSlice(SliceId id) {
   auto it = slices_.find(id);
   if (it == slices_.end()) return common::NotFound("no such slice");
   for (const auto& [ocs_id, conns] : it->second.connections) {
-    if (!ocs_up_[static_cast<std::size_t>(ocs_id)]) continue;  // down: nothing to tear
-    ocs::PalomarSwitch& sw = ocs(ocs_id);
-    std::map<int, int> target;
-    for (const auto& conn : sw.Connections()) target[conn.north] = conn.south;
-    for (const auto& [n, s] : conns) {
-      auto t = target.find(n);
-      if (t != target.end() && t->second == s) target.erase(t);
-    }
-    auto report = sw.Reconfigure(target);
-    if (!report.ok()) return report.error();
+    // A down switch keeps its circuits until RepairOcs re-targets it.
+    if (!ocs_up_[static_cast<std::size_t>(ocs_id)]) continue;
+    auto removed = ocs(ocs_id).DisconnectDelta(conns);
+    if (!removed.ok()) return removed.error();
   }
   for (int cube_id : it->second.topology.cube_ids()) cube_owner_.erase(cube_id);
   slices_.erase(it);
@@ -133,17 +121,15 @@ void Superpod::FailOcs(int ocs_id) {
 void Superpod::RepairOcs(int ocs_id) {
   assert(ocs_id >= 0 && ocs_id < ocs_count());
   ocs_up_[static_cast<std::size_t>(ocs_id)] = true;
-  // Mirror state is volatile: re-establish every connection the running
-  // slices expect on this switch.
-  ocs::PalomarSwitch& sw = ocs(ocs_id);
+  // Mirror state is volatile: the switch comes back with exactly the
+  // circuits the running slices own on it. Circuits of slices removed while
+  // it was down are torn down here.
   std::map<int, int> target;
-  for (const auto& conn : sw.Connections()) target[conn.north] = conn.south;
   for (const auto& [id, slice] : slices_) {
     auto it = slice.connections.find(ocs_id);
-    if (it == slice.connections.end()) continue;
-    for (const auto& [n, s] : it->second) target[n] = s;
+    if (it != slice.connections.end()) target.insert(it->second.begin(), it->second.end());
   }
-  (void)sw.Reconfigure(target);
+  (void)ocs(ocs_id).Reconfigure(target);
 }
 
 bool Superpod::OcsHealthy(int ocs_id) const {

@@ -1,8 +1,7 @@
 // The TPU v4 superpod (Fig. 14): 64 electrically-wired 4x4x4 cubes joined by
-// a lightwave fabric of 48 Palomar OCSes. Slices are installed by merging
-// their per-OCS connection sets into the running switch configurations;
-// the switches' undisturbed-reconfiguration guarantee means installing or
-// removing one slice never blips another (§4.2.4).
+// a lightwave fabric of 48 Palomar OCSes. Slices are installed and removed
+// as per-OCS delta transactions that touch only the slice's own ports, so
+// installing or removing one slice never blips another (§4.2.4).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +47,7 @@ class Superpod {
 
   /// Installs a slice. Fails (leaving the fabric untouched) when a cube is
   /// out of range, unhealthy, or already owned by a running slice, or when
-  /// an OCS rejects the reconfiguration.
+  /// an OCS is down or would reject the slice's circuits.
   common::Result<SliceId> InstallSlice(const SliceTopology& topology);
 
   /// Installs a slice under a caller-chosen id (recovery replay reinstalls
@@ -74,6 +73,8 @@ class Superpod {
 
   /// --- failure injection ---------------------------------------------------
   void FailOcs(int ocs_id);
+  /// Brings the OCS back up, programmed with exactly the circuits the
+  /// running slices own on it.
   void RepairOcs(int ocs_id);
   bool OcsHealthy(int ocs_id) const;
 

@@ -377,21 +377,27 @@ TEST(Fuzz, SliceCommandDecodeNeverCrashesOnRandomBytes) {
 // --- palomar random-operation stress ----------------------------------------------
 
 TEST(Fuzz, PalomarInvariantsUnderRandomOps) {
+  // Validation on: ValidateInvariants audits the port tables at every
+  // transaction boundary.
+  common::ScopedValidation validation(true);
   common::Rng rng(5);
   ocs::PalomarSwitch ocs(777);
   // Shadow model of expected state.
   std::map<int, int> model;
+  const auto south_free = [&model](int s) {
+    for (const auto& [mn, ms] : model) {
+      if (ms == s) return false;
+    }
+    return true;
+  };
 
   for (int op = 0; op < 4000; ++op) {
-    const int kind = static_cast<int>(rng.UniformInt(4));
+    const int kind = static_cast<int>(rng.UniformInt(6));
     if (kind == 0) {
       const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
       const int s = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
-      const bool n_free = !model.contains(n);
-      bool s_free = true;
-      for (const auto& [mn, ms] : model) s_free = s_free && ms != s;
       const auto result = ocs.Connect(n, s);
-      EXPECT_EQ(result.ok(), n_free && s_free) << "op " << op;
+      EXPECT_EQ(result.ok(), !model.contains(n) && south_free(s)) << "op " << op;
       if (result.ok()) model[n] = s;
     } else if (kind == 1) {
       const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
@@ -420,6 +426,35 @@ TEST(Fuzz, PalomarInvariantsUnderRandomOps) {
       EXPECT_EQ(conn.has_value(), model.contains(n));
       if (conn.has_value()) {
         EXPECT_EQ(conn->south, model.at(n));
+      }
+    } else if (kind == 4) {
+      // Delta connect of a few random pairs: valid iff every port is free
+      // and no south repeats; a rejection changes nothing.
+      std::map<int, int> delta;
+      std::set<int> souths;
+      bool valid = true;
+      const int size = 1 + static_cast<int>(rng.UniformInt(4));
+      for (int i = 0; i < size; ++i) {
+        const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
+        const int s = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
+        if (delta.contains(n)) continue;
+        valid = valid && !model.contains(n) && south_free(s) && souths.insert(s).second;
+        delta[n] = s;
+      }
+      const auto result = ocs.ConnectDelta(delta);
+      EXPECT_EQ(result.ok(), valid) << "op " << op;
+      if (result.ok()) model.insert(delta.begin(), delta.end());
+    } else if (kind == 5) {
+      // Delta disconnect: live pairs go, anything else is left alone.
+      std::map<int, int> delta;
+      for (const auto& [mn, ms] : model) {
+        if (rng.Bernoulli(0.1)) delta[mn] = ms;
+      }
+      const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
+      delta[n] = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
+      ASSERT_TRUE(ocs.DisconnectDelta(delta).ok()) << "op " << op;
+      for (const auto& [dn, ds] : delta) {
+        if (auto it = model.find(dn); it != model.end() && it->second == ds) model.erase(it);
       }
     }
     if (op % 500 == 0) {

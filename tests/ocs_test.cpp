@@ -1,8 +1,9 @@
 // Unit tests for the OCS module: MEMS yield/sparing, collimators, the
 // closed-loop alignment controller, the optical core, the chassis FRU and
 // availability model, the Palomar switch state machine (bijectivity,
-// non-blocking reconfiguration, undisturbed connections, failure injection),
-// and the Table C.1 technology ranking.
+// non-blocking reconfiguration, undisturbed connections, failure injection,
+// delta transactions against full-target reconfiguration), and the Table C.1
+// technology ranking.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -16,6 +17,8 @@
 #include "ocs/optical_core.h"
 #include "ocs/palomar.h"
 #include "ocs/technology.h"
+#include "telemetry/export.h"
+#include "telemetry/hub.h"
 
 namespace lightwave::ocs {
 namespace {
@@ -408,6 +411,111 @@ TEST_P(PalomarPermutationSweep, ReconfigureToShiftedPermutationIsExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shifts, PalomarPermutationSweep, ::testing::Values(0, 1, 7, 64));
+
+// --- palomar delta transactions ------------------------------------------------
+
+void ExpectSameTelemetry(const SwitchTelemetry& a, const SwitchTelemetry& b) {
+  EXPECT_EQ(a.connects, b.connects);
+  EXPECT_EQ(a.disconnects, b.disconnects);
+  EXPECT_EQ(a.reconfigurations, b.reconfigurations);
+  EXPECT_EQ(a.rejected_commands, b.rejected_commands);
+  EXPECT_EQ(a.cumulative_switch_ms, b.cumulative_switch_ms);
+}
+
+TEST(PalomarDelta, MatchesFullTargetReconfigure) {
+  // Two switches from one seed: deltas on one, Reconfigure(current +/- delta)
+  // on the other. Circuits (both loss doubles), telemetry, exported metrics
+  // and durations must agree exactly after every step.
+  PalomarSwitch by_delta(31), by_target(31);
+  telemetry::Hub delta_hub, target_hub;
+  by_delta.AttachTelemetry(&delta_hub);
+  by_target.AttachTelemetry(&target_hub);
+  common::Rng rng(32);
+  const auto port = [&rng] { return static_cast<int>(rng.UniformInt(kPalomarUsablePorts)); };
+  for (int step = 0; step < 400; ++step) {
+    std::map<int, int> target = by_target.CurrentMapping();
+    std::map<int, int> delta;
+    double duration_ms = 0.0;
+    if (target.empty() || rng.Bernoulli(0.55)) {
+      std::set<int> souths;
+      for (const auto& [north, south] : target) souths.insert(south);
+      const int tries = 1 + static_cast<int>(rng.UniformInt(8));
+      for (int i = 0; i < tries; ++i) {
+        const int north = port(), south = port();
+        if (target.contains(north) || delta.contains(north) || souths.contains(south)) continue;
+        delta[north] = south;
+        souths.insert(south);
+      }
+      target.insert(delta.begin(), delta.end());
+      const auto added = by_delta.ConnectDelta(delta);
+      ASSERT_TRUE(added.ok()) << step << ": " << added.error().message;
+      duration_ms = added.value();
+    } else {
+      // Live circuits plus pairs that are not live (free north, or a live
+      // north with another south): both paths must leave the latter alone.
+      for (const auto& [north, south] : target) {
+        if (rng.Bernoulli(0.3)) delta[north] = south;
+      }
+      delta[port()] = port();
+      for (const auto& [north, south] : delta) {
+        if (auto it = target.find(north); it != target.end() && it->second == south) {
+          target.erase(it);
+        }
+      }
+      const auto removed = by_delta.DisconnectDelta(delta);
+      ASSERT_TRUE(removed.ok()) << step << ": " << removed.error().message;
+      duration_ms = removed.value();
+    }
+    const auto report = by_target.Reconfigure(target);
+    ASSERT_TRUE(report.ok()) << step << ": " << report.error().message;
+    EXPECT_EQ(duration_ms, report.value().duration_ms) << step;
+    ASSERT_EQ(by_delta.Connections(), by_target.Connections()) << step;
+    EXPECT_EQ(by_delta.ConnectionCount(), by_target.ConnectionCount()) << step;
+    ExpectSameTelemetry(by_delta.telemetry(), by_target.telemetry());
+  }
+  EXPECT_GT(by_target.ConnectionCount(), 0);
+  EXPECT_EQ(telemetry::ToPrometheus(delta_hub.metrics()),
+            telemetry::ToPrometheus(target_hub.metrics()));
+}
+
+TEST(PalomarDelta, InvalidDeltaRejectedWithoutStateChange) {
+  PalomarSwitch ocs(33);
+  ASSERT_TRUE(ocs.ConnectDelta({{0, 10}, {1, 11}}).ok());
+  bool usable = true;
+  for (int i = 0; i < 60 && usable; ++i) usable = ocs.InjectMirrorFailure(true, 5);
+  ASSERT_FALSE(ocs.PortUsable(true, 5));
+
+  const std::map<int, int> invalid_connects[] = {
+      {{2, 12}, {kPalomarUsablePorts, 13}},  // north out of range
+      {{2, -1}},                             // south out of range
+      {{0, 12}},                             // north busy
+      {{2, 10}},                             // south busy
+      {{2, 12}, {3, 12}},                    // south repeated
+      {{2, 12}, {5, 14}},                    // north port dead
+  };
+  const auto expect_rejected = [&ocs](const auto& attempt) {
+    const auto mapping = ocs.CurrentMapping();
+    const auto connections = ocs.Connections();
+    SwitchTelemetry expected = ocs.telemetry();
+    ++expected.rejected_commands;
+    EXPECT_FALSE(attempt().ok());
+    EXPECT_EQ(ocs.CurrentMapping(), mapping);
+    EXPECT_EQ(ocs.Connections(), connections);
+    ExpectSameTelemetry(ocs.telemetry(), expected);
+  };
+  for (const auto& delta : invalid_connects) {
+    EXPECT_FALSE(ocs.CheckConnectDelta(delta).ok());
+    expect_rejected([&] { return ocs.ConnectDelta(delta); });
+  }
+  expect_rejected([&] { return ocs.DisconnectDelta({{0, 10}, {1, kPalomarUsablePorts}}); });
+  expect_rejected([&] { return ocs.DisconnectDelta({{-1, 10}}); });
+
+  // The same switch still takes a valid delta.
+  EXPECT_TRUE(ocs.CheckConnectDelta({{2, 12}}).ok());
+  ASSERT_TRUE(ocs.ConnectDelta({{2, 12}}).ok());
+  ASSERT_TRUE(ocs.DisconnectDelta({{0, 10}}).ok());
+  EXPECT_EQ(ocs.CurrentMapping(), (std::map<int, int>{{1, 11}, {2, 12}}));
+}
 
 // --- technology ------------------------------------------------------------------
 

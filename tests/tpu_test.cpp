@@ -3,8 +3,11 @@
 // bisection math, and the superpod install/remove/failure flows.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <iterator>
 #include <set>
 
+#include "common/rng.h"
 #include "tpu/cube.h"
 #include "tpu/slice.h"
 #include "tpu/superpod.h"
@@ -318,6 +321,112 @@ TEST(SuperpodTest, InstallFailsWhenOcsDown) {
   Superpod pod(107, 8, 2);
   pod.FailOcs(3);
   EXPECT_FALSE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0)).ok());
+  // Nothing was programmed, not even on the switches ahead of the down one.
+  for (int i = 0; i < pod.ocs_count(); ++i) EXPECT_EQ(pod.ocs(i).ConnectionCount(), 0) << i;
+  pod.RepairOcs(3);
+  EXPECT_TRUE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0)).ok());
+}
+
+TEST(SuperpodTest, InstallFailsCleanlyOnDeadPort) {
+  Superpod pod(110, 8, 2);
+  // Exhaust the mirror spares behind cube 1's north port on OCS 5.
+  bool usable = true;
+  for (int i = 0; i < 60 && usable; ++i) usable = pod.ocs(5).InjectMirrorFailure(true, 1);
+  ASSERT_FALSE(pod.ocs(5).PortUsable(true, 1));
+  EXPECT_FALSE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0)).ok());
+  EXPECT_TRUE(pod.slices().empty());
+  for (int i = 0; i < pod.ocs_count(); ++i) EXPECT_EQ(pod.ocs(i).ConnectionCount(), 0) << i;
+  // Cubes off the dead port still install.
+  EXPECT_TRUE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 2)).ok());
+}
+
+TEST(SuperpodTest, RepairOcsDropsSliceRemovedWhileDown) {
+  Superpod pod(109, 8, 2);
+  auto removed = pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0));
+  auto kept = pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 2));
+  ASSERT_TRUE(removed.ok());
+  ASSERT_TRUE(kept.ok());
+  pod.FailOcs(0);
+  ASSERT_TRUE(pod.RemoveSlice(removed.value()).ok());
+  pod.RepairOcs(0);
+  // The switch comes back with exactly the running slice's circuits.
+  EXPECT_EQ(pod.slices().size(), 1u);
+  EXPECT_EQ(pod.ocs(0).CurrentMapping(), pod.slices().at(kept.value()).connections.at(0));
+  for (int i = 0; i < pod.ocs_count(); ++i) EXPECT_EQ(pod.ocs(i).ConnectionCount(), 2) << i;
+  EXPECT_TRUE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0)).ok());
+}
+
+/// FNV-1a over every switch's circuits: north, south and the bits of both
+/// losses, which carry the alignment RNG's draws.
+std::uint64_t SwitchDigest(const Superpod& pod) {
+  std::uint64_t hash = 14695981039346656037ull;
+  auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (int i = 0; i < pod.ocs_count(); ++i) {
+    const auto conns = pod.ocs(i).Connections();
+    mix(conns.size());
+    for (const auto& c : conns) {
+      mix(static_cast<std::uint64_t>(c.north));
+      mix(static_cast<std::uint64_t>(c.south));
+      mix(std::bit_cast<std::uint64_t>(c.insertion_loss.value()));
+      mix(std::bit_cast<std::uint64_t>(c.return_loss.value()));
+    }
+  }
+  return hash;
+}
+
+TEST(SuperpodTest, ChurnMatchesFullTargetReconfigureByteForByte) {
+  // Seeded allocate/release churn on the production pod. The pinned values
+  // were produced when every install and remove ran one full-target
+  // PalomarSwitch::Reconfigure per OCS; the delta path must reproduce them
+  // exactly, alignment RNG draws included.
+  Superpod pod(4242);
+  common::Rng rng(77);
+  std::vector<SliceId> live;
+  const SliceShape menu[] = {{1, 1, 1}, {1, 1, 2}, {1, 2, 2}, {2, 2, 2}, {1, 2, 4}, {2, 2, 4}};
+  int installs = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (!live.empty() && rng.Bernoulli(0.45)) {
+      const auto pick = rng.UniformInt(live.size());
+      ASSERT_TRUE(pod.RemoveSlice(live[pick]).ok());
+      live[pick] = live.back();
+      live.pop_back();
+      continue;
+    }
+    const SliceShape shape = menu[rng.UniformInt(std::size(menu))];
+    std::vector<int> free = pod.FreeHealthyCubes();
+    if (static_cast<int>(free.size()) < shape.CubeCount()) continue;
+    std::vector<int> cubes;
+    for (int k = 0; k < shape.CubeCount(); ++k) {
+      const auto at = rng.UniformInt(free.size());
+      cubes.push_back(free[at]);
+      free[at] = free.back();
+      free.pop_back();
+    }
+    auto topology = SliceTopology::Create(shape, std::move(cubes));
+    ASSERT_TRUE(topology.ok());
+    auto id = pod.InstallSlice(topology.value());
+    ASSERT_TRUE(id.ok()) << step << ": " << id.error().message;
+    live.push_back(id.value());
+    ++installs;
+  }
+  std::uint64_t reconfigurations = 0, connects = 0, disconnects = 0;
+  for (int i = 0; i < pod.ocs_count(); ++i) {
+    reconfigurations += pod.ocs(i).telemetry().reconfigurations;
+    connects += pod.ocs(i).telemetry().connects;
+    disconnects += pod.ocs(i).telemetry().disconnects;
+  }
+  EXPECT_EQ(installs, 1349);
+  EXPECT_EQ(live.size(), 13u);
+  EXPECT_EQ(SwitchDigest(pod), 0xd45d85ab73b34a6dull);
+  EXPECT_EQ(reconfigurations, 128880u);
+  EXPECT_EQ(connects, 368592u);
+  EXPECT_EQ(disconnects, 366048u);
+  EXPECT_EQ(pod.TotalReconfigMs(), 426451.99999999686);
 }
 
 TEST(SuperpodTest, Cwdm8PodVariantUses24Switches) {
