@@ -1,6 +1,6 @@
 // Durability and recovery cost over REAL files (bench_recovery).
 //
-// Part 1 (sync-policy columns): the fleet-service serve loop runs over
+// Part 1 (sync-policy columns): a sync shard's serve loop runs over
 // journal::FileStorage in a temp directory under each sync policy, against
 // the journaling-off baseline. kGroupCommit (one fsync per batch append)
 // and kPeriodic (fsync at most once per interval) must stay under the
@@ -14,7 +14,8 @@
 //
 // Part 2 (parallel recovery): eight file-backed shards are served once and
 // their media abandoned; the fleet then recovers via Router::RecoverAll
-// serially (1 thread) and in parallel. The two recoveries must be
+// serially (SetThreads(1): every shard on the calling thread) and in
+// parallel. The two recoveries must be
 // byte-identical (thread count is a performance knob, never a semantic
 // one), the parallel one must actually be faster, and the per-shard
 // recovery-latency histogram (lightwave_journal_recovery_latency_ms) is
@@ -150,30 +151,31 @@ ServeResult RunServe(const TempDir& tmp, ServeMode mode, int repeat) {
   if (!wal_storage.ok() || !snapshot_storage.ok()) return result;
 
   tpu::Superpod pod(kPodSeed, kPodCubes, kOcsPerDim);
-  svc::FleetServiceOptions options;
-  options.journaling = mode != ServeMode::kOff;
-  options.queue_capacity = batch;
-  options.snapshot_interval = kSnapshotInterval;
-  svc::FleetService service(pod, core::AllocationPolicy::kReconfigurable,
-                            *wal_storage.value(), *snapshot_storage.value(), options);
-  if (!service.Recover().ok()) return result;
+  fleet::ShardOptions options;
+  options.batch_size = batch;
+  options.service.journaling = mode != ServeMode::kOff;
+  options.service.snapshot_interval = kSnapshotInterval;
+  options.admission.default_quota = fleet::TenantQuota{1e18, 1e18, 1.0};
+  options.admission.per_tenant_queue_capacity = commands;
+  fleet::Shard shard(0, pod, core::AllocationPolicy::kReconfigurable, *wal_storage.value(),
+                     *snapshot_storage.value(), options);
+  if (!shard.Recover().ok()) return result;
   const svc::RequestStream stream(kStreamSeed, commands, StreamConfig(8));
 
   const bench::WallTimer timer;
   for (std::uint64_t i = 0; i < commands; ++i) {
-    if (!service.Submit(stream.Command(i)).ok()) return result;
-    if (service.queue_depth() == batch) service.ProcessBatch(batch);
+    if (!shard.Offer(stream.Command(i)).ok()) return result;
+    if ((i + 1) % batch == 0) shard.PumpOnce();
   }
-  while (service.queue_depth() > 0) {
-    if (service.ProcessBatch(batch) == 0) break;
-  }
+  shard.PumpAll();
   const double seconds = timer.ms() / 1e3;
+  const svc::FleetService& service = shard.service();
   if (service.stats().processed != commands) return result;
 
   result.seconds = seconds;
   result.commands = commands;
   result.fsyncs = wal_storage.value()->fsync_count();
-  if (options.journaling) {
+  if (options.service.journaling) {
     result.bytes = service.wal().appended_bytes();
   } else {
     for (std::uint64_t i = 0; i < commands; ++i) {

@@ -1,8 +1,8 @@
 // Fleet-service throughput: what durability and sharding cost, and what
 // sharding buys.
 //
-// Part 1 (single shard, overhead gate): the same multi-tenant stream is
-// driven through group-commit batches twice — journaling + snapshots on
+// Part 1 (single sync shard, overhead gate): the same multi-tenant stream
+// is driven through group-commit batches twice — journaling + snapshots on
 // (production) vs off (pure in-memory apply). The journaling overhead must
 // stay under 15%: a batched WAL append is one CRC32C + memcpy per command
 // into an append-only device, far cheaper than the fabric allocation it
@@ -58,30 +58,39 @@ struct RunResult {
   std::uint64_t bytes = 0;
 };
 
-/// Single-shard batched serve on the calling thread.
+/// Group commit at kBatch under quotas that never bind: the bench measures
+/// the serve path, not admission refusals.
+fleet::ShardOptions BenchShardOptions(std::uint64_t commands) {
+  fleet::ShardOptions options;
+  options.batch_size = kBatch;
+  options.pipeline_depth = 8;
+  options.service.snapshot_interval = kSnapshotInterval;
+  options.admission.default_quota = fleet::TenantQuota{1e18, 1e18, 1.0};
+  options.admission.per_tenant_queue_capacity = commands;
+  return options;
+}
+
+/// Single-shard batched serve on the calling thread (sync shard).
 RunResult RunSingle(bool journaling) {
   RunResult result;
   tpu::Superpod pod(kPodSeed, kPodCubes, kOcsPerDim);
   journal::MemStorage wal_storage;
   journal::MemStorage snapshot_storage;
-  svc::FleetServiceOptions options;
-  options.journaling = journaling;
-  options.queue_capacity = kBatch;
-  options.snapshot_interval = kSnapshotInterval;
-  svc::FleetService service(pod, core::AllocationPolicy::kReconfigurable, wal_storage,
-                            snapshot_storage, options);
-  if (!service.Recover().ok()) return result;
+  fleet::ShardOptions options = BenchShardOptions(kSingleCommands);
+  options.service.journaling = journaling;
+  fleet::Shard shard(0, pod, core::AllocationPolicy::kReconfigurable, wal_storage,
+                     snapshot_storage, options);
+  if (!shard.Recover().ok()) return result;
   const svc::RequestStream stream(kStreamSeed, kSingleCommands, StreamConfig(8));
 
   const bench::WallTimer timer;
   for (std::uint64_t i = 0; i < kSingleCommands; ++i) {
-    if (!service.Submit(stream.Command(i)).ok()) return result;
-    if (service.queue_depth() == kBatch) service.ProcessBatch(kBatch);
+    if (!shard.Offer(stream.Command(i)).ok()) return result;
+    if ((i + 1) % kBatch == 0) shard.PumpOnce();
   }
-  while (service.queue_depth() > 0) {
-    if (service.ProcessBatch(kBatch) == 0) break;
-  }
+  shard.PumpAll();
   const double seconds = timer.ms() / 1e3;
+  const svc::FleetService& service = shard.service();
   if (service.stats().processed != kSingleCommands) return result;
 
   result.seconds = seconds;
@@ -113,15 +122,9 @@ RunResult RunSweep(std::uint32_t shards, std::uint32_t tenants) {
   std::vector<SweepShard> fleet(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
     fleet[s].pod = std::make_unique<tpu::Superpod>(kPodSeed + s, kPodCubes, kOcsPerDim);
-    fleet::ShardOptions options;
-    options.batch_size = kBatch;
-    options.pipeline_depth = 8;
-    options.service.snapshot_interval = kSnapshotInterval;
-    options.admission.default_quota = fleet::TenantQuota{1e18, 1e18, 1.0};
-    options.admission.per_tenant_queue_capacity = kSweepCommands;
     fleet[s].shard = std::make_unique<fleet::Shard>(
         s, *fleet[s].pod, core::AllocationPolicy::kReconfigurable, fleet[s].wal,
-        fleet[s].snapshot, options);
+        fleet[s].snapshot, BenchShardOptions(kSweepCommands));
     if (!fleet[s].shard->Recover().ok()) return result;
   }
   // Pre-offer the whole trace so the timed region measures the pipelines,

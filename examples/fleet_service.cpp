@@ -1,15 +1,16 @@
 // Durable fleet service: a crash-recoverable front-end over the slice
 // scheduler. A seeded stream of admit/resize/release commands flows through
-// a bounded admission queue; every accepted command is journaled to a
+// a fleet shard's admission queue; every accepted command is journaled to a
 // write-ahead log BEFORE it is applied, and periodic snapshots compact the
 // log. Mid-stream the demo "kills the process" at the nastiest crash point
 // (mid-apply: journaled, state mutation half done), then recovers a
-// successor service from the surviving storage — snapshot + WAL suffix —
-// and finishes the stream. The recovered run converges on exactly the state
-// an uneventful run would have reached.
+// successor shard from the surviving storage — snapshot + WAL suffix — and
+// finishes the stream. The recovered run converges on exactly the state an
+// uneventful run would have reached.
 #include <cstdio>
 
 #include "ctrl/fault_injector.h"
+#include "fleet/shard.h"
 #include "journal/storage.h"
 #include "svc/fleet_service.h"
 #include "svc/request_stream.h"
@@ -20,13 +21,27 @@ using namespace lightwave;
 
 namespace {
 
-svc::FleetService MakeService(tpu::Superpod& pod, journal::Storage& wal_storage,
-                              journal::Storage& snapshot_storage) {
-  svc::FleetServiceOptions options;
-  options.queue_capacity = 16;
-  options.snapshot_interval = 64;
-  return svc::FleetService(pod, core::AllocationPolicy::kReconfigurable, wal_storage,
-                           snapshot_storage, options);
+fleet::ShardOptions DemoOptions() {
+  fleet::ShardOptions options;
+  options.batch_size = 1;  // one journal batch per command: crashes land per command
+  options.service.snapshot_interval = 64;
+  options.admission.default_quota = fleet::TenantQuota{1e9, 1e9, 1.0};
+  options.admission.per_tenant_queue_capacity = 16;
+  return options;
+}
+
+/// Offers the stream from the committed frontier (what a client replays
+/// after a restart) and pumps each command through the journal and apply
+/// stages, until the stream ends or the process dies. Returns the commands
+/// applied.
+std::uint64_t Serve(fleet::Shard& shard, const svc::RequestStream& stream) {
+  std::uint64_t applied = 0;
+  for (std::uint64_t i = shard.service().next_command_id(0) - 1;
+       i < stream.count() && !shard.service().crashed(); ++i) {
+    if (!shard.Offer(stream.Command(i)).ok()) break;
+    applied += shard.PumpOnce();
+  }
+  return applied;
 }
 
 void PrintJournal(const svc::FleetService& service) {
@@ -45,7 +60,7 @@ void PrintJournal(const svc::FleetService& service) {
 }  // namespace
 
 int main() {
-  // The durable media. Everything else — pod, scheduler, service — is
+  // The durable media. Everything else — pod, scheduler, shard — is
   // volatile and dies with the "process".
   journal::MemStorage wal_storage;
   journal::MemStorage snapshot_storage;
@@ -60,10 +75,11 @@ int main() {
   // --- first incarnation: serve until the armed crash fires ------------------
   {
     tpu::Superpod pod(/*seed=*/42);
-    auto service = MakeService(pod, wal_storage, snapshot_storage);
-    service.SetFaultInjector(&injector);
-    service.AttachTelemetry(&hub);
-    auto recovery = service.Recover();
+    fleet::Shard shard(0, pod, core::AllocationPolicy::kReconfigurable, wal_storage,
+                       snapshot_storage, DemoOptions());
+    shard.service().SetFaultInjector(&injector);
+    shard.AttachTelemetry(&hub);
+    auto recovery = shard.Recover();
     if (!recovery.ok()) {
       std::printf("fresh recovery failed: %s\n", recovery.error().message.c_str());
       return 1;
@@ -71,29 +87,32 @@ int main() {
     // Die mid-apply of the 250th command: it is already journaled, and the
     // fabric mutation is half done when the process vanishes.
     injector.ArmCrash(ctrl::CrashPoint::kMidApply, 250);
-    auto served = service.Serve(stream);
+    const std::uint64_t served = Serve(shard, stream);
+    const svc::FleetService& service = shard.service();
     std::printf("\n[crash]   process died %s after committing %llu commands "
                 "(%llu live jobs at the time)\n",
                 ctrl::ToString(ctrl::CrashPoint::kMidApply),
-                static_cast<unsigned long long>(service.next_command_id() - 1),
+                static_cast<unsigned long long>(service.next_command_id(0) - 1),
                 static_cast<unsigned long long>(service.live_jobs()));
     std::printf("          served %llu commands this incarnation; crashed: %s\n",
-                static_cast<unsigned long long>(served.processed),
-                served.crashed ? "yes" : "no");
+                static_cast<unsigned long long>(served),
+                service.crashed() ? "yes" : "no");
     PrintJournal(service);
-    // The pod and service are abandoned here; only the storages survive.
+    // The pod and shard are abandoned here; only the storages survive.
   }
 
   // --- second incarnation: recover and finish --------------------------------
   tpu::Superpod pod(/*seed=*/42);  // same hardware, rebooted
-  auto service = MakeService(pod, wal_storage, snapshot_storage);
-  service.SetFaultInjector(&injector);
-  service.AttachTelemetry(&hub);
-  auto recovery = service.Recover();
+  fleet::Shard shard(0, pod, core::AllocationPolicy::kReconfigurable, wal_storage,
+                     snapshot_storage, DemoOptions());
+  shard.service().SetFaultInjector(&injector);
+  shard.AttachTelemetry(&hub);
+  auto recovery = shard.Recover();
   if (!recovery.ok()) {
     std::printf("recovery failed: %s\n", recovery.error().message.c_str());
     return 1;
   }
+  const svc::FleetService& service = shard.service();
   const auto& stats = recovery.value();
   std::printf("\n[recover] snapshot%s", stats.snapshot_loaded ? " loaded" : ": none");
   if (stats.snapshot_loaded) {
@@ -105,17 +124,17 @@ int main() {
               static_cast<unsigned long long>(stats.records_scanned),
               static_cast<unsigned long long>(stats.records_skipped));
   std::printf("          committed frontier restored to command %llu; %llu live jobs\n",
-              static_cast<unsigned long long>(service.next_command_id() - 1),
+              static_cast<unsigned long long>(service.next_command_id(0) - 1),
               static_cast<unsigned long long>(service.live_jobs()));
 
-  auto served = service.Serve(stream);
-  if (served.crashed) {
+  const std::uint64_t served = Serve(shard, stream);
+  if (service.crashed()) {
     std::printf("unexpected second crash\n");
     return 1;
   }
   std::printf("\n[finish]  resumed from the frontier and served the remaining %llu "
               "commands\n",
-              static_cast<unsigned long long>(served.processed));
+              static_cast<unsigned long long>(served));
   const auto& s = service.stats();
   std::printf("          admitted %llu, resized %llu, released %llu, rejected %llu "
               "(capacity/validity), %llu live jobs at end\n",

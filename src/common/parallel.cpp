@@ -51,6 +51,8 @@ struct Region {
 void RunChunks(Region& region) {
   PoolObserver* const observer = g_observer.load(std::memory_order_acquire);
   const bool outer = !t_in_region;
+  // A nested region runs inline on this thread and has a single slot.
+  const std::size_t slot = outer ? static_cast<std::size_t>(t_worker_slot) : 0;
   t_in_region = true;
   for (;;) {
     const std::uint64_t chunk = region.next.fetch_add(1, std::memory_order_relaxed);
@@ -61,7 +63,7 @@ void RunChunks(Region& region) {
     } catch (...) {
       region.errors[static_cast<std::size_t>(chunk)] = std::current_exception();
     }
-    region.chunks_per_worker[static_cast<std::size_t>(t_worker_slot)]++;
+    region.chunks_per_worker[slot]++;
     if (observer != nullptr) observer->OnChunkExecuted();
     if (region.done.fetch_add(1, std::memory_order_acq_rel) + 1 == region.chunks) {
       // Last chunk: wake the calling thread if it is already waiting.
@@ -150,22 +152,32 @@ lw::Mutex& PoolMutex() {
   return mu;
 }
 
-std::unique_ptr<ThreadPool>& PoolSlot() {
-  static std::unique_ptr<ThreadPool> pool;
-  return pool;
+/// The process-wide pool and the thread count it runs at. `threads` is 0
+/// until SetThreads configures it (DefaultThreads() then applies); a count
+/// of 1 keeps `pool` null, so serial mode stays serial.
+struct PoolSlot {
+  int threads = 0;
+  std::unique_ptr<ThreadPool> pool;
+
+  int configured() const { return threads > 0 ? threads : DefaultThreads(); }
+};
+
+PoolSlot& GlobalSlot() {
+  static PoolSlot slot;
+  return slot;
 }
 
 /// The process-wide pool, created on first use. Returns nullptr when the
 /// configured thread count is 1 (serial mode needs no pool).
 ThreadPool* GlobalPool() {
   lw::MutexLock lock(PoolMutex());
-  auto& slot = PoolSlot();
-  if (slot == nullptr) {
-    const int threads = DefaultThreads();
+  PoolSlot& slot = GlobalSlot();
+  if (slot.pool == nullptr) {
+    const int threads = slot.configured();
     if (threads <= 1) return nullptr;
-    slot = std::make_unique<ThreadPool>(threads);
+    slot.pool = std::make_unique<ThreadPool>(threads);
   }
-  return slot.get();
+  return slot.pool.get();
 }
 
 /// Debug audit (LW_DCHECK): the chunk ranges partition [0, n) exactly —
@@ -188,17 +200,17 @@ PoolObserver* SetPoolObserver(PoolObserver* observer) {
 
 int Threads() {
   lw::MutexLock lock(PoolMutex());
-  auto& slot = PoolSlot();
-  return slot != nullptr ? slot->threads() : DefaultThreads();
+  return GlobalSlot().configured();
 }
 
 void SetThreads(int threads) {
   LW_CHECK(threads >= 1) << "thread count must be >= 1";
   LW_CHECK(!t_in_region) << "SetThreads from inside a parallel region";
   lw::MutexLock lock(PoolMutex());
-  auto& slot = PoolSlot();
-  slot.reset();  // joins existing workers
-  if (threads > 1) slot = std::make_unique<ThreadPool>(threads);
+  PoolSlot& slot = GlobalSlot();
+  slot.pool.reset();  // joins existing workers
+  slot.threads = threads;
+  if (threads > 1) slot.pool = std::make_unique<ThreadPool>(threads);
 }
 
 std::uint64_t NumChunks(std::uint64_t n, std::uint64_t chunk_size) {

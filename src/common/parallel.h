@@ -64,14 +64,17 @@ class PoolObserver {
 /// none). Pass nullptr to detach.
 PoolObserver* SetPoolObserver(PoolObserver* observer);
 
-/// Configured worker count of the process-wide pool: LIGHTWAVE_THREADS when
-/// set (clamped to >= 1), otherwise hardware concurrency. 1 means fully
-/// serial execution on the calling thread.
+/// Configured worker count of the process-wide pool: the last SetThreads
+/// value, else LIGHTWAVE_THREADS when set (clamped to >= 1), otherwise
+/// hardware concurrency. 1 means fully serial execution on the calling
+/// thread.
 int Threads();
 
-/// Reconfigures the process-wide pool (joins existing workers first). Used
-/// by tests to prove thread-count invariance and by embedders as a runtime
-/// knob. Must not be called from inside a parallel region.
+/// Reconfigures the process-wide pool (joins existing workers first); the
+/// count holds until the next call, so SetThreads(1) runs every region on
+/// its calling thread. Used by tests to prove thread-count invariance and
+/// by embedders as a runtime knob. Must not be called from inside a
+/// parallel region.
 void SetThreads(int threads);
 
 /// Number of chunks the deterministic partition of [0, n) produces for a

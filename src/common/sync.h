@@ -56,7 +56,6 @@ namespace rank {
 inline constexpr int kFleetAdmission = 10;   // fleet::AdmissionQueue::mu_
 inline constexpr int kShardHandoff = 20;     // fleet::Shard::handoff_mu_
 inline constexpr int kShardStats = 30;       // fleet::Shard::stats_mu_
-inline constexpr int kWalCompact = 35;       // journal::Wal::compact_mu_
 inline constexpr int kPoolRegistry = 40;     // parallel global pool slot
 inline constexpr int kPoolQueue = 45;        // parallel ThreadPool::mu_
 inline constexpr int kParallelRegion = 48;   // parallel Region::mu

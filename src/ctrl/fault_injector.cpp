@@ -43,26 +43,28 @@ void FaultInjector::AttachTelemetry(telemetry::Hub* hub) {
 }
 
 void FaultInjector::ArmCrash(CrashPoint point, std::uint64_t visits) {
-  armed_crash_point_ = point;
-  armed_crash_visits_ = visits == 0 ? 1 : visits;
+  armed_crash_visits_.store(visits == 0 ? 1 : visits);
+  armed_crash_point_.store(static_cast<int>(point));
 }
 
 void FaultInjector::DisarmCrash() {
-  armed_crash_point_.reset();
-  armed_crash_visits_ = 0;
+  armed_crash_point_.store(kDisarmed);
+  armed_crash_visits_.store(0);
 }
 
 bool FaultInjector::ShouldCrash(CrashPoint point) {
   ++crash_point_visits_[static_cast<std::size_t>(point)];
-  if (!armed_crash_point_.has_value() || *armed_crash_point_ != point) return false;
-  if (--armed_crash_visits_ > 0) return false;
-  armed_crash_point_.reset();
+  if (armed_crash_point_.load() != static_cast<int>(point)) return false;
+  // Only the visit that takes the count from 1 to 0 fires; a racing visit
+  // that decrements past it sees a stale count and does not.
+  if (armed_crash_visits_.fetch_sub(1) != 1) return false;
+  armed_crash_point_.store(kDisarmed);
   ++crashes_fired_;
   return true;
 }
 
 std::uint64_t FaultInjector::crash_point_visits(CrashPoint point) const {
-  return crash_point_visits_[static_cast<std::size_t>(point)];
+  return crash_point_visits_[static_cast<std::size_t>(point)].load();
 }
 
 bool FaultInjector::OnFrame() {

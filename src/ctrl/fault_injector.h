@@ -12,9 +12,9 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
-#include <optional>
 
 #include "common/rng.h"
 
@@ -88,15 +88,18 @@ class FaultInjector {
   /// the very next one) makes ShouldCrash return true, then disarms. Visits
   /// to other crash points are counted but do not consume the fuse, so a
   /// crash can be dropped on an exact command boundary of a long trace.
+  /// Arm and disarm while no stage is visiting.
   void ArmCrash(CrashPoint point, std::uint64_t visits = 1);
   void DisarmCrash();
 
   /// Service hook, called at every crash point on the command path. Counts
   /// the visit and returns true exactly when the armed fuse burns out — the
   /// caller then abandons its volatile state, simulating the process dying.
+  /// Safe to call from a pipelined shard's journal and apply threads at
+  /// once: the fuse burns out on exactly one visit.
   bool ShouldCrash(CrashPoint point);
 
-  std::uint64_t crashes_fired() const { return crashes_fired_; }
+  std::uint64_t crashes_fired() const { return crashes_fired_.load(); }
   std::uint64_t crash_point_visits(CrashPoint point) const;
 
   const FaultProfile& profile() const { return profile_; }
@@ -125,10 +128,12 @@ class FaultInjector {
   std::uint64_t brownout_drops_ = 0;
   std::uint64_t mirror_deaths_ = 0;
   std::uint64_t ports_destroyed_ = 0;
-  std::optional<CrashPoint> armed_crash_point_;
-  std::uint64_t armed_crash_visits_ = 0;
-  std::uint64_t crashes_fired_ = 0;
-  std::array<std::uint64_t, 3> crash_point_visits_{};
+  /// The armed CrashPoint as an int, or kDisarmed.
+  static constexpr int kDisarmed = -1;
+  std::atomic<int> armed_crash_point_{kDisarmed};
+  std::atomic<std::uint64_t> armed_crash_visits_{0};
+  std::atomic<std::uint64_t> crashes_fired_{0};
+  std::array<std::atomic<std::uint64_t>, 3> crash_point_visits_{};
   telemetry::Counter* fail_stop_counter_ = nullptr;
   telemetry::Counter* brownout_counter_ = nullptr;
   telemetry::Counter* mirror_death_counter_ = nullptr;

@@ -1,8 +1,7 @@
 #include "fleet/shard.h"
 
-#include <algorithm>
 #include <chrono>
-#include <map>
+#include <string>
 
 #include "common/check.h"
 #include "telemetry/hub.h"
@@ -24,13 +23,7 @@ Shard::Shard(std::uint32_t shard_id, tpu::Superpod& pod, core::AllocationPolicy 
              journal::Storage& wal_storage, journal::Storage& snapshot_storage,
              ShardOptions options)
     : shard_id_(shard_id),
-      options_([&options] {
-        // A popped batch must always fit the service queue, or sync pumping
-        // would drop commands already admitted from their tenant queues.
-        options.service.queue_capacity =
-            std::max(options.service.queue_capacity, options.batch_size);
-        return options;
-      }()),
+      options_(options),
       service_(pod, policy, wal_storage, snapshot_storage, options_.service),
       admission_(options_.admission) {
   LW_CHECK(options_.batch_size > 0) << "zero batch size";
@@ -45,45 +38,37 @@ Status Shard::Offer(const svc::SliceCommand& cmd) { return admission_.Offer(cmd)
 
 std::size_t Shard::PumpOnce() {
   LW_CHECK(!running()) << "sync pump while the pipeline is running";
-  auto batch = admission_.PopBatch(options_.batch_size);
-  if (batch.empty()) return 0;
-  for (const svc::SliceCommand& cmd : batch) {
-    // Duplicates ack Ok inside Submit; a gap (tenant relocated here with
-    // history missing, or client bug) is counted and dropped.
-    Status submitted = service_.Submit(cmd);
-    if (!submitted.ok()) {
-      lw::MutexLock lock(stats_mu_);
-      ++stats_.pipeline_gaps;
-    }
-  }
-  const std::size_t applied = service_.ProcessBatch(batch.size());
-  ObserveBatch(applied);
-  {
-    lw::MutexLock lock(stats_mu_);
-    stats_.applied += applied;
-  }
+  if (service_.crashed()) return 0;
+  JournaledBatch batch;
+  if (!Journal(admission_.PopBatch(options_.batch_size), &batch)) return 0;
+  const std::size_t applied = service_.ApplyJournaled(batch.commands, batch.first_seq);
+  lw::MutexLock lock(stats_mu_);
+  stats_.applied += applied;
   return applied;
 }
 
 std::size_t Shard::PumpAll() {
   std::size_t total = 0;
-  while (admission_.Depth() > 0 && !service_.crashed()) {
-    const std::size_t applied = PumpOnce();
-    total += applied;
-    if (applied == 0 && service_.crashed()) break;
-  }
+  while (admission_.Depth() > 0 && !service_.crashed()) total += PumpOnce();
   return total;
 }
 
 Status Shard::SubmitControl(const svc::SliceCommand& cmd) {
   LW_CHECK(!running()) << "control submit while the pipeline is running";
-  Status submitted = service_.Submit(cmd);
-  if (!submitted.ok()) return submitted;
-  // Apply everything ahead of it too — control commands see a drained queue.
-  while (service_.queue_depth() > 0 && !service_.crashed()) {
-    if (service_.ProcessBatch(service_.queue_depth()) == 0) break;
-  }
   if (service_.crashed()) return common::Unavailable("shard crashed");
+  switch (service_.AcceptPending(cmd)) {
+    case svc::AdmitCheck::kDuplicate: return Status::Ok();  // already journaled
+    case svc::AdmitCheck::kGap:
+      return common::InvalidArgument("command id gap for tenant " +
+                                     std::to_string(cmd.tenant_id) + " at id " +
+                                     std::to_string(cmd.command_id));
+    case svc::AdmitCheck::kAccept: break;
+  }
+  const std::vector<svc::SliceCommand> batch{cmd};
+  auto appended = service_.JournalBatch(batch);
+  if (appended.ok()) service_.ApplyJournaled(batch, appended.value());
+  if (service_.crashed()) return common::Unavailable("shard crashed");
+  LW_CHECK(appended.ok()) << "journal append failed: " << appended.error().message;
   return Status::Ok();
 }
 
@@ -94,7 +79,6 @@ void Shard::Start() {
     lw::MutexLock lock(handoff_mu_);
     journal_done_ = false;
   }
-  service_.SetPipelined(true);
   running_.store(true, std::memory_order_release);
   journal_thread_ = std::thread([this] { JournalLoop(); });
   apply_thread_ = std::thread([this] { ApplyLoop(); });
@@ -103,20 +87,19 @@ void Shard::Start() {
 void Shard::Stop() {
   if (!running()) return;
   stop_requested_.store(true, std::memory_order_release);
-  journal_thread_.join();  // drains admission before exiting
+  journal_thread_.join();  // drains admission (or stops at a crash) first
   {
     lw::MutexLock lock(handoff_mu_);
     journal_done_ = true;
   }
   handoff_cv_.NotifyAll();
   apply_thread_.join();  // drains the handoff queue before exiting
-  service_.SetPipelined(false);
   running_.store(false, std::memory_order_release);
 }
 
 void Shard::Drain() {
   LW_CHECK(running()) << "drain without a running pipeline";
-  while (true) {
+  while (!service_.crashed()) {
     if (admission_.Depth() == 0) {
       lw::MutexLock lock(handoff_mu_);
       if (handoff_.empty() && !journal_busy_ && applying_ == 0) return;
@@ -127,52 +110,48 @@ void Shard::Drain() {
 
 std::vector<svc::SliceCommand> Shard::FilterPending(
     std::vector<svc::SliceCommand> batch) {
-  std::vector<svc::SliceCommand> accepted;
-  accepted.reserve(batch.size());
-  // Overlay of frontiers advanced WITHIN this batch: CheckPending only sees
-  // state as of the last JournalBatch, but a batch routinely carries several
-  // consecutive commands of one tenant.
-  std::map<std::uint32_t, std::uint64_t> local_next;
   std::uint64_t duplicates = 0;
   std::uint64_t gaps = 0;
+  std::size_t kept = 0;
   for (svc::SliceCommand& cmd : batch) {
-    auto it = local_next.find(cmd.tenant_id);
-    if (it == local_next.end()) {
-      switch (service_.CheckPending(cmd)) {
-        case svc::AdmitCheck::kAccept:
-          local_next[cmd.tenant_id] = cmd.command_id + 1;
-          accepted.push_back(std::move(cmd));
-          break;
-        case svc::AdmitCheck::kDuplicate: ++duplicates; break;
-        case svc::AdmitCheck::kGap: ++gaps; break;
-      }
-      continue;
-    }
-    if (cmd.command_id < it->second) {
-      ++duplicates;
-    } else if (cmd.command_id > it->second) {
-      ++gaps;
-    } else {
-      ++it->second;
-      accepted.push_back(std::move(cmd));
+    switch (service_.AcceptPending(cmd)) {
+      case svc::AdmitCheck::kAccept: batch[kept++] = std::move(cmd); break;
+      case svc::AdmitCheck::kDuplicate: ++duplicates; break;
+      case svc::AdmitCheck::kGap: ++gaps; break;
     }
   }
+  batch.resize(kept);
   if (duplicates > 0 || gaps > 0) {
     lw::MutexLock lock(stats_mu_);
     stats_.pipeline_duplicates += duplicates;
     stats_.pipeline_gaps += gaps;
   }
-  return accepted;
+  return batch;
+}
+
+bool Shard::Journal(std::vector<svc::SliceCommand> popped, JournaledBatch* out) {
+  out->commands = FilterPending(std::move(popped));
+  if (out->commands.empty()) return false;
+  auto appended = service_.JournalBatch(out->commands);
+  if (!appended.ok()) {
+    LW_CHECK(service_.crashed()) << "journal append failed: " << appended.error().message;
+    return false;
+  }
+  out->first_seq = appended.value();
+  if (batch_histogram_ != nullptr) {
+    batch_histogram_->Observe(static_cast<double>(out->commands.size()));
+  }
+  return true;
 }
 
 void Shard::JournalLoop() {
-  while (true) {
+  while (!service_.crashed()) {
     {
       lw::MutexLock lock(handoff_mu_);
       journal_busy_ = true;
     }
-    auto batch = admission_.PopBatch(options_.batch_size);
-    if (batch.empty()) {
+    auto popped = admission_.PopBatch(options_.batch_size);
+    if (popped.empty()) {
       {
         lw::MutexLock lock(handoff_mu_);
         journal_busy_ = false;
@@ -181,22 +160,19 @@ void Shard::JournalLoop() {
       std::this_thread::sleep_for(kIdlePoll);
       continue;
     }
-    auto accepted = FilterPending(std::move(batch));
-    if (accepted.empty()) {
-      lw::MutexLock lock(handoff_mu_);
-      journal_busy_ = false;
-      continue;
-    }
-    auto appended = service_.JournalBatch(accepted);
-    LW_CHECK(appended.ok()) << "journal append failed: " << appended.error().message;
-    ObserveBatch(accepted.size());
+    JournaledBatch batch;
+    const bool journaled = Journal(std::move(popped), &batch);
     {
       lw::MutexLock lock(handoff_mu_);
-      while (handoff_.size() >= options_.pipeline_depth) handoff_cv_.Wait(handoff_mu_);
-      handoff_.push_back(JournaledBatch{std::move(accepted), appended.value()});
+      if (journaled) {
+        // The apply thread keeps popping after a crash (its applies are
+        // no-ops), so a full handoff always frees up.
+        while (handoff_.size() >= options_.pipeline_depth) handoff_cv_.Wait(handoff_mu_);
+        handoff_.push_back(std::move(batch));
+      }
       journal_busy_ = false;
     }
-    handoff_cv_.NotifyAll();
+    if (journaled) handoff_cv_.NotifyAll();
   }
 }
 
@@ -222,12 +198,6 @@ void Shard::ApplyLoop() {
       lw::MutexLock lock(handoff_mu_);
       --applying_;
     }
-  }
-}
-
-void Shard::ObserveBatch(std::size_t commands) {
-  if (batch_histogram_ != nullptr) {
-    batch_histogram_->Observe(static_cast<double>(commands));
   }
 }
 

@@ -1,23 +1,27 @@
 // One fleet shard: a disjoint partition of the fleet (its own Superpod,
 // FleetService, WAL + snapshot devices) fronted by a weighted-fair
 // AdmissionQueue. The shard is where group commit happens — commands pop
-// from admission in DRR batches and journal through ONE Wal::AppendBatch.
+// from admission in DRR batches, pass the one duplicate/gap filter
+// (FilterPending), and journal through ONE Wal::AppendBatch.
 //
-// Two execution modes:
+// The service's journal stage (JournalBatch) and apply stage
+// (ApplyJournaled) run in one of two modes:
 //
-//   * SYNC (PumpOnce): pop a batch, feed it through the service queue, and
-//     ProcessBatch it on the calling thread. Crash points fire exactly as
-//     FleetService::ProcessBatch documents (kPreAppend and
-//     kPostAppendPreApply once per batch, kMidApply per command), so the
-//     per-shard crash matrix drives this mode.
+//   * SYNC (PumpOnce): both stages run on the calling thread, one popped
+//     batch at a time.
 //
-//   * PIPELINED (Start/Stop): a journal thread pops batches, filters them
-//     against the pending frontiers (duplicates acked, gaps dropped), and
+//   * PIPELINED (Start/Stop): a journal thread pops, filters and
 //     group-appends; a bounded handoff queue carries journaled batches to
 //     an apply thread that applies them and takes snapshots. The two
 //     threads touch disjoint FleetService state (see fleet_service.h); the
 //     snapshot->compaction handoff is the service's atomic floor. This is
 //     the throughput mode the bench sweeps.
+//
+// Both modes visit the same crash points (kPreAppend and
+// kPostAppendPreApply once per journaled batch, kMidApply per applied
+// command), so one crash matrix covers either. A fired crash stops both
+// stages: nothing is appended or applied after it, Drain returns and Stop
+// joins.
 //
 // The shard does not own the pod or the storage devices: like FleetService,
 // it is a volatile process over durable media, so a crash trial can abandon
@@ -58,7 +62,7 @@ struct ShardStats {
   std::uint64_t batches = 0;
   /// Commands applied by this shard.
   std::uint64_t applied = 0;
-  /// Duplicates acked and gaps dropped by the pipelined journal stage.
+  /// Duplicates acked and gaps dropped by the journal stage's filter.
   std::uint64_t pipeline_duplicates = 0;
   std::uint64_t pipeline_gaps = 0;
 };
@@ -86,16 +90,18 @@ class Shard {
   /// Refills tenant token buckets (router clock).
   void Tick(double seconds) { admission_.Tick(seconds); }
 
-  /// SYNC mode: pop one DRR batch and run it through the service's
-  /// journal-then-apply path on this thread. Returns commands applied;
-  /// 0 when admission is empty or the service crashed.
+  /// SYNC mode: pop one DRR batch, filter it, and run the journal stage
+  /// then the apply stage on this thread. Returns commands applied; 0 when
+  /// admission is empty, the batch held only duplicates and gaps, or the
+  /// service crashed.
   std::size_t PumpOnce();
 
   /// Drains admission synchronously until empty (or crash).
   std::size_t PumpAll();
 
-  /// Control-plane submit (2PC verbs): bypasses admission, applies
-  /// synchronously through the service queue. Sync mode only.
+  /// Control-plane submit (2PC verbs): bypasses admission, journals and
+  /// applies `cmd` on this thread. A duplicate is acknowledged Ok, a gap is
+  /// kInvalidArgument. Sync mode only.
   common::Status SubmitControl(const svc::SliceCommand& cmd);
 
   // --- pipelined mode -------------------------------------------------------
@@ -105,7 +111,8 @@ class Shard {
   /// Signals both threads, drains in-flight batches, and joins. Idempotent.
   void Stop();
   /// Blocks until admission and the handoff queue are empty and the apply
-  /// thread is idle (pipeline quiesced). Pipeline must be running.
+  /// thread is idle (pipeline quiesced), or the service crashed. Pipeline
+  /// must be running.
   void Drain();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
@@ -120,22 +127,26 @@ class Shard {
   void AttachTelemetry(telemetry::Hub* hub);
 
  private:
+  struct JournaledBatch {
+    std::vector<svc::SliceCommand> commands;
+    std::uint64_t first_seq = 0;
+  };
+
   void JournalLoop();
   void ApplyLoop();
-  /// Filters `batch` against the pending frontiers: duplicates are acked
-  /// (counted), gaps dropped (counted), accepted commands returned in order.
+  /// Filters `batch` against the service's pending frontiers, advancing
+  /// them in place: duplicates are acked (counted), gaps dropped (counted),
+  /// accepted commands returned in order.
   std::vector<svc::SliceCommand> FilterPending(std::vector<svc::SliceCommand> batch);
-  void ObserveBatch(std::size_t commands);
+  /// The journal stage over one popped batch: FilterPending, then the group
+  /// append. False when nothing was journaled (everything filtered, or the
+  /// service crashed).
+  bool Journal(std::vector<svc::SliceCommand> popped, JournaledBatch* out);
 
   std::uint32_t shard_id_;
   ShardOptions options_;
   svc::FleetService service_;
   AdmissionQueue admission_;
-
-  struct JournaledBatch {
-    std::vector<svc::SliceCommand> commands;
-    std::uint64_t first_seq = 0;
-  };
 
   // Pipeline machinery. The handoff queue is the ONLY shared mutable state
   // between the two loops (the service's stage split handles the rest).

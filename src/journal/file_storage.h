@@ -27,11 +27,10 @@
 // a crashed rewrite cannot be mistaken for the log.
 //
 // Threading: ALL access follows the Storage contract (externally
-// serialized — the Wal's background compactor takes its own lock around
-// every storage call, reads included). ReadAt consults the mutable size
-// bookkeeping, so even a read of already-written bytes races a concurrent
-// Append; callers that want lock-free scanning must copy the bytes out
-// under their serialization first (see Wal::CompactorLoop).
+// serialized — a fleet service touches its WAL only from the journal stage
+// and its snapshot store only from the apply stage). ReadAt consults the
+// mutable size bookkeeping, so even a read of already-written bytes races
+// a concurrent Append.
 #pragma once
 
 #include <chrono>

@@ -215,8 +215,6 @@ Wal::Wal(Storage& storage) : storage_(storage) {
   }
 }
 
-Wal::~Wal() { StopBackgroundCompaction(); }
-
 void Wal::FrameRecord(std::uint64_t seq, const std::vector<std::uint8_t>& payload,
                       std::vector<std::uint8_t>* out) const {
   const std::uint64_t length = kSeqBytes + payload.size();
@@ -248,14 +246,8 @@ common::Result<std::uint64_t> Wal::Append(const std::vector<std::uint8_t>& paylo
   const std::uint64_t seq = next_seq_++;
   std::vector<std::uint8_t> frame;
   FrameRecord(seq, payload, &frame);
-  if (background_compaction()) {
-    lw::MutexLock lock(compact_mu_);
-    storage_.Append(frame.data(), frame.size());
-    storage_.Sync();
-  } else {
-    storage_.Append(frame.data(), frame.size());
-    storage_.Sync();
-  }
+  storage_.Append(frame.data(), frame.size());
+  storage_.Sync();
   ++appended_records_;
   appended_bytes_ += frame.size();
   if (append_counter_ != nullptr) append_counter_->Inc();
@@ -281,14 +273,8 @@ common::Result<std::uint64_t> Wal::AppendBatch(
   for (const auto& payload : payloads) FrameRecord(next_seq_++, payload, &batch_scratch_);
   // One device append, one sync: the whole batch commits at one fsync
   // boundary (this Sync is where kGroupCommit pays its single fsync).
-  if (background_compaction()) {
-    lw::MutexLock lock(compact_mu_);
-    storage_.Append(batch_scratch_.data(), batch_scratch_.size());
-    storage_.Sync();
-  } else {
-    storage_.Append(batch_scratch_.data(), batch_scratch_.size());
-    storage_.Sync();
-  }
+  storage_.Append(batch_scratch_.data(), batch_scratch_.size());
+  storage_.Sync();
   appended_records_ += payloads.size();
   appended_bytes_ += batch_scratch_.size();
   ++batch_appends_;
@@ -316,21 +302,6 @@ std::uint64_t Wal::CutOffset(const std::uint8_t* data, std::uint64_t limit,
 }
 
 common::Status Wal::Compact(std::uint64_t upto_seq) {
-  if (background_compaction()) {
-    // Off the serve path: record the floor and let the worker do the
-    // rewrite. Floors are monotone (snapshots only move forward), so
-    // coalescing concurrent requests into the max is lossless.
-    lw::MutexLock lock(compact_mu_);
-    has_pending_ = true;
-    if (upto_seq > pending_floor_) pending_floor_ = upto_seq;
-    compact_cv_.NotifyAll();
-    return common::Status::Ok();
-  }
-  CompactNow(upto_seq);
-  return common::Status::Ok();
-}
-
-void Wal::CompactNow(std::uint64_t upto_seq) {
   const std::uint64_t before = storage_.size();
   if (before != 0) {
     if (upto_seq >= next_seq_ - 1) {
@@ -358,87 +329,7 @@ void Wal::CompactNow(std::uint64_t upto_seq) {
     reclaimed_bytes_ += before - storage_.size();
     if (reclaimed_counter_ != nullptr) reclaimed_counter_->Inc(before - storage_.size());
   }
-}
-
-void Wal::StartBackgroundCompaction() {
-  if (compactor_.joinable()) return;
-  {
-    lw::MutexLock lock(compact_mu_);
-    stop_compactor_ = false;
-  }
-  compactor_ = std::thread([this] { CompactorLoop(); });
-}
-
-void Wal::StopBackgroundCompaction() {
-  if (!compactor_.joinable()) return;
-  {
-    lw::MutexLock lock(compact_mu_);
-    stop_compactor_ = true;
-  }
-  compact_cv_.NotifyAll();
-  compactor_.join();
-}
-
-void Wal::WaitForCompaction() {
-  if (!compactor_.joinable()) return;
-  lw::MutexLock lock(compact_mu_);
-  while (has_pending_ || compacting_) compact_cv_.Wait(compact_mu_);
-}
-
-void Wal::CompactorLoop() {
-  while (true) {
-    std::uint64_t floor = 0;
-    {
-      lw::MutexLock lock(compact_mu_);
-      while (!has_pending_ && !stop_compactor_) compact_cv_.Wait(compact_mu_);
-      if (!has_pending_) return;  // stop requested and fully drained
-      floor = pending_floor_;
-      has_pending_ = false;
-      pending_floor_ = 0;
-      compacting_ = true;
-    }
-    // Freeze the prefix and COPY it out under the lock, then walk the copy
-    // without it. The storage itself is never read unlocked: ReadAt
-    // consults mutable size bookkeeping on FileStorage and the backing
-    // vector on MemStorage, both of which a concurrent Append mutates.
-    // The copy is one bulk read — cheaper than the fsync every append
-    // already pays under this lock — so the serve path only blocks for
-    // that and the brief install below, never for the record walk.
-    std::uint64_t frozen = 0;
-    {
-      lw::MutexLock lock(compact_mu_);
-      frozen = storage_.size();
-    }
-    // Allocate off the lock; appends only grow the storage, so [0, frozen)
-    // stays readable when we re-take it.
-    std::vector<std::uint8_t> prefix(static_cast<std::size_t>(frozen));
-    {
-      lw::MutexLock lock(compact_mu_);
-      if (frozen > 0) storage_.ReadAt(0, prefix.size(), prefix.data());
-    }
-    const std::uint64_t cut = CutOffset(prefix.data(), frozen, floor);
-    {
-      lw::MutexLock lock(compact_mu_);
-      const std::uint64_t before = storage_.size();
-      if (cut > 0) {
-        // Keep everything after the cut, including records appended while
-        // the scan ran (their seqs are all > floor by monotonicity).
-        std::vector<std::uint8_t> keep(static_cast<std::size_t>(before - cut));
-        if (!keep.empty()) storage_.ReadAt(cut, keep.size(), keep.data());
-        storage_.ReplaceContents(keep.data(), keep.size());
-      }
-      ++compactions_;
-      if (compaction_counter_ != nullptr) compaction_counter_->Inc();
-      if (before > storage_.size()) {
-        reclaimed_bytes_ += before - storage_.size();
-        if (reclaimed_counter_ != nullptr) {
-          reclaimed_counter_->Inc(before - storage_.size());
-        }
-      }
-      compacting_ = false;
-    }
-    compact_cv_.NotifyAll();
-  }
+  return common::Status::Ok();
 }
 
 void Wal::SetNextSeq(std::uint64_t next_seq) {
@@ -446,28 +337,15 @@ void Wal::SetNextSeq(std::uint64_t next_seq) {
 }
 
 void Wal::AttachTelemetry(telemetry::Hub* hub) {
-  telemetry::Counter* bytes = nullptr;
-  telemetry::Counter* appends = nullptr;
-  telemetry::Counter* compactions = nullptr;
-  telemetry::Counter* reclaimed = nullptr;
-  if (hub != nullptr) {
-    // Resolve the counters before taking compact_mu_ (GetCounter locks the
-    // registry; keep the two locks unnested).
-    auto& metrics = hub->metrics();
-    bytes = &metrics.GetCounter("lightwave_journal_bytes_total");
-    appends = &metrics.GetCounter("lightwave_journal_appends_total");
-    compactions = &metrics.GetCounter("lightwave_journal_compactions_total");
-    reclaimed = &metrics.GetCounter("lightwave_journal_reclaimed_bytes_total");
+  if (hub == nullptr) {
+    bytes_counter_ = append_counter_ = compaction_counter_ = reclaimed_counter_ = nullptr;
+    return;
   }
-  // The background worker dereferences the compaction counters under
-  // compact_mu_; swapping under the same lock makes attach/detach safe
-  // while it runs. The append-path counters are serve-path state, already
-  // covered by the Wal's external-serialization contract.
-  lw::MutexLock lock(compact_mu_);
-  bytes_counter_ = bytes;
-  append_counter_ = appends;
-  compaction_counter_ = compactions;
-  reclaimed_counter_ = reclaimed;
+  auto& metrics = hub->metrics();
+  bytes_counter_ = &metrics.GetCounter("lightwave_journal_bytes_total");
+  append_counter_ = &metrics.GetCounter("lightwave_journal_appends_total");
+  compaction_counter_ = &metrics.GetCounter("lightwave_journal_compactions_total");
+  reclaimed_counter_ = &metrics.GetCounter("lightwave_journal_reclaimed_bytes_total");
 }
 
 }  // namespace lightwave::journal

@@ -26,26 +26,17 @@
 // synced inside the storage; kPeriodic may decline). Over MemStorage it is
 // a no-op.
 //
-// Compaction runs in one of two modes. Inline (default): Compact() rewrites
-// the log on the calling thread via Storage::ReplaceContents — atomic over
-// files (write-to-temp + rename), so a crash at any byte of the rewrite
-// leaves the OLD log intact. Background (StartBackgroundCompaction):
-// Compact() just records the floor and returns; a dedicated thread copies
-// the frozen prefix out under a brief lock, walks the copy unlocked, and
-// installs the compacted log under the lock again — the record walk is off
-// the serve path, which only ever blocks for the bulk copy and the
-// install. The crash rule is the same in both modes: the old log wins
-// until the rename.
+// Compaction: Compact() rewrites the log on the calling thread via
+// Storage::ReplaceContents — atomic over files (write-to-temp + rename), so
+// a crash at any byte of the rewrite leaves the OLD log intact. The fleet
+// service compacts on its journal stage, the log's only writer.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
-#include "common/sync.h"
-#include "common/thread_annotations.h"
 #include "journal/storage.h"
 
 namespace lightwave::telemetry {
@@ -112,10 +103,6 @@ class Wal {
   /// scan (including the tear diagnosis) stays readable via recovery_scan().
   explicit Wal(Storage& storage);
 
-  /// Joins the background compactor (completing any pending request) if it
-  /// was started.
-  ~Wal();
-
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
@@ -144,27 +131,8 @@ class Wal {
   /// `upto_seq` (typically all of them — the service snapshots at the
   /// applied frontier). The sequence counter is NOT reset; exactly-once
   /// replay keys on sequence numbers staying monotone across compactions.
-  /// Inline mode rewrites the log here (atomically — see ReplaceContents);
-  /// background mode records the floor and returns immediately.
+  /// The rewrite is atomic (see ReplaceContents).
   common::Status Compact(std::uint64_t upto_seq);
-
-  /// Moves compaction off the serve path: after this, Compact() only
-  /// enqueues the floor and a dedicated thread does the rewrite — copying
-  /// the frozen log prefix out under a brief lock, walking the copy
-  /// without blocking appends, then installing the compacted log (atomic
-  /// rename over files) under the lock again. Safe to call once, before or
-  /// between serving; appenders may keep appending throughout.
-  void StartBackgroundCompaction();
-
-  /// Drains any pending compaction, then joins the thread. Idempotent;
-  /// also called by the destructor.
-  void StopBackgroundCompaction();
-
-  bool background_compaction() const { return compactor_.joinable(); }
-
-  /// Blocks until no compaction is pending or running (test/ops hook; a
-  /// no-op when background compaction is off).
-  void WaitForCompaction();
 
   /// Recovery hook: advances the sequence counter (never rewinds). Needed
   /// when a snapshot proves sequence numbers beyond what the (compacted,
@@ -187,8 +155,6 @@ class Wal {
 
   /// Mirrors append/compaction activity into `hub` (nullptr detaches):
   /// lightwave_journal_bytes_total, appends, compactions, reclaimed bytes.
-  /// Safe to call while the background compactor runs (the pointer swap
-  /// synchronizes with the worker under compact_mu_).
   void AttachTelemetry(telemetry::Hub* hub);
 
  private:
@@ -196,18 +162,11 @@ class Wal {
   /// two paths cannot drift).
   void FrameRecord(std::uint64_t seq, const std::vector<std::uint8_t>& payload,
                    std::vector<std::uint8_t>* out) const;
-  /// The actual rewrite, inline mode only (runs on the Compact() caller
-  /// under the Wal's external serialization; the background worker has its
-  /// own copy-then-install loop).
-  void CompactNow(std::uint64_t upto_seq);
   /// Walks frames over `data[0, limit)` and returns the offset of the
   /// first record with seq > upto_seq (== limit when none). The prefix
-  /// must be boundary-valid (appends always leave it so). Pure buffer
-  /// walk: callers copy the bytes out of the storage first, so the walk
-  /// never races a concurrent append.
+  /// must be boundary-valid (appends always leave it so).
   static std::uint64_t CutOffset(const std::uint8_t* data, std::uint64_t limit,
                                  std::uint64_t upto_seq);
-  void CompactorLoop();
 
   Storage& storage_;
   WalScan recovery_scan_;
@@ -225,26 +184,6 @@ class Wal {
   telemetry::Counter* append_counter_ = nullptr;
   telemetry::Counter* compaction_counter_ = nullptr;
   telemetry::Counter* reclaimed_counter_ = nullptr;
-
-  // --- background compaction ------------------------------------------------
-  // While the compactor runs, every storage ACCESS (the append path's
-  // write+sync, the worker's prefix copy and install) happens under
-  // compact_mu_ — ReadAt is not safe against a concurrent Append on either
-  // storage kind (FileStorage consults mutable size bookkeeping;
-  // MemStorage's backing vector can reallocate), so the worker copies the
-  // frozen prefix out under the lock and walks the COPY without it. The
-  // counters the worker updates (compactions_, reclaimed_bytes_, and the
-  // telemetry pointers AttachTelemetry swaps) are written under the lock
-  // too; readers quiesce via WaitForCompaction() first. With the compactor
-  // off, only AttachTelemetry locks (the Wal keeps its documented
-  // externally-serialized contract).
-  mutable lw::Mutex compact_mu_{"journal.wal.compact", lw::rank::kWalCompact};
-  lw::CondVar compact_cv_;
-  std::thread compactor_;
-  bool stop_compactor_ LW_GUARDED_BY(compact_mu_) = false;
-  bool has_pending_ LW_GUARDED_BY(compact_mu_) = false;
-  std::uint64_t pending_floor_ LW_GUARDED_BY(compact_mu_) = 0;
-  bool compacting_ LW_GUARDED_BY(compact_mu_) = false;
 };
 
 }  // namespace lightwave::journal

@@ -1,7 +1,6 @@
 #include "svc/fleet_service.h"
 
 #include <algorithm>
-#include <string>
 
 #include "common/check.h"
 #include "ctrl/controller.h"
@@ -56,14 +55,10 @@ Result<journal::RecoveryStats> FleetService::Recover() {
       },
       hub_);
   replaying_ = false;
-  // The submit-side frontier resumes at the committed frontier; this copy is
-  // the only cross-stage transfer, and it happens before any thread starts.
+  // The journal-side frontier resumes at the committed frontier; this copy
+  // is the only cross-stage transfer, and it happens before any thread
+  // starts.
   pending_next_ = committed_next_;
-  // Start the compactor only once recovery is done: replay must see the log
-  // exactly as the crash left it, and the worker thread would race it.
-  if (recovery.ok() && options_.background_compaction) {
-    wal_.StartBackgroundCompaction();
-  }
   return recovery;
 }
 
@@ -86,6 +81,12 @@ AdmitCheck FleetService::CheckPending(const SliceCommand& cmd) const {
   return AdmitCheck::kAccept;
 }
 
+AdmitCheck FleetService::AcceptPending(const SliceCommand& cmd) {
+  const AdmitCheck check = CheckPending(cmd);
+  if (check == AdmitCheck::kAccept) pending_next_[cmd.tenant_id] = cmd.command_id + 1;
+  return check;
+}
+
 void FleetService::AdvancePending(const SliceCommand& cmd) {
   std::uint64_t& next = pending_next_[cmd.tenant_id];
   if (next == 0) next = 1;
@@ -98,95 +99,50 @@ void FleetService::AdvanceCommitted(const SliceCommand& cmd) {
   next = std::max(next, cmd.command_id + 1);
 }
 
-Status FleetService::Submit(const SliceCommand& cmd) {
+Result<std::uint64_t> FleetService::JournalBatch(const std::vector<SliceCommand>& batch) {
   LW_CHECK(recovered_) << "serve before Recover";
-  if (crashed()) return common::Unavailable("service crashed; recover a successor");
-  ++stats_.submitted;
-  switch (CheckPending(cmd)) {
-    case AdmitCheck::kDuplicate:
-      // Already committed or already queued: acknowledge, don't re-enqueue.
-      // This is what makes blind resubmission after a crash safe.
-      ++stats_.duplicate_acks;
-      return Status::Ok();
-    case AdmitCheck::kGap:
-      return common::InvalidArgument(
-          "command id gap for tenant " + std::to_string(cmd.tenant_id) + ": got " +
-          std::to_string(cmd.command_id) + ", expected " +
-          std::to_string(FrontierOf(pending_next_, cmd.tenant_id)));
-    case AdmitCheck::kAccept: break;
+  // Write-ahead order: the crash points bracket the append, and recovery's
+  // obligations follow from which side of it the crash landed on (see the
+  // header comment). A batch is journaled atomically, so "committed" after
+  // a post-append crash means the WHOLE batch.
+  if (crashed() || CrashIf(CrashPoint::kPreAppend)) {
+    return common::Unavailable("service crashed; recover a successor");
   }
-  if (queue_.size() >= options_.queue_capacity) {
-    ++stats_.rejected_backpressure;
-    if (rejected_backpressure_counter_ != nullptr) rejected_backpressure_counter_->Inc();
-    return common::ResourceExhausted("admission queue full (" +
-                                     std::to_string(options_.queue_capacity) + ")");
-  }
-  queue_.push_back(cmd);
-  AdvancePending(cmd);
-  stats_.queue_peak = std::max(stats_.queue_peak, queue_.size());
-  if (queued_counter_ != nullptr) queued_counter_->Inc();
-  UpdateQueueGauge();
-  return Status::Ok();
-}
-
-bool FleetService::ProcessOne() { return ProcessBatch(1) == 1; }
-
-std::size_t FleetService::ProcessBatch(std::size_t max_commands) {
-  if (crashed() || queue_.empty() || max_commands == 0) return 0;
-  const std::size_t n = std::min(max_commands, queue_.size());
-  std::vector<SliceCommand> batch(queue_.begin(),
-                                  queue_.begin() + static_cast<std::ptrdiff_t>(n));
-  // Write-ahead order: the crash points bracket the append and the apply,
-  // and recovery's obligations follow from which side of the append the
-  // crash landed on (see the header comment). A batch is journaled
-  // atomically, so "committed" after a post-append crash means the WHOLE
-  // batch.
-  if (CrashIf(CrashPoint::kPreAppend)) return 0;
+  for (const SliceCommand& cmd : batch) AdvancePending(cmd);
   std::uint64_t first_seq = 0;
   if (options_.journaling) {
-    auto appended = JournalBatch(batch);
-    LW_CHECK(appended.ok()) << "journal append failed: " << appended.error().message;
+    // Honor the compaction floor the apply stage published with its last
+    // snapshot: the WAL belongs to this stage.
+    const std::uint64_t floor = compact_floor_.load(std::memory_order_acquire);
+    if (floor > last_compacted_floor_) {
+      Status compacted = wal_.Compact(floor);
+      if (!compacted.ok()) return compacted.error();
+      last_compacted_floor_ = floor;
+    }
+    // The scratch vector (and each payload buffer inside it) keeps its
+    // capacity across batches: steady-state journaling allocates nothing.
+    payload_scratch_.resize(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) batch[i].EncodeTo(&payload_scratch_[i]);
+    auto appended = wal_.AppendBatch(payload_scratch_);
+    if (!appended.ok()) return appended;
     first_seq = appended.value();
   }
-  if (CrashIf(CrashPoint::kPostAppendPreApply)) return 0;
-  queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(n));
-  const std::size_t applied = ApplyJournaled(batch, first_seq);
-  UpdateQueueGauge();
-  return applied;
-}
-
-Result<std::uint64_t> FleetService::JournalBatch(const std::vector<SliceCommand>& batch) {
-  if (!options_.journaling) {
-    for (const SliceCommand& cmd : batch) AdvancePending(cmd);
-    ++stats_.batches;
-    return std::uint64_t{0};
+  ++stats_.batches;
+  if (CrashIf(CrashPoint::kPostAppendPreApply)) {
+    return common::Unavailable("service crashed; recover a successor");
   }
-  // Honor the compaction floor the apply stage published with its last
-  // snapshot (pipelined mode; inline mode compacts in TakeSnapshot).
-  const std::uint64_t floor = compact_floor_.load(std::memory_order_acquire);
-  if (floor > last_compacted_floor_) {
-    Status compacted = wal_.Compact(floor);
-    if (!compacted.ok()) return compacted.error();
-    last_compacted_floor_ = floor;
-  }
-  // The scratch vector (and each payload buffer inside it) keeps its
-  // capacity across batches: steady-state journaling allocates nothing.
-  payload_scratch_.resize(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].EncodeTo(&payload_scratch_[i]);
-    AdvancePending(batch[i]);
-  }
-  auto appended = wal_.AppendBatch(payload_scratch_);
-  if (appended.ok()) ++stats_.batches;
-  return appended;
+  return first_seq;
 }
 
 std::size_t FleetService::ApplyJournaled(const std::vector<SliceCommand>& batch,
                                          std::uint64_t first_seq) {
   std::size_t applied = 0;
   for (const SliceCommand& cmd : batch) {
+    // A crash on either stage stops the apply, kMidApply firing inside
+    // ApplyCommand included.
+    if (crashed()) return applied;
     ApplyCommand(cmd);
-    if (crashed()) return applied;  // kMidApply fired inside the apply
+    if (crashed()) return applied;
     AdvanceCommitted(cmd);
     if (first_seq != 0) applied_seq_ = first_seq + applied;
     ++applied;
@@ -367,26 +323,6 @@ bool FleetService::CrashIf(CrashPoint point) {
   return true;
 }
 
-FleetService::ServeResult FleetService::Serve(const RequestStream& stream) {
-  ServeResult result;
-  while (!crashed()) {
-    // Refill from the stream at the resubmission frontier. Regenerating
-    // commands instead of remembering them is what a real client does after
-    // the service restarts: replay its own log of unacknowledged requests.
-    std::uint64_t next = FrontierOf(pending_next_, 0);
-    while (next <= stream.count() && queue_.size() < options_.queue_capacity) {
-      Status submitted = Submit(stream.Command(next - 1));
-      LW_CHECK(submitted.ok()) << submitted.error().message;
-      ++next;
-    }
-    if (queue_.empty()) break;  // stream exhausted and fully drained
-    if (!ProcessOne()) break;   // only a crash stops a non-empty queue
-    ++result.processed;
-  }
-  result.crashed = crashed();
-  return result;
-}
-
 void FleetService::MaybeSnapshot(std::uint64_t commands_applied) {
   if (!options_.journaling || options_.snapshot_interval == 0) return;
   commands_since_snapshot_ += commands_applied;
@@ -404,14 +340,10 @@ Status FleetService::TakeSnapshot() {
   commands_since_snapshot_ = 0;
   ++stats_.snapshots;
   if (snapshot_counter_ != nullptr) snapshot_counter_->Inc();
-  if (pipelined_) {
-    // The WAL belongs to the journal thread; publish the floor and let it
-    // compact on its next batch.
-    compact_floor_.store(applied_seq_, std::memory_order_release);
-    return Status::Ok();
-  }
-  last_compacted_floor_ = applied_seq_;
-  return wal_.Compact(applied_seq_);
+  // The WAL belongs to the journal stage; publish the floor and let it
+  // compact before its next append.
+  compact_floor_.store(applied_seq_, std::memory_order_release);
+  return Status::Ok();
 }
 
 std::vector<std::uint8_t> FleetService::SerializeState() const {
@@ -523,31 +455,19 @@ Status FleetService::DeserializeState(const std::vector<std::uint8_t>& bytes) {
   return Status::Ok();
 }
 
-void FleetService::UpdateQueueGauge() {
-  if (queue_gauge_ != nullptr) queue_gauge_->Set(static_cast<double>(queue_.size()));
-}
-
 void FleetService::AttachTelemetry(telemetry::Hub* hub) {
   hub_ = hub;
   wal_.AttachTelemetry(hub);
   scheduler_.AttachTelemetry(hub);
   if (hub == nullptr) {
-    admitted_counter_ = queued_counter_ = nullptr;
-    rejected_backpressure_counter_ = rejected_apply_counter_ = nullptr;
-    snapshot_counter_ = nullptr;
-    queue_gauge_ = nullptr;
+    admitted_counter_ = rejected_apply_counter_ = snapshot_counter_ = nullptr;
     return;
   }
   auto& metrics = hub->metrics();
   admitted_counter_ = &metrics.GetCounter("lightwave_svc_admitted_total");
-  queued_counter_ = &metrics.GetCounter("lightwave_svc_queued_total");
-  rejected_backpressure_counter_ =
-      &metrics.GetCounter("lightwave_svc_rejected_total", {{"reason", "backpressure"}});
   rejected_apply_counter_ =
       &metrics.GetCounter("lightwave_svc_rejected_total", {{"reason", "apply"}});
   snapshot_counter_ = &metrics.GetCounter("lightwave_svc_snapshots_total");
-  queue_gauge_ = &metrics.GetGauge("lightwave_svc_queue_depth");
-  UpdateQueueGauge();
 }
 
 }  // namespace lightwave::svc

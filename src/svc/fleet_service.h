@@ -1,7 +1,6 @@
-// Crash-recoverable, shard-embeddable fleet service engine. Slice requests
-// flow through a bounded queue (backpressure: a full queue rejects, the
-// client retries later), and every dequeued command is journaled BEFORE it
-// is applied — write-ahead order is the entire durability argument:
+// Crash-recoverable, shard-embeddable fleet service engine: the journal and
+// apply stages of a fleet::Shard. Every command is journaled BEFORE it is
+// applied — write-ahead order is the entire durability argument:
 //
 //   crash before the append  -> the command was never acknowledged as
 //                               committed; the client resubmits it;
@@ -13,34 +12,30 @@
 // ctrl::FaultInjector's crash points) abandons it, and a fresh service over
 // the SAME two Storage devices recovers: load the snapshot, replay the WAL
 // suffix, resume the stream from the committed frontier. Periodic snapshots
-// bound replay work; each snapshot compacts the log prefix it covers.
+// bound replay work; each snapshot hands the log prefix it covers to the
+// journal stage, which compacts it before its next append.
 //
-// PR 6 made the engine multi-tenant and batch-oriented so fleet::Shard can
-// embed one per shard:
+// The engine is multi-tenant and batch-oriented:
 //   - every command belongs to a tenant; duplicate/gap detection and the
 //     resubmission frontier are per tenant;
-//   - ProcessBatch journals a whole dequeued batch through one group-commit
-//     Wal::AppendBatch (ProcessOne is the batch-of-1 special case);
-//   - the journal stage (JournalBatch) and apply stage (ApplyJournaled) are
-//     exposed separately so a pipelined shard can run them on two threads —
-//     in pipelined mode the apply thread never touches the WAL: snapshots
-//     publish a compaction floor the journal thread honors on its next
-//     batch;
+//   - the journal stage (JournalBatch) group-commits a batch through one
+//     Wal::AppendBatch and the apply stage (ApplyJournaled) applies it. A
+//     sync shard runs both on its calling thread, a pipelined shard on two
+//     threads; either way the apply stage never touches the WAL;
 //   - cross-shard transactions journal kPrepare/kCommitTxn/kAbortTxn, with
 //     reservations and decisions part of the durable state, so a router can
 //     resolve in-doubt transactions deterministically after any crash.
 //
 // Concurrency contract: this class holds NO locks of its own. The stage
 // split above is a data-partition argument (journal-thread state vs
-// apply-thread state, with the compaction floor as the one atomic handoff),
-// not a mutex discipline — the owning fleet::Shard serializes everything
-// else with its annotated lw::Mutex set (see common/sync.h and DESIGN.md
-// §5.5 for the process-wide lock hierarchy).
+// apply-thread state, with the compaction floor and the crash flag as the
+// atomic handoffs), not a mutex discipline — the owning fleet::Shard
+// serializes everything else with its annotated lw::Mutex set (see
+// common/sync.h and DESIGN.md §5.5 for the process-wide lock hierarchy).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <utility>
@@ -53,11 +48,9 @@
 #include "journal/snapshot.h"
 #include "journal/wal.h"
 #include "svc/command.h"
-#include "svc/request_stream.h"
 
 namespace lightwave::telemetry {
 class Counter;
-class Gauge;
 class Hub;
 }  // namespace lightwave::telemetry
 
@@ -68,28 +61,17 @@ class FabricController;
 namespace lightwave::svc {
 
 struct FleetServiceOptions {
-  /// Bounded admission queue; a full queue rejects with kResourceExhausted.
-  std::size_t queue_capacity = 16;
   /// Commands applied between snapshots (0 disables snapshotting; recovery
   /// then replays the whole log).
   std::uint64_t snapshot_interval = 64;
   /// Bench knob: false skips the append, measuring the journaling overhead
   /// against the same apply path. Crash recovery is meaningless without it.
   bool journaling = true;
-  /// Moves WAL compaction off the serve path entirely: snapshots only
-  /// record the compaction floor, and the Wal's background thread rewrites
-  /// the log (atomic rename over FileStorage — the old log wins until the
-  /// rename) while appends continue. Started after Recover(); off by
-  /// default so the crash matrix keeps its single-threaded determinism.
-  bool background_compaction = false;
 };
 
 struct FleetServiceStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t duplicate_acks = 0;
-  std::uint64_t rejected_backpressure = 0;
   std::uint64_t processed = 0;
-  /// Group-commit batches journaled (ProcessOne counts batches of 1).
+  /// Group-commit batches journaled.
   std::uint64_t batches = 0;
   std::uint64_t admitted = 0;
   std::uint64_t resized = 0;
@@ -103,7 +85,6 @@ struct FleetServiceStats {
   std::uint64_t aborted_txns = 0;
   std::uint64_t snapshots = 0;
   std::uint64_t crashes = 0;
-  std::size_t queue_peak = 0;
 };
 
 /// A phase-1 reservation held for an undecided cross-shard transaction.
@@ -119,7 +100,7 @@ struct PreparedTxn {
 
 enum class TxnDecision : std::uint8_t { kCommitted = 1, kAborted = 2 };
 
-/// Submit-side verdict on a command id against its tenant's frontier.
+/// Journal-side verdict on a command id against its tenant's frontier.
 enum class AdmitCheck { kAccept, kDuplicate, kGap };
 
 class FleetService {
@@ -136,77 +117,51 @@ class FleetService {
   /// replay found; fails on corrupt snapshot/command bytes.
   common::Result<journal::RecoveryStats> Recover();
 
-  /// Queue front-end. Duplicates below the tenant's committed frontier are
-  /// acknowledged OK without re-enqueueing (idempotent resubmission); a gap
-  /// above the tenant's expected next id is kInvalidArgument; a full queue
-  /// is kResourceExhausted.
-  common::Status Submit(const SliceCommand& cmd);
-
-  /// Dequeues and applies one command (journaling it first). Returns false
-  /// when the queue is empty or a crash point fired — check crashed().
-  bool ProcessOne();
-
-  /// Group commit: dequeues up to `max_commands`, journals them all through
-  /// ONE Wal::AppendBatch, then applies them in order. Crash points:
-  /// kPreAppend and kPostAppendPreApply fire once per batch (bracketing the
-  /// append), kMidApply once per applied command. Returns the number of
-  /// commands applied before any crash.
-  std::size_t ProcessBatch(std::size_t max_commands);
-
-  // --- pipelined-shard stage API (fleet::Shard) -----------------------------
+  // --- journal stage ---------------------------------------------------------
   //
-  // A pipelined shard calls JournalBatch from its journal thread and
-  // ApplyJournaled from its apply thread; the two touch disjoint state
-  // (WAL + pending frontiers vs scheduler + committed frontiers). Call
-  // SetPipelined(true) before starting the threads so snapshots publish
-  // compaction work to the journal thread instead of compacting inline.
+  // The journal stage (CheckPending/AcceptPending/JournalBatch) and the
+  // apply stage (ApplyJournaled) touch disjoint state (WAL + pending
+  // frontiers vs scheduler + committed frontiers), so a pipelined shard
+  // may run them on two threads.
 
-  /// Submit-side check of `cmd` against its tenant's pending frontier
-  /// (committed frontier + everything already accepted but not yet applied).
+  /// Check of `cmd` against its tenant's pending frontier (committed
+  /// frontier + everything already journaled but not yet applied).
   AdmitCheck CheckPending(const SliceCommand& cmd) const;
 
-  /// Journal stage: group-appends the batch (which must be per-tenant dense
-  /// against the pending frontiers) and advances them. Returns the first
-  /// record's sequence number. With journaling off, appends nothing and
-  /// returns 0 — ApplyJournaled(first_seq == 0) then leaves applied_seq()
-  /// untouched.
+  /// CheckPending, and on kAccept advances the tenant's pending frontier
+  /// past `cmd`, so the tenant's next id checks against it in place.
+  AdmitCheck AcceptPending(const SliceCommand& cmd);
+
+  /// Group-appends the batch (which must be non-empty and per-tenant dense
+  /// against the pending frontiers), advances them, and returns the first
+  /// record's sequence number. Compacts the log up to the floor the last
+  /// snapshot published first. The kPreAppend and kPostAppendPreApply
+  /// crash points bracket the append, once per batch; a fired crash, or a
+  /// call after one, returns kUnavailable. With journaling off, appends
+  /// nothing and returns 0 — ApplyJournaled(first_seq == 0) then leaves
+  /// applied_seq() untouched.
   common::Result<std::uint64_t> JournalBatch(const std::vector<SliceCommand>& batch);
 
-  /// Apply stage: applies a journaled batch, advancing the per-tenant
-  /// committed frontiers and (when first_seq != 0) applied_seq. Takes the
-  /// periodic snapshot when the interval elapses. Returns commands applied
-  /// before any crash.
+  // --- apply stage -----------------------------------------------------------
+
+  /// Applies a journaled batch, advancing the per-tenant committed
+  /// frontiers and (when first_seq != 0) applied_seq. Takes the periodic
+  /// snapshot when the interval elapses. Returns commands applied before
+  /// any crash; applies nothing once crashed().
   std::size_t ApplyJournaled(const std::vector<SliceCommand>& batch,
                              std::uint64_t first_seq);
 
-  /// Pipelined mode: snapshots (apply thread) publish the compaction floor;
-  /// the journal thread compacts at its next JournalBatch. Off (default):
-  /// snapshots compact inline.
-  void SetPipelined(bool pipelined) { pipelined_ = pipelined; }
-
-  struct ServeResult {
-    std::uint64_t processed = 0;
-    bool crashed = false;
-  };
-  /// Drives a whole single-tenant stream: submit from the committed
-  /// frontier, process, repeat until the stream is exhausted and drained —
-  /// or a crash fires.
-  ServeResult Serve(const RequestStream& stream);
-
-  /// True once a crash point fired; the object is then inert (every
-  /// Submit/ProcessOne refuses) and only good for inspecting stats.
+  /// True once a crash point fired; both stages are then inert and the
+  /// object is only good for inspecting stats.
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
   /// Next command id the service expects to commit for `tenant` (the
   /// resubmission frontier: everything below is applied and acknowledged).
   std::uint64_t next_command_id(std::uint32_t tenant) const;
-  /// Legacy single-tenant accessor (tenant 0).
-  std::uint64_t next_command_id() const { return next_command_id(0); }
   /// Tenants with a committed frontier above 1.
   std::vector<std::uint32_t> tenants() const;
 
   std::uint64_t applied_seq() const { return applied_seq_; }
-  std::size_t queue_depth() const { return queue_.size(); }
   std::uint64_t live_jobs() const { return live_jobs_.size(); }
 
   /// Cross-shard transaction introspection (router recovery): transactions
@@ -222,7 +177,7 @@ class FleetService {
   /// table + prepared/decided transactions + scheduler (slices, stats, id
   /// counter) + bound controller state. Used verbatim as the snapshot
   /// payload and, in tests, as the byte-identity digest. Volatile service
-  /// stats and the queue are deliberately excluded.
+  /// stats are deliberately excluded.
   std::vector<std::uint8_t> SerializeState() const;
 
   /// Includes `controller`'s replayable state in snapshots and digests
@@ -234,8 +189,8 @@ class FleetService {
   /// consulted on the serving path only, never during replay.
   void SetFaultInjector(ctrl::FaultInjector* injector) { injector_ = injector; }
 
-  /// lightwave_svc_{admitted,queued,rejected,...}_total counters, the
-  /// queue-depth gauge, and the journal's own series (nullptr detaches).
+  /// lightwave_svc_{admitted,rejected,snapshots}_total counters and the
+  /// journal's own series (nullptr detaches).
   void AttachTelemetry(telemetry::Hub* hub);
 
   const FleetServiceStats& stats() const { return stats_; }
@@ -250,7 +205,7 @@ class FleetService {
   /// of the command and the current state. Visits the kMidApply crash point
   /// exactly once per call on the serving path.
   void ApplyCommand(const SliceCommand& cmd);
-  /// Advances the pending (submit-side) frontier past `cmd`.
+  /// Advances the pending (journal-side) frontier past `cmd`.
   void AdvancePending(const SliceCommand& cmd);
   /// Advances the committed frontier past an applied `cmd`.
   void AdvanceCommitted(const SliceCommand& cmd);
@@ -259,18 +214,16 @@ class FleetService {
   void MaybeSnapshot(std::uint64_t commands_applied);
   common::Status TakeSnapshot();
   common::Status DeserializeState(const std::vector<std::uint8_t>& bytes);
-  void UpdateQueueGauge();
 
   tpu::Superpod& pod_;
   core::SliceScheduler scheduler_;
   journal::Storage& snapshot_storage_;
   journal::Wal wal_;
   FleetServiceOptions options_;
-  std::deque<SliceCommand> queue_;
 
-  // --- journal-thread state (submit side) ----------------------------------
-  /// Per-tenant pending frontier: the next command id acceptable for
-  /// enqueue/journal. Starts at the committed frontier after Recover.
+  // --- journal-thread state --------------------------------------------------
+  /// Per-tenant pending frontier: the next command id acceptable for the
+  /// journal. Starts at the committed frontier after Recover.
   std::map<std::uint32_t, std::uint64_t> pending_next_;
   std::uint64_t last_compacted_floor_ = 0;
   /// Reusable encode buffers for JournalBatch (capacity persists across
@@ -294,17 +247,13 @@ class FleetService {
 
   bool recovered_ = false;
   bool replaying_ = false;
-  bool pipelined_ = false;
   FleetServiceStats stats_;
   ctrl::FabricController* controller_ = nullptr;
   ctrl::FaultInjector* injector_ = nullptr;
   telemetry::Hub* hub_ = nullptr;
   telemetry::Counter* admitted_counter_ = nullptr;
-  telemetry::Counter* queued_counter_ = nullptr;
-  telemetry::Counter* rejected_backpressure_counter_ = nullptr;
   telemetry::Counter* rejected_apply_counter_ = nullptr;
   telemetry::Counter* snapshot_counter_ = nullptr;
-  telemetry::Gauge* queue_gauge_ = nullptr;
 };
 
 }  // namespace lightwave::svc

@@ -1,10 +1,11 @@
 // Sharded fleet tests (CTest label `recovery`): the per-shard batch-boundary
-// crash matrix (group commit + multi-tenant streams, byte-identical
-// recovery), quota/fairness isolation, duplicate and gap handling across
-// batch and shard boundaries, circuit-breaker-driven re-hashing, cross-shard
+// crash matrix on a sync shard and on a pipelined (two-thread) shard
+// (group commit + multi-tenant streams, byte-identical recovery),
+// quota/fairness isolation, duplicate and gap handling across batch and
+// shard boundaries, circuit-breaker-driven re-hashing, cross-shard
 // two-phase commit with in-doubt resolution, exporter visibility of the
-// fleet metrics, and a pipelined (two-thread) shard stress run that must be
-// clean under TSan.
+// fleet metrics, and a pipelined shard stress run that must be clean under
+// TSan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,10 +45,35 @@ constexpr std::uint32_t kTenants = 5;
 constexpr int kPodCubes = 8;
 constexpr int kOcsPerDim = 2;
 
-svc::FleetServiceOptions MatrixOptions() {
-  svc::FleetServiceOptions options;
-  options.queue_capacity = kBatch;
-  options.snapshot_interval = 16;  // several snapshot/compaction cycles per run
+// FNV-1a 64 of the recovered 8-shard digest in
+// FileBackedRecoverAllDeterministicAcrossThreadCounts: serving and recovery
+// must keep producing exactly the state this trace has always reached.
+constexpr std::uint64_t kRecoveredFleetFnv = 0xae179b094ab5ee32ull;
+
+std::uint64_t Fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// Batches of kBatch, several snapshot/compaction cycles per run, and
+/// quotas that never bind: a resume re-offers the whole stream.
+fleet::ShardOptions MatrixOptions() {
+  fleet::ShardOptions options;
+  options.batch_size = kBatch;
+  options.service.snapshot_interval = 16;
+  options.admission.default_quota = fleet::TenantQuota{1e9, 1e9, 1.0};
+  options.admission.per_tenant_queue_capacity = kCommands;
+  return options;
+}
+
+/// A pipelined shard whose handoff fills behind a slower apply thread.
+fleet::ShardOptions PipelinedOptions() {
+  fleet::ShardOptions options = MatrixOptions();
+  options.pipeline_depth = 2;
   return options;
 }
 
@@ -66,17 +92,49 @@ const svc::RequestStream& Stream() {
   return stream;
 }
 
-/// Drives the whole stream through group-commit batches of kBatch. Blind
-/// resubmission from index 0 every time: duplicates below a tenant's
-/// frontier ack without enqueueing, so the batch partition is identical on
-/// the first run and on every post-crash resume.
-void DriveBatched(svc::FleetService& service) {
-  for (std::uint64_t i = 0; i < Stream().count() && !service.crashed(); ++i) {
-    ASSERT_TRUE(service.Submit(Stream().Command(i)).ok());
-    if (service.queue_depth() == kBatch) service.ProcessBatch(kBatch);
+// ---------------------------------------------------------------------------
+// Shard harness: one pod + two storages + a Shard, rebuildable over the same
+// media (crash simulation).
+
+struct ShardHarness {
+  std::unique_ptr<tpu::Superpod> pod;
+  journal::MemStorage wal;
+  journal::MemStorage snapshot;
+  std::unique_ptr<fleet::Shard> shard;
+
+  explicit ShardHarness(std::uint32_t id, fleet::ShardOptions options = {},
+                        std::uint64_t pod_seed = kPodSeed) {
+    pod = std::make_unique<tpu::Superpod>(pod_seed, kPodCubes, kOcsPerDim);
+    shard = std::make_unique<fleet::Shard>(id, *pod, core::AllocationPolicy::kReconfigurable,
+                                           wal, snapshot, options);
   }
-  while (!service.crashed() && service.queue_depth() > 0) {
-    if (service.ProcessBatch(kBatch) == 0) break;
+
+  /// Simulated crash: the shard and pod die; the storages survive.
+  void Reincarnate(std::uint32_t id, fleet::ShardOptions options = {},
+                   std::uint64_t pod_seed = kPodSeed) {
+    shard.reset();
+    pod = std::make_unique<tpu::Superpod>(pod_seed, kPodCubes, kOcsPerDim);
+    shard = std::make_unique<fleet::Shard>(id, *pod, core::AllocationPolicy::kReconfigurable,
+                                           wal, snapshot, options);
+  }
+};
+
+/// Offers stream commands [begin, end) to `shard`.
+void OfferRange(fleet::Shard& shard, std::uint64_t begin, std::uint64_t end) {
+  for (std::uint64_t i = begin; i < end; ++i) {
+    ASSERT_TRUE(shard.Offer(Stream().Command(i)).ok());
+  }
+}
+
+/// Drives the stream through a sync shard window by window: offer the next
+/// kBatch commands, then pump once. Blind resubmission from index 0 every
+/// time: on a resume, re-offered windows pop and filter as duplicates,
+/// which replays admission's DRR state, so every later batch matches the
+/// first run's.
+void DriveBatched(fleet::Shard& shard) {
+  for (std::uint64_t w = 0; w < kCommands && !shard.service().crashed(); w += kBatch) {
+    OfferRange(shard, w, w + kBatch);
+    shard.PumpOnce();
   }
 }
 
@@ -88,24 +146,20 @@ std::uint64_t CommittedCount(const svc::FleetService& service) {
   return total;
 }
 
+using DigestsByCount = std::map<std::uint64_t, std::vector<std::uint8_t>>;
+
 /// Oracle digests: state bytes after each committed batch boundary, from
 /// one uneventful batched run. Key = total committed commands.
-const std::map<std::uint64_t, std::vector<std::uint8_t>>& OracleDigests() {
+const DigestsByCount& OracleDigests() {
   static const auto digests = [] {
-    std::map<std::uint64_t, std::vector<std::uint8_t>> out;
-    auto pod = FreshPod();
-    journal::MemStorage wal_storage;
-    journal::MemStorage snapshot_storage;
-    svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                              wal_storage, snapshot_storage, MatrixOptions());
-    EXPECT_TRUE(service.Recover().ok());
-    out[0] = service.SerializeState();
-    for (std::uint64_t i = 0; i < Stream().count(); ++i) {
-      EXPECT_TRUE(service.Submit(Stream().Command(i)).ok());
-      if (service.queue_depth() == kBatch) {
-        EXPECT_EQ(service.ProcessBatch(kBatch), kBatch);
-        out[CommittedCount(service)] = service.SerializeState();
-      }
+    DigestsByCount out;
+    ShardHarness h(0, MatrixOptions());
+    EXPECT_TRUE(h.shard->Recover().ok());
+    out[0] = h.shard->service().SerializeState();
+    for (std::uint64_t w = 0; w < kCommands; w += kBatch) {
+      OfferRange(*h.shard, w, w + kBatch);
+      EXPECT_EQ(h.shard->PumpOnce(), kBatch);
+      out[CommittedCount(h.shard->service())] = h.shard->service().SerializeState();
     }
     EXPECT_EQ(out.rbegin()->first, kCommands);
     return out;
@@ -126,36 +180,25 @@ struct TrialResult {
 /// over the same durable media, resume, finish the stream.
 TrialResult RunCrashTrial(CrashPoint point, std::uint64_t k) {
   TrialResult result;
-  journal::MemStorage wal_storage;
-  journal::MemStorage snapshot_storage;
   ctrl::FaultInjector injector(7, ctrl::FaultProfile{});
+  ShardHarness h(0, MatrixOptions());
+  h.shard->service().SetFaultInjector(&injector);
+  if (!h.shard->Recover().ok()) return result;
+  injector.ArmCrash(point, k);
+  DriveBatched(*h.shard);
+  result.crashed = h.shard->service().crashed();
 
-  {
-    auto pod = FreshPod();
-    svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                              wal_storage, snapshot_storage, MatrixOptions());
-    service.SetFaultInjector(&injector);
-    if (!service.Recover().ok()) return result;
-    injector.ArmCrash(point, k);
-    DriveBatched(service);
-    result.crashed = service.crashed();
-    // The pod and service die here; only the two storages survive.
-  }
-
-  auto pod = FreshPod();
-  svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable, wal_storage,
-                            snapshot_storage, MatrixOptions());
-  service.SetFaultInjector(&injector);
-  auto recovery = service.Recover();
+  // The pod and shard die here; only the two storages survive.
+  h.Reincarnate(0, MatrixOptions());
+  auto recovery = h.shard->Recover();
   result.recovery_ok = recovery.ok();
   if (!recovery.ok()) return result;
-  result.committed_after_crash = CommittedCount(service);
-  result.recovered_digest = service.SerializeState();
+  result.committed_after_crash = CommittedCount(h.shard->service());
+  result.recovered_digest = h.shard->service().SerializeState();
 
-  DriveBatched(service);
-  if (service.crashed()) return result;
-  result.final_digest = service.SerializeState();
-  result.invariants_ok = service.scheduler().ValidateInvariants().ok();
+  DriveBatched(*h.shard);
+  result.final_digest = h.shard->service().SerializeState();
+  result.invariants_ok = h.shard->service().scheduler().ValidateInvariants().ok();
   return result;
 }
 
@@ -199,33 +242,6 @@ TEST(FleetCrashMatrix, BatchBoundariesRecoverByteIdentical) {
                results[static_cast<std::size_t>(j - 1)]);
   }
 }
-
-// ---------------------------------------------------------------------------
-// Shard harness: one pod + two storages + a Shard, rebuildable over the same
-// media (crash simulation).
-
-struct ShardHarness {
-  std::unique_ptr<tpu::Superpod> pod;
-  journal::MemStorage wal;
-  journal::MemStorage snapshot;
-  std::unique_ptr<fleet::Shard> shard;
-
-  explicit ShardHarness(std::uint32_t id, fleet::ShardOptions options = {},
-                        std::uint64_t pod_seed = kPodSeed) {
-    pod = std::make_unique<tpu::Superpod>(pod_seed, kPodCubes, kOcsPerDim);
-    shard = std::make_unique<fleet::Shard>(id, *pod, core::AllocationPolicy::kReconfigurable,
-                                           wal, snapshot, options);
-  }
-
-  /// Simulated crash: the shard and pod die; the storages survive.
-  void Reincarnate(std::uint32_t id, fleet::ShardOptions options = {},
-                   std::uint64_t pod_seed = kPodSeed) {
-    shard.reset();
-    pod = std::make_unique<tpu::Superpod>(pod_seed, kPodCubes, kOcsPerDim);
-    shard = std::make_unique<fleet::Shard>(id, *pod, core::AllocationPolicy::kReconfigurable,
-                                           wal, snapshot, options);
-  }
-};
 
 svc::SliceCommand Admit(std::uint32_t tenant, std::uint64_t id, int cubes = 1) {
   svc::SliceCommand cmd;
@@ -280,7 +296,7 @@ TEST(FleetAdmission, QuotaExhaustionMidBatchRetriesCleanly) {
   h.shard->PumpAll();
   EXPECT_EQ(h.shard->service().next_command_id(7), 11u);
   EXPECT_EQ(h.shard->service().stats().processed, 10u);
-  EXPECT_EQ(h.shard->service().stats().duplicate_acks, 0u);
+  EXPECT_EQ(h.shard->stats().pipeline_duplicates, 0u);
 }
 
 TEST(FleetAdmission, MisbehavingTenantCannotStarveCompliantTenant) {
@@ -326,34 +342,28 @@ TEST(FleetAdmission, MisbehavingTenantCannotStarveCompliantTenant) {
 
 TEST(FleetService, DuplicateStraddlingBatchBoundaryAppliesOnce) {
   auto run = [](bool with_duplicates) {
-    auto pod = FreshPod();
-    journal::MemStorage wal_storage;
-    journal::MemStorage snapshot_storage;
-    svc::FleetServiceOptions options;
-    options.queue_capacity = 16;
-    svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                              wal_storage, snapshot_storage, options);
-    EXPECT_TRUE(service.Recover().ok());
+    fleet::ShardOptions options;
+    options.batch_size = 4;
+    ShardHarness h(0, options);
+    EXPECT_TRUE(h.shard->Recover().ok());
     for (std::uint64_t id = 1; id <= 4; ++id) {
-      EXPECT_TRUE(service.Submit(Admit(3, id)).ok());
+      EXPECT_TRUE(h.shard->Offer(Admit(3, id)).ok());
     }
-    EXPECT_EQ(service.ProcessBatch(4), 4u);
+    EXPECT_EQ(h.shard->PumpOnce(), 4u);
     if (with_duplicates) {
       // A client that never saw batch 1's acks resubmits its tail along
       // with new work: ids 3 and 4 straddle the committed batch boundary.
-      EXPECT_TRUE(service.Submit(Admit(3, 3)).ok());
-      EXPECT_TRUE(service.Submit(Admit(3, 4)).ok());
+      EXPECT_TRUE(h.shard->Offer(Admit(3, 3)).ok());
+      EXPECT_TRUE(h.shard->Offer(Admit(3, 4)).ok());
     }
-    EXPECT_TRUE(service.Submit(Admit(3, 5)).ok());
-    EXPECT_TRUE(service.Submit(Release(3, 6, 2)).ok());
-    EXPECT_EQ(service.ProcessBatch(4), 2u);  // only the two new commands ran
-    if (with_duplicates) {
-      EXPECT_EQ(service.stats().duplicate_acks, 2u);
-    }
-    EXPECT_EQ(service.stats().processed, 6u);
-    EXPECT_EQ(service.next_command_id(3), 7u);
-    EXPECT_EQ(service.wal().batch_appends(), 2u);
-    return service.SerializeState();
+    EXPECT_TRUE(h.shard->Offer(Admit(3, 5)).ok());
+    EXPECT_TRUE(h.shard->Offer(Release(3, 6, 2)).ok());
+    EXPECT_EQ(h.shard->PumpOnce(), 2u);  // only the two new commands ran
+    EXPECT_EQ(h.shard->stats().pipeline_duplicates, with_duplicates ? 2u : 0u);
+    EXPECT_EQ(h.shard->service().stats().processed, 6u);
+    EXPECT_EQ(h.shard->service().next_command_id(3), 7u);
+    EXPECT_EQ(h.shard->service().wal().batch_appends(), 2u);
+    return h.shard->service().SerializeState();
   };
   // Byte-identity: the duplicate-laden run converges on the clean run.
   EXPECT_EQ(run(true), run(false));
@@ -699,6 +709,7 @@ TEST(FleetRouter, FileBackedRecoverAllDeterministicAcrossThreadCounts) {
     replayed.push_back(recovery.value().records_replayed);
   }
   common::parallel::SetThreads(original);
+  EXPECT_EQ(Fnv1a64(digests[0]), kRecoveredFleetFnv);
   EXPECT_EQ(digests[0], digests[1]);
   EXPECT_EQ(digests[0], digests[2]);
   EXPECT_EQ(replayed[0], replayed[1]);
@@ -798,6 +809,115 @@ TEST(FleetPipeline, PipelinedShardAppliesExactlyOnceAndRecoversByteIdentical) {
                               h.snapshot, options.service);
   ASSERT_TRUE(successor.Recover().ok());
   EXPECT_EQ(successor.SerializeState(), final_digest);
+}
+
+// ---------------------------------------------------------------------------
+// Crash matrix on the pipelined shard: the same crash points, visited by the
+// journal thread (kPreAppend, kPostAppendPreApply) and the apply thread
+// (kMidApply).
+
+void OfferStream(fleet::Shard& shard) { OfferRange(shard, 0, kCommands); }
+
+/// Oracle for the pipelined matrix: a sync shard pumping the whole stream
+/// pre-offered — the admission state a started shard's journal thread pops
+/// the same DRR batches from. Key = total committed commands.
+const DigestsByCount& PipelinedOracleDigests() {
+  static const auto digests = [] {
+    DigestsByCount out;
+    ShardHarness h(0, PipelinedOptions());
+    EXPECT_TRUE(h.shard->Recover().ok());
+    OfferStream(*h.shard);
+    out[0] = h.shard->service().SerializeState();
+    while (h.shard->admission().Depth() > 0) {
+      EXPECT_EQ(h.shard->PumpOnce(), kBatch);
+      out[CommittedCount(h.shard->service())] = h.shard->service().SerializeState();
+    }
+    EXPECT_EQ(out.rbegin()->first, kCommands);
+    return out;
+  }();
+  return digests;
+}
+
+struct PipelinedTrialResult {
+  TrialResult trial;
+  /// What the crashed shard did: records it appended, kMidApply visits.
+  std::uint64_t appended_records = 0;
+  std::uint64_t mid_apply_visits = 0;
+};
+
+/// One pipelined cell: pre-offer the stream, arm the crash, run the
+/// pipeline until it drains or dies, then recover a sync successor over the
+/// same media, re-offer the whole stream and finish it.
+PipelinedTrialResult RunPipelinedCrashTrial(CrashPoint point, std::uint64_t k) {
+  PipelinedTrialResult result;
+  ctrl::FaultInjector injector(7, ctrl::FaultProfile{});
+  ShardHarness h(0, PipelinedOptions());
+  h.shard->service().SetFaultInjector(&injector);
+  if (!h.shard->Recover().ok()) return result;
+  OfferStream(*h.shard);
+  injector.ArmCrash(point, k);
+  h.shard->Start();
+  h.shard->Drain();
+  h.shard->Stop();
+  result.trial.crashed = h.shard->service().crashed();
+  result.appended_records = h.shard->service().wal().appended_records();
+  result.mid_apply_visits = injector.crash_point_visits(CrashPoint::kMidApply);
+
+  h.Reincarnate(0, PipelinedOptions());
+  auto recovery = h.shard->Recover();
+  result.trial.recovery_ok = recovery.ok();
+  if (!recovery.ok()) return result;
+  result.trial.committed_after_crash = CommittedCount(h.shard->service());
+  result.trial.recovered_digest = h.shard->service().SerializeState();
+
+  OfferStream(*h.shard);
+  h.shard->PumpAll();
+  result.trial.final_digest = h.shard->service().SerializeState();
+  result.trial.invariants_ok = h.shard->service().scheduler().ValidateInvariants().ok();
+  return result;
+}
+
+void CheckPipelinedTrial(CrashPoint point, std::uint64_t k,
+                         const PipelinedTrialResult& result) {
+  SCOPED_TRACE("pipelined crash point " + std::string(ctrl::ToString(point)) + " visit " +
+               std::to_string(k));
+  const TrialResult& trial = result.trial;
+  ASSERT_TRUE(trial.crashed);
+  ASSERT_TRUE(trial.recovery_ok);
+  const std::uint64_t committed = trial.committed_after_crash;
+  switch (point) {
+    case CrashPoint::kPreAppend: EXPECT_EQ(committed, (k - 1) * kBatch); break;
+    case CrashPoint::kPostAppendPreApply: EXPECT_EQ(committed, k * kBatch); break;
+    case CrashPoint::kMidApply:
+      // The journal thread may run ahead of the crashed apply, but only in
+      // whole batches.
+      EXPECT_EQ(committed % kBatch, 0u);
+      EXPECT_GE(committed, ((k + kBatch - 1) / kBatch) * kBatch);
+      // Nothing applies after the crash.
+      EXPECT_EQ(result.mid_apply_visits, k);
+      break;
+  }
+  // Nothing is appended after the crash: the log holds exactly what
+  // recovery committed.
+  EXPECT_EQ(result.appended_records, committed);
+  ASSERT_TRUE(PipelinedOracleDigests().contains(committed));
+  EXPECT_EQ(trial.recovered_digest, PipelinedOracleDigests().at(committed));
+  EXPECT_EQ(trial.final_digest, PipelinedOracleDigests().at(kCommands));
+  EXPECT_TRUE(trial.invariants_ok);
+}
+
+TEST(FleetPipeline, PipelinedCrashMatrixRecoversByteIdentical) {
+  PipelinedOracleDigests();
+  for (CrashPoint point : {CrashPoint::kPreAppend, CrashPoint::kPostAppendPreApply}) {
+    for (std::uint64_t v = 1; v <= kCommands / kBatch; ++v) {
+      CheckPipelinedTrial(point, v, RunPipelinedCrashTrial(point, v));
+    }
+  }
+  for (std::uint64_t j : {1ull, 3ull, 8ull, 9ull, 16ull, 17ull, 50ull, 64ull, 100ull, 131ull,
+                          157ull, 199ull, 200ull}) {
+    CheckPipelinedTrial(CrashPoint::kMidApply, j,
+                        RunPipelinedCrashTrial(CrashPoint::kMidApply, j));
+  }
 }
 
 }  // namespace

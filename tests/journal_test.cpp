@@ -812,7 +812,7 @@ TEST(Replay, SplitsTailCountersByKindAndRecordsMetrics) {
 }
 
 // ---------------------------------------------------------------------------
-// Compaction: atomic installs and the background path.
+// Compaction: atomic installs.
 
 TEST(Wal, PartialCompactionSurvivesReopenOnFiles) {
   testutil::TempDir tmp;
@@ -837,84 +837,10 @@ TEST(Wal, PartialCompactionSurvivesReopenOnFiles) {
   EXPECT_FALSE(std::filesystem::exists(journal::ReplaceTmpPath(path)));
 }
 
-TEST(Wal, BackgroundCompactionDropsThePrefixOffTheServePath) {
-  journal::MemStorage storage;
-  journal::Wal wal(storage);
-  wal.StartBackgroundCompaction();
-  EXPECT_TRUE(wal.background_compaction());
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
-  ASSERT_TRUE(wal.Compact(6).ok());  // returns immediately; the worker rewrites
-  wal.WaitForCompaction();
-  auto scan = journal::Wal::Scan(storage);
-  ASSERT_TRUE(scan.tail.ok());
-  ASSERT_EQ(scan.records.size(), 4u);
-  EXPECT_EQ(scan.records.front().seq, 7u);
-  EXPECT_GE(wal.compactions(), 1u);
-  EXPECT_GT(wal.reclaimed_bytes(), 0u);
-  // Appends continue seamlessly after the install.
-  ASSERT_TRUE(wal.Append(Payload(10)).ok());
-  scan = journal::Wal::Scan(storage);
-  ASSERT_TRUE(scan.tail.ok());
-  EXPECT_EQ(scan.records.back().seq, 11u);
-  wal.StopBackgroundCompaction();
-}
-
-TEST(Wal, BackgroundCompactionRacesAppendsSafely) {
-  // Appends keep flowing while the worker scans and installs; every record
-  // above the last floor must survive, in sequence, at every interleaving
-  // the scheduler produces (TSan covers the data-race side on CI).
-  testutil::TempDir tmp;
-  ASSERT_TRUE(tmp.ok());
-  auto storage = journal::FileStorage::Open(tmp.Path("race.log"));
-  ASSERT_TRUE(storage.ok());
-  journal::Wal wal(*storage.value());
-  wal.StartBackgroundCompaction();
-  std::uint64_t floor = 0;
-  for (int round = 0; round < 20; ++round) {
-    std::vector<std::vector<std::uint8_t>> batch;
-    for (int i = 0; i < 8; ++i) batch.push_back(Payload(round * 8 + i));
-    ASSERT_TRUE(wal.AppendBatch(batch).ok());
-    floor = wal.next_seq() - 5;  // keep a small suffix live
-    ASSERT_TRUE(wal.Compact(floor).ok());
-  }
-  wal.WaitForCompaction();
-  const auto scan = journal::Wal::Scan(wal.storage());
-  ASSERT_TRUE(scan.tail.ok());
-  ASSERT_FALSE(scan.records.empty());
-  EXPECT_GT(scan.records.front().seq, 0u);
-  EXPECT_LE(scan.records.front().seq, floor + 1);
-  EXPECT_EQ(scan.records.back().seq, wal.next_seq() - 1);
-  for (std::size_t i = 1; i < scan.records.size(); ++i) {
-    EXPECT_EQ(scan.records[i].seq, scan.records[i - 1].seq + 1);
-  }
-  wal.StopBackgroundCompaction();
-}
-
-TEST(Wal, AttachTelemetryWhileBackgroundCompactorRuns) {
-  // Attaching (and detaching) telemetry mid-flight must synchronize with
-  // the worker's counter updates — TSan on CI checks the data-race side.
-  journal::MemStorage storage;
-  journal::Wal wal(storage);
-  wal.StartBackgroundCompaction();
-  telemetry::Hub hub;
-  for (int round = 0; round < 10; ++round) {
-    ASSERT_TRUE(wal.Append(Payload(round)).ok());
-    ASSERT_TRUE(wal.Compact(wal.next_seq() - 2).ok());
-    wal.AttachTelemetry(round % 2 == 0 ? &hub : nullptr);
-  }
-  wal.AttachTelemetry(&hub);
-  ASSERT_TRUE(wal.Append(Payload(10)).ok());
-  ASSERT_TRUE(wal.Compact(wal.next_seq() - 1).ok());
-  wal.WaitForCompaction();
-  wal.StopBackgroundCompaction();
-  EXPECT_GT(hub.metrics().GetCounter("lightwave_journal_appends_total").value(), 0u);
-  EXPECT_GT(hub.metrics().GetCounter("lightwave_journal_compactions_total").value(), 0u);
-}
-
-TEST(Wal, CrashMidBackgroundCompactionOldLogWins) {
-  // Model the crash window between "worker wrote the tmp file" and "worker
-  // renamed it": the tmp exists, the log is untouched. Reopen must recover
-  // the FULL uncompacted log and discard the tmp.
+TEST(Wal, CrashMidCompactionOldLogWins) {
+  // Model the crash window of a partial compaction between "wrote the tmp
+  // file" and "renamed it": the tmp exists, the log is untouched. Reopen
+  // must recover the FULL uncompacted log and discard the tmp.
   testutil::TempDir tmp;
   ASSERT_TRUE(tmp.ok());
   const std::string path = tmp.Path("midcompact.log");
@@ -925,7 +851,7 @@ TEST(Wal, CrashMidBackgroundCompactionOldLogWins) {
     for (int i = 0; i < 6; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
   }
   {
-    // The dead compactor's tmp: a plausible-looking but never-renamed file.
+    // The dead compaction's tmp: a plausible-looking but never-renamed file.
     std::ofstream stale(journal::ReplaceTmpPath(path), std::ios::binary);
     stale << "compacted bytes that never got installed";
   }

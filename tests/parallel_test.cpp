@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -212,6 +213,21 @@ TEST(ParallelNesting, InnerRegionRunsInlineWithSameResults) {
   SetThreads(1);
   EXPECT_EQ(run(), nested);
   EXPECT_EQ(nested[2], 2u * 4950u);
+}
+
+TEST(ParallelSerial, SetThreadsOneRunsEveryChunkOnTheCallingThread) {
+  ThreadCountGuard guard;
+  SetThreads(4);
+  SetThreads(1);
+  EXPECT_EQ(Threads(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(64);
+  ParallelFor(64, 1, [&](std::uint64_t begin, std::uint64_t, std::uint64_t) {
+    ran_on[static_cast<std::size_t>(begin)] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+  // Still serial on the next query: nothing rebuilds a default-sized pool.
+  EXPECT_EQ(Threads(), 1);
 }
 
 TEST(ParallelEdgeCases, EmptyAndSingleItemRanges) {

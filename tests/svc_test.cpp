@@ -1,10 +1,11 @@
 // Fleet-service crash-recovery tests (CTest label `recovery`). The
-// centerpiece is the crash matrix: a 200-command seeded trace, crashed at
-// EVERY command boundary under each of the three crash points, recovered,
-// and checked three ways — the recovered state is byte-identical to the
-// pre-crash committed state, no journaled command applies twice, and no
-// accepted-and-journaled command is lost. The matrix also runs under the
-// deterministic parallel runtime at 1/2/8 threads with identical results.
+// centerpiece is the crash matrix: a 200-command seeded trace, served by a
+// sync shard one command per batch, crashed at EVERY command boundary under
+// each of the three crash points, recovered, and checked three ways — the
+// recovered state is byte-identical to the pre-crash committed state, no
+// journaled command applies twice, and no accepted-and-journaled command is
+// lost. The matrix also runs under the deterministic parallel runtime at
+// 1/2/8 threads with identical results.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,6 +23,7 @@
 #include "ctrl/controller.h"
 #include "ctrl/fault_injector.h"
 #include "ctrl/wire.h"
+#include "fleet/shard.h"
 #include "journal/storage.h"
 #include "svc/fleet_service.h"
 #include "svc/request_stream.h"
@@ -42,10 +44,18 @@ constexpr std::uint64_t kCommands = 200;
 constexpr int kPodCubes = 8;
 constexpr int kOcsPerDim = 2;
 
-svc::FleetServiceOptions MatrixOptions() {
-  svc::FleetServiceOptions options;
-  options.queue_capacity = 8;
-  options.snapshot_interval = 16;  // several snapshot/compaction cycles per run
+// FNV-1a 64 of the final oracle state: the serve path must keep producing
+// exactly the state this trace has always reached.
+constexpr std::uint64_t kFinalStateFnv = 0x8783c4b398cc3f30ull;
+
+/// One command per journal batch, so every crash point is visited once per
+/// command; with a single tenant, admission is FIFO.
+fleet::ShardOptions MatrixOptions() {
+  fleet::ShardOptions options;
+  options.batch_size = 1;
+  options.service.snapshot_interval = 16;  // several snapshot/compaction cycles per run
+  options.admission.default_quota = fleet::TenantQuota{1e9, 1e9, 1.0};
+  options.admission.per_tenant_queue_capacity = kCommands;
   return options;
 }
 
@@ -53,9 +63,47 @@ std::unique_ptr<tpu::Superpod> FreshPod() {
   return std::make_unique<tpu::Superpod>(kPodSeed, kPodCubes, kOcsPerDim);
 }
 
+std::unique_ptr<fleet::Shard> MakeShard(tpu::Superpod& pod, journal::Storage& wal_storage,
+                                        journal::Storage& snapshot_storage,
+                                        fleet::ShardOptions options = MatrixOptions()) {
+  return std::make_unique<fleet::Shard>(0, pod, core::AllocationPolicy::kReconfigurable,
+                                        wal_storage, snapshot_storage, options);
+}
+
 const svc::RequestStream& Stream() {
   static const svc::RequestStream stream(kStreamSeed, kCommands);
   return stream;
+}
+
+std::uint64_t Committed(const fleet::Shard& shard) {
+  return shard.service().next_command_id(0) - 1;
+}
+
+/// Offers one command and pumps it through the journal and apply stages.
+std::size_t ServeOne(fleet::Shard& shard, std::uint64_t index) {
+  EXPECT_TRUE(shard.Offer(Stream().Command(index)).ok());
+  return shard.PumpOnce();
+}
+
+/// Serves the stream from the committed frontier (what a client replays
+/// after the service restarts) until it is exhausted or a crash fires.
+/// Returns the commands applied.
+std::uint64_t Serve(fleet::Shard& shard) {
+  std::uint64_t applied = 0;
+  for (std::uint64_t i = Committed(shard); i < kCommands && !shard.service().crashed();
+       ++i) {
+    applied += ServeOne(shard, i);
+  }
+  return applied;
+}
+
+std::uint64_t Fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
 }
 
 /// Oracle digests: state bytes after committing exactly k commands, for
@@ -66,14 +114,12 @@ const std::vector<std::vector<std::uint8_t>>& OracleDigests() {
     auto pod = FreshPod();
     journal::MemStorage wal_storage;
     journal::MemStorage snapshot_storage;
-    svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                              wal_storage, snapshot_storage, MatrixOptions());
-    EXPECT_TRUE(service.Recover().ok());
-    out.push_back(service.SerializeState());
+    auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
+    EXPECT_TRUE(shard->Recover().ok());
+    out.push_back(shard->service().SerializeState());
     for (std::uint64_t i = 0; i < kCommands; ++i) {
-      EXPECT_TRUE(service.Submit(Stream().Command(i)).ok());
-      EXPECT_TRUE(service.ProcessOne());
-      out.push_back(service.SerializeState());
+      EXPECT_EQ(ServeOne(*shard, i), 1u);
+      out.push_back(shard->service().SerializeState());
     }
     return out;
   }();
@@ -99,31 +145,29 @@ TrialResult RunCrashTrial(CrashPoint point, std::uint64_t k) {
 
   {
     auto pod = FreshPod();
-    svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                              wal_storage, snapshot_storage, MatrixOptions());
-    service.SetFaultInjector(&injector);
-    if (!service.Recover().ok()) return result;
+    auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
+    shard->service().SetFaultInjector(&injector);
+    if (!shard->Recover().ok()) return result;
     injector.ArmCrash(point, k);
-    auto served = service.Serve(Stream());
-    result.crashed = served.crashed;
-    // The pod and service die here; only the two storages survive.
+    Serve(*shard);
+    result.crashed = shard->service().crashed();
+    // The pod and shard die here; only the two storages survive.
   }
 
   auto pod = FreshPod();
-  svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                            wal_storage, snapshot_storage, MatrixOptions());
-  service.SetFaultInjector(&injector);
-  auto recovery = service.Recover();
+  auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
+  shard->service().SetFaultInjector(&injector);
+  auto recovery = shard->Recover();
   result.recovery_ok = recovery.ok();
   if (!recovery.ok()) return result;
-  result.committed_after_crash = service.next_command_id() - 1;
-  result.recovered_digest = service.SerializeState();
+  result.committed_after_crash = Committed(*shard);
+  result.recovered_digest = shard->service().SerializeState();
 
-  auto served = service.Serve(Stream());
-  if (served.crashed) return result;
-  result.final_digest = service.SerializeState();
+  Serve(*shard);
+  if (shard->service().crashed()) return result;
+  result.final_digest = shard->service().SerializeState();
 
-  result.invariants_ok = service.scheduler().ValidateInvariants().ok();
+  result.invariants_ok = shard->service().scheduler().ValidateInvariants().ok();
   for (int i = 0; result.invariants_ok && i < pod->ocs_count(); ++i) {
     result.invariants_ok = pod->ocs(i).ValidateInvariants().ok();
   }
@@ -150,7 +194,8 @@ void CheckTrial(CrashPoint point, std::uint64_t k, const TrialResult& result) {
 }
 
 TEST(CrashMatrix, EveryBoundaryEveryCrashPoint) {
-  OracleDigests();  // build serially before fanning out
+  // Build serially before fanning out.
+  EXPECT_EQ(Fnv1a64(OracleDigests()[kCommands]), kFinalStateFnv);
   for (CrashPoint point : {CrashPoint::kPreAppend, CrashPoint::kPostAppendPreApply,
                            CrashPoint::kMidApply}) {
     // Trials are independent processes-in-miniature; run them through the
@@ -210,13 +255,12 @@ TrialResult RunFileCrashTrial(CrashPoint point, std::uint64_t k,
     auto snapshot_storage = journal::FileStorage::Open(snap_path, file_options);
     if (!wal_storage.ok() || !snapshot_storage.ok()) return result;
     auto pod = FreshPod();
-    svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                              *wal_storage.value(), *snapshot_storage.value(),
-                              MatrixOptions());
-    service.SetFaultInjector(&injector);
-    if (!service.Recover().ok()) return result;
+    auto shard = MakeShard(*pod, *wal_storage.value(), *snapshot_storage.value());
+    shard->service().SetFaultInjector(&injector);
+    if (!shard->Recover().ok()) return result;
     injector.ArmCrash(point, k);
-    result.crashed = service.Serve(Stream()).crashed;
+    Serve(*shard);
+    result.crashed = shard->service().crashed();
     // Process death: fds close, files stay.
   }
 
@@ -224,20 +268,18 @@ TrialResult RunFileCrashTrial(CrashPoint point, std::uint64_t k,
   auto snapshot_storage = journal::FileStorage::Open(snap_path, file_options);
   if (!wal_storage.ok() || !snapshot_storage.ok()) return result;
   auto pod = FreshPod();
-  svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                            *wal_storage.value(), *snapshot_storage.value(),
-                            MatrixOptions());
-  service.SetFaultInjector(&injector);
-  auto recovery = service.Recover();
+  auto shard = MakeShard(*pod, *wal_storage.value(), *snapshot_storage.value());
+  shard->service().SetFaultInjector(&injector);
+  auto recovery = shard->Recover();
   result.recovery_ok = recovery.ok();
   if (!recovery.ok()) return result;
-  result.committed_after_crash = service.next_command_id() - 1;
-  result.recovered_digest = service.SerializeState();
+  result.committed_after_crash = Committed(*shard);
+  result.recovered_digest = shard->service().SerializeState();
 
-  auto served = service.Serve(Stream());
-  if (served.crashed) return result;
-  result.final_digest = service.SerializeState();
-  result.invariants_ok = service.scheduler().ValidateInvariants().ok();
+  Serve(*shard);
+  if (shard->service().crashed()) return result;
+  result.final_digest = shard->service().SerializeState();
+  result.invariants_ok = shard->service().scheduler().ValidateInvariants().ok();
   for (int i = 0; result.invariants_ok && i < pod->ocs_count(); ++i) {
     result.invariants_ok = pod->ocs(i).ValidateInvariants().ok();
   }
@@ -299,13 +341,10 @@ TEST(CrashMatrixFile, TearingTheFinalAppendAtEveryByte) {
       auto snapshot_storage = journal::FileStorage::Open(tmp.Path(stem + "_prefix.snap"));
       ASSERT_TRUE(wal_storage.ok() && snapshot_storage.ok());
       auto pod = FreshPod();
-      svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                                *wal_storage.value(), *snapshot_storage.value(),
-                                MatrixOptions());
-      ASSERT_TRUE(service.Recover().ok());
+      auto shard = MakeShard(*pod, *wal_storage.value(), *snapshot_storage.value());
+      ASSERT_TRUE(shard->Recover().ok());
       for (std::uint64_t i = 0; i + 1 < boundary; ++i) {
-        ASSERT_TRUE(service.Submit(Stream().Command(i)).ok());
-        ASSERT_TRUE(service.ProcessOne());
+        ASSERT_EQ(ServeOne(*shard, i), 1u);
       }
       wal_image = CaptureImage(*wal_storage.value());
       snap_image = CaptureImage(*snapshot_storage.value());
@@ -322,11 +361,9 @@ TEST(CrashMatrixFile, TearingTheFinalAppendAtEveryByte) {
       journal::FaultyStorage faulty(*wal_storage.value(),
                                     journal::FaultyStorage::SyncMode::kNever);
       auto pod = FreshPod();
-      svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable, faulty,
-                                *snapshot_storage.value(), MatrixOptions());
-      ASSERT_TRUE(service.Recover().ok());
-      ASSERT_TRUE(service.Submit(Stream().Command(boundary - 1)).ok());
-      ASSERT_TRUE(service.ProcessOne());
+      auto shard = MakeShard(*pod, faulty, *snapshot_storage.value());
+      ASSERT_TRUE(shard->Recover().ok());
+      ASSERT_EQ(ServeOne(*shard, boundary - 1), 1u);
       frame = faulty.final_append_bytes();
     }
     ASSERT_GT(frame, 0u);
@@ -343,11 +380,9 @@ TEST(CrashMatrixFile, TearingTheFinalAppendAtEveryByte) {
         journal::FaultyStorage faulty(*wal_storage.value(),
                                       journal::FaultyStorage::SyncMode::kNever);
         auto pod = FreshPod();
-        svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                                  faulty, *snapshot_storage.value(), MatrixOptions());
-        ASSERT_TRUE(service.Recover().ok());
-        ASSERT_TRUE(service.Submit(Stream().Command(boundary - 1)).ok());
-        ASSERT_TRUE(service.ProcessOne());
+        auto shard = MakeShard(*pod, faulty, *snapshot_storage.value());
+        ASSERT_TRUE(shard->Recover().ok());
+        ASSERT_EQ(ServeOne(*shard, boundary - 1), 1u);
         faulty.CrashTearingFinalAppend(keep);
       }
       // The successor process.
@@ -355,14 +390,12 @@ TEST(CrashMatrixFile, TearingTheFinalAppendAtEveryByte) {
       auto snapshot_storage = journal::FileStorage::Open(snap_path);
       ASSERT_TRUE(wal_storage.ok() && snapshot_storage.ok());
       auto pod = FreshPod();
-      svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                                *wal_storage.value(), *snapshot_storage.value(),
-                                MatrixOptions());
-      auto recovery = service.Recover();
+      auto shard = MakeShard(*pod, *wal_storage.value(), *snapshot_storage.value());
+      auto recovery = shard->Recover();
       ASSERT_TRUE(recovery.ok());
       const std::uint64_t expected = keep == frame ? boundary : boundary - 1;
-      EXPECT_EQ(service.next_command_id() - 1, expected);
-      EXPECT_EQ(service.SerializeState(), OracleDigests()[expected]);
+      EXPECT_EQ(Committed(*shard), expected);
+      EXPECT_EQ(shard->service().SerializeState(), OracleDigests()[expected]);
       // Tail diagnosis: a tear strictly inside the append is a TRUNCATION
       // (the expected crash artifact); at either boundary the log is clean.
       if (keep == 0 || keep == frame) {
@@ -377,9 +410,9 @@ TEST(CrashMatrixFile, TearingTheFinalAppendAtEveryByte) {
       // Resubmission converges (spot-checked: the full-stream resume is the
       // expensive half of the trial).
       if (keep == 0 || keep == frame || keep == frame / 2) {
-        auto served = service.Serve(Stream());
-        ASSERT_FALSE(served.crashed);
-        EXPECT_EQ(service.SerializeState(), OracleDigests()[kCommands]);
+        Serve(*shard);
+        ASSERT_FALSE(shard->service().crashed());
+        EXPECT_EQ(shard->service().SerializeState(), OracleDigests()[kCommands]);
       }
     }
   }
@@ -406,12 +439,10 @@ TEST(FleetServiceFile, PeriodicPolicyLosesOnlyTheOpenSyncWindow) {
     journal::FaultyStorage faulty(*wal_storage.value(),
                                   journal::FaultyStorage::SyncMode::kNever);
     auto pod = FreshPod();
-    svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable, faulty,
-                              *snapshot_storage.value(), MatrixOptions());
-    ASSERT_TRUE(service.Recover().ok());
+    auto shard = MakeShard(*pod, faulty, *snapshot_storage.value());
+    ASSERT_TRUE(shard->Recover().ok());
     for (std::uint64_t i = 0; i < kRun; ++i) {
-      ASSERT_TRUE(service.Submit(Stream().Command(i)).ok());
-      ASSERT_TRUE(service.ProcessOne());
+      ASSERT_EQ(ServeOne(*shard, i), 1u);
     }
     // The appends after the last compaction were never fsynced under
     // kPeriodic (only the compactions' durable truncates were).
@@ -422,22 +453,20 @@ TEST(FleetServiceFile, PeriodicPolicyLosesOnlyTheOpenSyncWindow) {
   auto snapshot_storage = journal::FileStorage::Open(tmp.Path("window.snap"));
   ASSERT_TRUE(wal_storage.ok() && snapshot_storage.ok());
   auto pod = FreshPod();
-  svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                            *wal_storage.value(), *snapshot_storage.value(),
-                            MatrixOptions());
-  auto recovery = service.Recover();
+  auto shard = MakeShard(*pod, *wal_storage.value(), *snapshot_storage.value());
+  auto recovery = shard->Recover();
   ASSERT_TRUE(recovery.ok());
   EXPECT_TRUE(recovery.value().snapshot_loaded) << "the snapshot survived the cut";
-  EXPECT_EQ(service.next_command_id() - 1, kLastSnapshot);
-  EXPECT_EQ(service.SerializeState(), OracleDigests()[kLastSnapshot]);
+  EXPECT_EQ(Committed(*shard), kLastSnapshot);
+  EXPECT_EQ(shard->service().SerializeState(), OracleDigests()[kLastSnapshot]);
   // The window loss is a CLEAN truncation story: the log rolls back to a
   // record boundary, so nothing reads as torn, let alone corrupt.
   EXPECT_TRUE(recovery.value().wal_clean);
   EXPECT_EQ(recovery.value().tail_corruptions, 0u);
   // Resubmitting the stream replays the lost window and converges.
-  auto served = service.Serve(Stream());
-  ASSERT_FALSE(served.crashed);
-  EXPECT_EQ(service.SerializeState(), OracleDigests()[kCommands]);
+  Serve(*shard);
+  ASSERT_FALSE(shard->service().crashed());
+  EXPECT_EQ(shard->service().SerializeState(), OracleDigests()[kCommands]);
 }
 
 TEST(FleetService, ServesStreamAndSnapshotsCompactTheLog) {
@@ -445,16 +474,14 @@ TEST(FleetService, ServesStreamAndSnapshotsCompactTheLog) {
   journal::MemStorage wal_storage;
   journal::MemStorage snapshot_storage;
   telemetry::Hub hub;
-  svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable, wal_storage,
-                            snapshot_storage, MatrixOptions());
-  service.AttachTelemetry(&hub);
-  ASSERT_TRUE(service.Recover().ok());
-  auto served = service.Serve(Stream());
-  EXPECT_FALSE(served.crashed);
-  EXPECT_EQ(served.processed, kCommands);
-  EXPECT_EQ(service.next_command_id(), kCommands + 1);
-  EXPECT_EQ(service.applied_seq(), kCommands);
-  const auto& stats = service.stats();
+  auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
+  shard->AttachTelemetry(&hub);
+  ASSERT_TRUE(shard->Recover().ok());
+  EXPECT_EQ(Serve(*shard), kCommands);
+  EXPECT_FALSE(shard->service().crashed());
+  EXPECT_EQ(shard->service().next_command_id(0), kCommands + 1);
+  EXPECT_EQ(shard->service().applied_seq(), kCommands);
+  const auto& stats = shard->service().stats();
   EXPECT_EQ(stats.processed, kCommands);
   EXPECT_GT(stats.admitted, 0u);
   EXPECT_GT(stats.released, 0u);
@@ -463,56 +490,68 @@ TEST(FleetService, ServesStreamAndSnapshotsCompactTheLog) {
   // Compaction after each snapshot keeps the log to the post-snapshot
   // suffix.
   EXPECT_LT(journal::Wal::Scan(wal_storage).records.size(), kCommands);
-  EXPECT_GT(service.wal().reclaimed_bytes(), 0u);
-  // The ISSUE's service metrics are visible on the hub.
+  EXPECT_GT(shard->service().wal().reclaimed_bytes(), 0u);
+  // The service and admission metrics are visible on the hub.
   auto& metrics = hub.metrics();
-  EXPECT_EQ(metrics.GetCounter("lightwave_svc_queued_total").value(), kCommands);
+  EXPECT_EQ(metrics.GetCounter("lightwave_fleet_admitted_total", {{"shard", "0"}}).value(),
+            kCommands);
   EXPECT_EQ(metrics.GetCounter("lightwave_svc_admitted_total").value(), stats.admitted);
   EXPECT_EQ(metrics.GetCounter("lightwave_svc_rejected_total", {{"reason", "apply"}})
                 .value(),
             stats.rejected_apply);
   EXPECT_EQ(metrics.GetCounter("lightwave_journal_appends_total").value(), kCommands);
   EXPECT_GT(metrics.GetCounter("lightwave_journal_bytes_total").value(), 0u);
-  EXPECT_EQ(metrics.GetGauge("lightwave_svc_queue_depth").value(), 0.0);
+  EXPECT_EQ(metrics.GetGauge("lightwave_fleet_shard_queue_depth", {{"shard", "0"}}).value(),
+            0.0);
 }
 
 TEST(FleetService, BackpressureRejectsWhenQueueFull) {
   auto pod = FreshPod();
   journal::MemStorage wal_storage;
   journal::MemStorage snapshot_storage;
-  svc::FleetServiceOptions options;
-  options.queue_capacity = 2;
-  svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable, wal_storage,
-                            snapshot_storage, options);
-  ASSERT_TRUE(service.Recover().ok());
-  EXPECT_TRUE(service.Submit(Stream().Command(0)).ok());
-  EXPECT_TRUE(service.Submit(Stream().Command(1)).ok());
-  auto full = service.Submit(Stream().Command(2));
+  telemetry::Hub hub;
+  fleet::ShardOptions options = MatrixOptions();
+  options.admission.per_tenant_queue_capacity = 2;
+  auto shard = MakeShard(*pod, wal_storage, snapshot_storage, options);
+  shard->AttachTelemetry(&hub);
+  ASSERT_TRUE(shard->Recover().ok());
+  EXPECT_TRUE(shard->Offer(Stream().Command(0)).ok());
+  EXPECT_TRUE(shard->Offer(Stream().Command(1)).ok());
+  auto full = shard->Offer(Stream().Command(2));
   ASSERT_FALSE(full.ok());
   EXPECT_EQ(full.error().code, common::Error::Code::kResourceExhausted);
-  EXPECT_EQ(service.stats().rejected_backpressure, 1u);
+  EXPECT_EQ(shard->admission().stats().rejected_backpressure, 1u);
+  EXPECT_EQ(hub.metrics()
+                .GetCounter("lightwave_fleet_rejected_total",
+                            {{"reason", "backpressure"}, {"shard", "0"}})
+                .value(),
+            1u);
   // Draining one slot re-opens admission.
-  EXPECT_TRUE(service.ProcessOne());
-  EXPECT_TRUE(service.Submit(Stream().Command(2)).ok());
+  EXPECT_EQ(shard->PumpOnce(), 1u);
+  EXPECT_TRUE(shard->Offer(Stream().Command(2)).ok());
 }
 
 TEST(FleetService, DuplicateAndGapSubmissions) {
   auto pod = FreshPod();
   journal::MemStorage wal_storage;
   journal::MemStorage snapshot_storage;
-  svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable, wal_storage,
-                            snapshot_storage, MatrixOptions());
-  ASSERT_TRUE(service.Recover().ok());
-  ASSERT_TRUE(service.Submit(Stream().Command(0)).ok());
-  ASSERT_TRUE(service.ProcessOne());
+  auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
+  ASSERT_TRUE(shard->Recover().ok());
+  ASSERT_EQ(ServeOne(*shard, 0), 1u);
   // Resubmitting a committed command is acknowledged, not re-applied.
-  EXPECT_TRUE(service.Submit(Stream().Command(0)).ok());
-  EXPECT_EQ(service.stats().duplicate_acks, 1u);
-  EXPECT_EQ(service.applied_seq(), 1u);
-  // Skipping ahead is a client bug, reported as such.
-  auto gap = service.Submit(Stream().Command(5));
+  EXPECT_EQ(ServeOne(*shard, 0), 0u);
+  EXPECT_EQ(shard->stats().pipeline_duplicates, 1u);
+  EXPECT_EQ(shard->service().applied_seq(), 1u);
+  // Skipping ahead is a client bug: the journal stage drops and counts it.
+  EXPECT_EQ(ServeOne(*shard, 5), 0u);
+  EXPECT_EQ(shard->stats().pipeline_gaps, 1u);
+  EXPECT_EQ(shard->service().applied_seq(), 1u);
+  // The inline control path reports both to the caller.
+  EXPECT_TRUE(shard->SubmitControl(Stream().Command(0)).ok());
+  auto gap = shard->SubmitControl(Stream().Command(5));
   ASSERT_FALSE(gap.ok());
   EXPECT_EQ(gap.error().code, common::Error::Code::kInvalidArgument);
+  EXPECT_EQ(shard->service().applied_seq(), 1u);
 }
 
 TEST(FleetService, ControllerStateRidesTheSnapshot) {
@@ -545,14 +584,12 @@ TEST(FleetService, ControllerStateRidesTheSnapshot) {
     bus.HealPartition();
     ASSERT_NE(controller->breaker_state(1), ctrl::BreakerState::kClosed);
 
-    svc::FleetServiceOptions options = MatrixOptions();
-    options.snapshot_interval = 1;  // snapshot every command
-    svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable,
-                              wal_storage, snapshot_storage, options);
-    service.BindController(controller.get());
-    ASSERT_TRUE(service.Recover().ok());
-    ASSERT_TRUE(service.Submit(Stream().Command(0)).ok());
-    ASSERT_TRUE(service.ProcessOne());
+    fleet::ShardOptions options = MatrixOptions();
+    options.service.snapshot_interval = 1;  // snapshot every command
+    auto shard = MakeShard(*pod, wal_storage, snapshot_storage, options);
+    shard->service().BindController(controller.get());
+    ASSERT_TRUE(shard->Recover().ok());
+    ASSERT_EQ(ServeOne(*shard, 0), 1u);
     ctrl::WireWriter writer;
     controller->ExportState(writer);
     exported_before = writer.Take();
@@ -562,10 +599,9 @@ TEST(FleetService, ControllerStateRidesTheSnapshot) {
   ctrl::MessageBus bus(3);
   std::vector<std::unique_ptr<ctrl::OcsAgent>> agents;
   auto controller = make_world(bus, {&pod->ocs(0), &pod->ocs(1)}, agents);
-  svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable, wal_storage,
-                            snapshot_storage, MatrixOptions());
-  service.BindController(controller.get());
-  auto recovery = service.Recover();
+  auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
+  shard->service().BindController(controller.get());
+  auto recovery = shard->Recover();
   ASSERT_TRUE(recovery.ok()) << recovery.error().message;
   EXPECT_TRUE(recovery.value().snapshot_loaded);
   EXPECT_NE(controller->breaker_state(1), ctrl::BreakerState::kClosed);
@@ -579,13 +615,11 @@ TEST(FleetService, CrashPointVisitAccounting) {
   journal::MemStorage wal_storage;
   journal::MemStorage snapshot_storage;
   ctrl::FaultInjector injector(7, ctrl::FaultProfile{});
-  svc::FleetService service(*pod, core::AllocationPolicy::kReconfigurable, wal_storage,
-                            snapshot_storage, MatrixOptions());
-  service.SetFaultInjector(&injector);
-  ASSERT_TRUE(service.Recover().ok());
+  auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
+  shard->service().SetFaultInjector(&injector);
+  ASSERT_TRUE(shard->Recover().ok());
   for (std::uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(service.Submit(Stream().Command(i)).ok());
-    ASSERT_TRUE(service.ProcessOne());
+    ASSERT_EQ(ServeOne(*shard, i), 1u);
   }
   // Every processed command visits each crash point exactly once — the
   // matrix's "crash at command k" arithmetic depends on it.
