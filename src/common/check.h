@@ -16,9 +16,7 @@
 // Every violation is routed through a process-wide pluggable handler. The
 // default handler writes the failure to stderr and aborts on fatal kinds
 // (kEnsure only logs the first few occurrences and continues). Tests swap
-// in a recording handler via ScopedCheckHandler; simulations install a
-// counting sink (telemetry::CheckTelemetrySink) so violations become
-// metrics instead of crashes.
+// in a recording handler via ScopedCheckHandler.
 //
 // Structural validators (PalomarSwitch::ValidateInvariants and friends) are
 // gated on the runtime validation mode: on by default in debug builds, off
@@ -58,8 +56,7 @@ std::string FormatCheckFailure(const CheckFailure& failure);
 
 /// Process-wide failure handler. Fatal kinds (everything except kEnsure)
 /// abort under the DEFAULT handler; a custom handler that returns lets
-/// execution continue, which is what the negative tests and the telemetry
-/// sink rely on.
+/// execution continue, which is what the negative tests rely on.
 using CheckHandler = std::function<void(const CheckFailure&)>;
 
 /// Replaces the handler (empty restores the default). Returns the previous

@@ -77,10 +77,6 @@ void Histogram::Add(double x) {
   }
 }
 
-void Histogram::AddAll(const std::vector<double>& xs) {
-  for (double x : xs) Add(x);
-}
-
 double Histogram::BinCenter(int bin) const {
   return lo_ + (static_cast<double>(bin) + 0.5) * width_;
 }

@@ -42,7 +42,6 @@ class Histogram {
   Histogram(double lo, double hi, int bins);
 
   void Add(double x);
-  void AddAll(const std::vector<double>& xs);
 
   int bins() const { return static_cast<int>(counts_.size()); }
   double lo() const { return lo_; }

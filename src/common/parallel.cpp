@@ -16,15 +16,9 @@ namespace lightwave::common::parallel {
 
 namespace {
 
-std::atomic<PoolObserver*> g_observer{nullptr};
-
 /// True while the current thread is executing a chunk body; nested
 /// ParallelFor calls from such a thread run serially inline.
 thread_local bool t_in_region = false;
-
-/// Worker slot of the current thread inside a region's utilization vector:
-/// 0 for the region's calling thread, 1..N for pool workers.
-thread_local int t_worker_slot = 0;
 
 /// One ParallelFor invocation. Shared between the calling thread and the
 /// pool workers through a shared_ptr so late-dequeued runner tasks stay
@@ -38,8 +32,6 @@ struct Region {
   std::atomic<std::uint64_t> done{0};
   /// Slot per chunk; only the owning chunk writes it.
   std::vector<std::exception_ptr> errors;
-  /// Slot per worker (0 = caller); each slot is written by one thread.
-  std::vector<std::uint64_t> chunks_per_worker;
   /// Completion handshake only (`done` is the actual state, and it is
   /// atomic): the mutex orders the final notify against the caller's wait.
   lw::Mutex mu{"parallel.region", lw::rank::kParallelRegion};
@@ -49,10 +41,7 @@ struct Region {
 /// Claims and executes chunks until the region is drained. Returns once no
 /// chunk is left to claim.
 void RunChunks(Region& region) {
-  PoolObserver* const observer = g_observer.load(std::memory_order_acquire);
   const bool outer = !t_in_region;
-  // A nested region runs inline on this thread and has a single slot.
-  const std::size_t slot = outer ? static_cast<std::size_t>(t_worker_slot) : 0;
   t_in_region = true;
   for (;;) {
     const std::uint64_t chunk = region.next.fetch_add(1, std::memory_order_relaxed);
@@ -63,8 +52,6 @@ void RunChunks(Region& region) {
     } catch (...) {
       region.errors[static_cast<std::size_t>(chunk)] = std::current_exception();
     }
-    region.chunks_per_worker[slot]++;
-    if (observer != nullptr) observer->OnChunkExecuted();
     if (region.done.fetch_add(1, std::memory_order_acq_rel) + 1 == region.chunks) {
       // Last chunk: wake the calling thread if it is already waiting.
       lw::MutexLock lock(region.mu);
@@ -78,7 +65,7 @@ class ThreadPool {
  public:
   explicit ThreadPool(int threads) : threads_(threads) {
     for (int i = 1; i < threads_; ++i) {
-      workers_.emplace_back([this, i] { WorkerLoop(i); });
+      workers_.emplace_back([this] { WorkerLoop(); });
     }
   }
 
@@ -98,21 +85,16 @@ class ThreadPool {
   int threads() const { return threads_; }
 
   void Submit(std::shared_ptr<Region> region, int runners) {
-    PoolObserver* const observer = g_observer.load(std::memory_order_acquire);
-    std::size_t depth = 0;
     {
       lw::MutexLock lock(mu_);
       LW_CHECK(!stopped_) << "Submit after thread-pool shutdown";
       for (int i = 0; i < runners; ++i) queue_.push_back(region);
-      depth = queue_.size();
     }
     cv_.NotifyAll();
-    if (observer != nullptr) observer->OnQueueDepth(depth);
   }
 
  private:
-  void WorkerLoop(int slot) {
-    t_worker_slot = slot;
+  void WorkerLoop() {
     for (;;) {
       std::shared_ptr<Region> region;
       {
@@ -121,9 +103,6 @@ class ThreadPool {
         if (queue_.empty()) return;  // stopped_ && drained
         region = std::move(queue_.front());
         queue_.pop_front();
-        if (PoolObserver* observer = g_observer.load(std::memory_order_acquire)) {
-          observer->OnQueueDepth(queue_.size());
-        }
       }
       LW_DCHECK(region != nullptr) << "null region in pool queue";
       RunChunks(*region);
@@ -194,10 +173,6 @@ bool PartitionIsExact(std::uint64_t n, std::uint64_t chunk_size, std::uint64_t c
 
 }  // namespace
 
-PoolObserver* SetPoolObserver(PoolObserver* observer) {
-  return g_observer.exchange(observer, std::memory_order_acq_rel);
-}
-
 int Threads() {
   lw::MutexLock lock(PoolMutex());
   return GlobalSlot().configured();
@@ -243,11 +218,6 @@ void ParallelFor(std::uint64_t n, std::uint64_t chunk_size, const ChunkBody& bod
       << "chunk ranges must partition the input exactly";
 
   ThreadPool* const pool = t_in_region ? nullptr : GlobalPool();
-  PoolObserver* const observer = g_observer.load(std::memory_order_acquire);
-  const int pool_threads = pool != nullptr ? pool->threads() : 1;
-  if (observer != nullptr && !t_in_region) {
-    observer->OnRegionBegin(n, chunks, pool_threads);
-  }
 
   auto region = std::make_shared<Region>();
   region->n = n;
@@ -255,13 +225,12 @@ void ParallelFor(std::uint64_t n, std::uint64_t chunk_size, const ChunkBody& bod
   region->chunks = chunks;
   region->body = &body;
   region->errors.resize(static_cast<std::size_t>(chunks));
-  region->chunks_per_worker.assign(static_cast<std::size_t>(pool_threads), 0);
 
   if (pool != nullptr && chunks > 1) {
     // One runner per worker that could usefully participate; each runner
     // claims chunks from the shared counter until the region drains.
     const int runners =
-        static_cast<int>(std::min<std::uint64_t>(chunks - 1, pool_threads - 1));
+        static_cast<int>(std::min<std::uint64_t>(chunks - 1, pool->threads() - 1));
     pool->Submit(region, runners);
   }
   // The calling thread always participates (and is the whole show in serial
@@ -272,10 +241,6 @@ void ParallelFor(std::uint64_t n, std::uint64_t chunk_size, const ChunkBody& bod
     while (region->done.load(std::memory_order_acquire) != chunks) {
       region->cv.Wait(region->mu);
     }
-  }
-
-  if (observer != nullptr && !t_in_region) {
-    observer->OnRegionEnd(region->chunks_per_worker);
   }
 
   // Deterministic error propagation: the lowest-indexed chunk failure wins,

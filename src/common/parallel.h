@@ -37,33 +37,6 @@ namespace lightwave::common::parallel {
 using ChunkBody =
     std::function<void(std::uint64_t begin, std::uint64_t end, std::uint64_t chunk)>;
 
-/// Observation hooks for the pool (the telemetry bridge; see
-/// telemetry::ParallelTelemetrySink). Implementations must be thread-safe:
-/// OnChunkExecuted and OnQueueDepth fire from worker threads.
-class PoolObserver {
- public:
-  virtual ~PoolObserver() = default;
-  /// A parallel region is about to run on the calling thread.
-  virtual void OnRegionBegin(std::uint64_t items, std::uint64_t chunks, int threads) {
-    (void)items;
-    (void)chunks;
-    (void)threads;
-  }
-  /// The region finished; `chunks_per_worker[0]` is the calling thread's
-  /// share, slots 1..threads are the pool workers (worker-utilization data).
-  virtual void OnRegionEnd(const std::vector<std::uint64_t>& chunks_per_worker) {
-    (void)chunks_per_worker;
-  }
-  /// One chunk body completed (maps to lightwave_parallel_tasks_total).
-  virtual void OnChunkExecuted() {}
-  /// Pending runner-task count in the pool queue after an enqueue/dequeue.
-  virtual void OnQueueDepth(std::size_t depth) { (void)depth; }
-};
-
-/// Installs a process-wide observer; returns the previous one (nullptr for
-/// none). Pass nullptr to detach.
-PoolObserver* SetPoolObserver(PoolObserver* observer);
-
 /// Configured worker count of the process-wide pool: the last SetThreads
 /// value, else LIGHTWAVE_THREADS when set (clamped to >= 1), otherwise
 /// hardware concurrency. 1 means fully serial execution on the calling

@@ -1,8 +1,8 @@
 // Annotated synchronization vocabulary for the whole tree. Every mutex and
 // condition variable in lightwave code goes through these wrappers (enforced
 // by scripts/lint_locks.py; raw std primitives are allowed only inside this
-// header and sync.cpp), which buys two layers of verification on top of
-// TSan's dynamic racing:
+// header), which buys two layers of verification on top of TSan's dynamic
+// racing:
 //
 //   1. COMPILE TIME — the types carry Clang thread-safety capabilities
 //      (common/thread_annotations.h), so `-Werror=thread-safety` on the
@@ -11,18 +11,14 @@
 //      including ones no test executes.
 //
 //   2. RUN TIME (the lock-rank detector) — ordering bugs TSA cannot see.
-//      Each lw::Mutex optionally carries a RANK from the repo-wide lock
-//      hierarchy below (DESIGN.md §5.5 has the full table). While the
-//      detector is enabled, every thread tracks its held-lock stack and the
-//      process accumulates the observed acquired-before graph:
-//        - acquiring a ranked mutex while holding one of equal or higher
-//          rank trips LW_CHECK (rank order is strictly increasing inward);
-//        - acquiring any mutex that closes a cycle in the acquired-before
-//          graph trips LW_CHECK with BOTH lock sets — the current thread's
-//          held stack and the held stack recorded when the opposite edge
-//          was first observed — so an AB/BA inversion is caught the first
-//          time both orders have ever been seen, not only when the timing
-//          actually deadlocks;
+//      Every lw::Mutex carries a RANK from the repo-wide lock hierarchy
+//      below (DESIGN.md §5.5 has the full table); the constructor requires
+//      one. While the detector is enabled, every thread tracks its held-lock
+//      stack and:
+//        - acquiring a mutex while holding one of equal or higher rank
+//          trips LW_CHECK (rank order is strictly increasing inward). Since
+//          every nesting that passes this check ascends, no two threads can
+//          wait on each other in a cycle: the rank order is the lock order;
 //        - re-entrant acquisition and unlocking a mutex the thread does not
 //          hold trip immediately (std::mutex makes both undefined).
 //      Default: enabled in Debug builds (!NDEBUG), disabled in optimized
@@ -34,18 +30,12 @@
 // subsystem: `lw::MutexLock lock(mu_);`.
 #pragma once
 
-#include <cstdint>
-
 #include <condition_variable>
 #include <mutex>
 
 #include "common/thread_annotations.h"
 
 namespace lw {
-
-/// Mutexes constructed without a rank skip the rank check (the cycle
-/// detector still covers them).
-inline constexpr int kNoRank = -1;
 
 /// The repo-wide lock hierarchy: ranks must be acquired in strictly
 /// increasing order, so outermost (coarsest) locks rank lowest and locks
@@ -67,13 +57,11 @@ inline constexpr int kCheckHandler = 100;      // check.cpp handler slot
 
 /// Annotated exclusive mutex. Non-recursive (like std::mutex); Lock/Unlock
 /// feed the lock-rank detector, lock/unlock are BasicLockable aliases for
-/// CondVar. Mutexes are named for detector diagnostics — the name appears
-/// in both lock sets when a violation trips.
+/// CondVar. Every mutex is named and ranked: the name appears in the
+/// detector's diagnostics, the rank places it in the hierarchy above.
 class LW_CAPABILITY("mutex") Mutex {
  public:
-  Mutex() : Mutex("", kNoRank) {}
-  explicit Mutex(const char* name, int rank = kNoRank);
-  ~Mutex();
+  explicit Mutex(const char* name, int rank);
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
@@ -94,8 +82,6 @@ class LW_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
   const char* name_;
   int rank_;
-  /// Stable detector id (monotone, never reused), assigned at construction.
-  std::uint64_t id_;
 };
 
 /// RAII lock scope, the only idiom for taking an lw::Mutex:

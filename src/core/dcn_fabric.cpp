@@ -244,10 +244,4 @@ bool DcnFabric::IsolationHolds() const {
   }
   return true;
 }
-
-const std::optional<optics::TransceiverSpec>& DcnFabric::BlockTransceiver(int block) const {
-  assert(block >= 0 && block < max_blocks_);
-  return blocks_[static_cast<std::size_t>(block)].transceiver;
-}
-
 }  // namespace lightwave::core

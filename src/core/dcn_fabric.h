@@ -89,7 +89,6 @@ class DcnFabric {
   common::Status ValidateInvariants() const;
 
   ocs::PalomarSwitch& ocs(int i) { return *switches_[static_cast<std::size_t>(i)]; }
-  const std::optional<optics::TransceiverSpec>& BlockTransceiver(int block) const;
 
  private:
   struct Block {

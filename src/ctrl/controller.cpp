@@ -8,6 +8,16 @@
 
 namespace lightwave::ctrl {
 
+namespace {
+
+/// Retry backoff schedule (see FabricController::NextBackoffUs).
+constexpr double kBackoffBaseUs = 100.0;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffMaxUs = 10000.0;
+constexpr double kBackoffJitter = 0.5;
+
+}  // namespace
+
 const char* ToString(FabricTxnOutcome outcome) {
   switch (outcome) {
     case FabricTxnOutcome::kApplied: return "applied";
@@ -208,13 +218,10 @@ void FabricController::AttachTelemetry(telemetry::Hub* hub) {
 }
 
 double FabricController::NextBackoffUs(int attempt) {
-  const BackoffPolicy& policy = options_.backoff;
-  double delay = policy.base_us;
-  for (int i = 1; i < attempt && delay < policy.max_us; ++i) delay *= policy.multiplier;
-  delay = std::min(delay, policy.max_us);
-  if (policy.jitter > 0.0) {
-    delay *= backoff_rng_.Uniform(1.0 - policy.jitter, 1.0 + policy.jitter);
-  }
+  double delay = kBackoffBaseUs;
+  for (int i = 1; i < attempt && delay < kBackoffMaxUs; ++i) delay *= kBackoffMultiplier;
+  delay = std::min(delay, kBackoffMaxUs);
+  delay *= backoff_rng_.Uniform(1.0 - kBackoffJitter, 1.0 + kBackoffJitter);
   if (backoff_hist_ != nullptr) backoff_hist_->Observe(delay);
   return delay;
 }

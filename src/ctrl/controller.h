@@ -155,16 +155,6 @@ struct FabricTransactionResult {
   std::string error;
 };
 
-/// Retry backoff schedule:
-///   delay_us(attempt) = min(max_us, base_us * multiplier^(attempt-1))
-/// then scaled by a deterministic uniform draw in [1-jitter, 1+jitter].
-struct BackoffPolicy {
-  double base_us = 100.0;
-  double multiplier = 2.0;
-  double max_us = 10000.0;
-  double jitter = 0.5;
-};
-
 /// Per-agent circuit breaker state. Closed agents are driven normally; an
 /// open breaker fails transactions touching the agent immediately (no retry
 /// burn) for `breaker_cooldown` transactions, then lets one probe through
@@ -175,7 +165,6 @@ const char* ToString(BreakerState state);
 
 struct FabricControllerOptions {
   int max_retries = 5;
-  BackoffPolicy backoff;
   /// Seed for the deterministic backoff jitter stream.
   std::uint64_t backoff_seed = 0xBACC0FFull;
   /// Consecutive transactions in which an agent exhausts its retries before
@@ -257,8 +246,11 @@ class FabricController {
     std::map<int, int> snapshot;
   };
 
-  /// Simulated backoff before retry `attempt` (>= 1); records into the
-  /// backoff histogram. Deterministic given the backoff seed and sequence.
+  /// Simulated backoff before retry `attempt` (>= 1):
+  ///   min(kBackoffMaxUs, kBackoffBaseUs * kBackoffMultiplier^(attempt-1))
+  /// scaled by a uniform draw in [1 - kBackoffJitter, 1 + kBackoffJitter]
+  /// (constants in controller.cpp); records into the backoff histogram.
+  /// Deterministic given the backoff seed and sequence.
   double NextBackoffUs(int attempt);
   /// One reconfigure exchange with retries + backoff. nullopt = exhausted.
   std::optional<ReconfigureReply> ExchangeReconfigure(OcsAgent& agent,

@@ -47,11 +47,6 @@ void FaultInjector::ArmCrash(CrashPoint point, std::uint64_t visits) {
   armed_crash_point_.store(static_cast<int>(point));
 }
 
-void FaultInjector::DisarmCrash() {
-  armed_crash_point_.store(kDisarmed);
-  armed_crash_visits_.store(0);
-}
-
 bool FaultInjector::ShouldCrash(CrashPoint point) {
   ++crash_point_visits_[static_cast<std::size_t>(point)];
   if (armed_crash_point_.load() != static_cast<int>(point)) return false;

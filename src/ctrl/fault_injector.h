@@ -88,9 +88,8 @@ class FaultInjector {
   /// the very next one) makes ShouldCrash return true, then disarms. Visits
   /// to other crash points are counted but do not consume the fuse, so a
   /// crash can be dropped on an exact command boundary of a long trace.
-  /// Arm and disarm while no stage is visiting.
+  /// Arm while no stage is visiting.
   void ArmCrash(CrashPoint point, std::uint64_t visits = 1);
-  void DisarmCrash();
 
   /// Service hook, called at every crash point on the command path. Counts
   /// the visit and returns true exactly when the armed fuse burns out — the

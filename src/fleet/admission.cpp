@@ -1,6 +1,8 @@
 #include "fleet/admission.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/check.h"
@@ -10,9 +12,20 @@ namespace lightwave::fleet {
 
 using common::Status;
 
+namespace {
+
+/// DRR quantum: commands credited per round to a weight-1.0 tenant.
+constexpr double kDrrQuantum = 8.0;
+
+bool WellFormed(const TenantQuota& quota) {
+  return quota.rate >= 0.0 && quota.burst > 0.0 && quota.weight > 0.0;
+}
+
+}  // namespace
+
 AdmissionQueue::AdmissionQueue(AdmissionOptions options) : options_(options) {
   LW_CHECK(options_.per_tenant_queue_capacity > 0) << "zero tenant queue capacity";
-  LW_CHECK(options_.drr_quantum > 0.0) << "non-positive DRR quantum";
+  LW_CHECK(WellFormed(options_.default_quota)) << "malformed default quota";
 }
 
 AdmissionQueue::TenantState& AdmissionQueue::StateFor(std::uint32_t tenant) {
@@ -25,8 +38,7 @@ AdmissionQueue::TenantState& AdmissionQueue::StateFor(std::uint32_t tenant) {
 }
 
 void AdmissionQueue::SetQuota(std::uint32_t tenant, TenantQuota quota) {
-  LW_CHECK(quota.rate >= 0.0 && quota.burst > 0.0 && quota.weight > 0.0)
-      << "malformed quota for tenant " << tenant;
+  LW_CHECK(WellFormed(quota)) << "malformed quota for tenant " << tenant;
   lw::MutexLock lock(mu_);
   TenantState& state = StateFor(tenant);
   state.quota = quota;
@@ -91,7 +103,7 @@ std::vector<svc::SliceCommand> AdmissionQueue::PopBatch(std::size_t max_commands
         state.deficit = 0.0;  // idle tenants accumulate nothing (classic DRR)
         continue;
       }
-      state.deficit += options_.drr_quantum * state.quota.weight;
+      state.deficit += kDrrQuantum * state.quota.weight;
       while (!state.queue.empty() && state.deficit >= 1.0 &&
              out.size() < max_commands) {
         out.push_back(state.queue.front());
@@ -103,9 +115,22 @@ std::vector<svc::SliceCommand> AdmissionQueue::PopBatch(std::size_t max_commands
       resume_after_ = it->first;
       has_resume_ = true;
     }
-    // Every backlogged tenant's weight is > 0, so a full round always
-    // serves someone; this guards a hypothetical all-idle sweep.
-    if (!served_any) break;
+    if (served_any) continue;
+    // A full round served nobody: every backlogged tenant's deficit is still
+    // below one command (quantum x weight < 1). Skip the idle rounds the
+    // first of them needs before the next round serves it, crediting every
+    // backlogged tenant what running those rounds would.
+    double idle_rounds = std::numeric_limits<double>::infinity();
+    for (const auto& [tenant, state] : tenants_) {
+      if (state.queue.empty()) continue;
+      const double credit = kDrrQuantum * state.quota.weight;
+      idle_rounds = std::min(idle_rounds, std::ceil((1.0 - state.deficit) / credit) - 1.0);
+    }
+    for (auto& [tenant, state] : tenants_) {
+      if (!state.queue.empty()) {
+        state.deficit += idle_rounds * kDrrQuantum * state.quota.weight;
+      }
+    }
   }
   stats_.popped += out.size();
   UpdateDepthGauge();
@@ -115,12 +140,6 @@ std::vector<svc::SliceCommand> AdmissionQueue::PopBatch(std::size_t max_commands
 std::size_t AdmissionQueue::Depth() const {
   lw::MutexLock lock(mu_);
   return depth_;
-}
-
-std::size_t AdmissionQueue::TenantDepth(std::uint32_t tenant) const {
-  lw::MutexLock lock(mu_);
-  auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0 : it->second.queue.size();
 }
 
 AdmissionStats AdmissionQueue::stats() const {

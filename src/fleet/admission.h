@@ -12,8 +12,9 @@
 //     rejected (reason "backpressure") while every other tenant's queue
 //     stays open.
 //   * DEFICIT ROUND ROBIN dequeues: each PopBatch round grants every
-//     backlogged tenant a quantum proportional to its weight, so service is
-//     weight-fair over time regardless of who shoves hardest.
+//     backlogged tenant a quantum (8 commands per unit weight) proportional
+//     to its weight, so service is weight-fair over time regardless of who
+//     shoves hardest.
 //
 // All entry points are mutex-guarded: the router offers from its thread
 // while a pipelined shard's journal thread pops batches.
@@ -50,12 +51,11 @@ struct TenantQuota {
 };
 
 struct AdmissionOptions {
-  /// Contract for tenants without an explicit override.
+  /// Contract for tenants without an explicit override; checked like a
+  /// SetQuota argument.
   TenantQuota default_quota;
   /// Bound of EACH tenant's queue (per-tenant backpressure).
   std::size_t per_tenant_queue_capacity = 64;
-  /// Base DRR quantum: commands granted per round to a weight-1.0 tenant.
-  double drr_quantum = 8.0;
 };
 
 struct AdmissionStats {
@@ -83,13 +83,12 @@ class AdmissionQueue {
   void Tick(double seconds);
 
   /// Deficit-round-robin dequeue of up to `max_commands` across backlogged
-  /// tenants. Returns fewer (possibly zero) when the queues drain first.
+  /// tenants. Returns fewer only when the queues drain first: with any
+  /// command queued and `max_commands` > 0, at least one is returned.
   std::vector<svc::SliceCommand> PopBatch(std::size_t max_commands);
 
   /// Total queued commands across tenants.
   std::size_t Depth() const;
-  /// Queued commands for one tenant.
-  std::size_t TenantDepth(std::uint32_t tenant) const;
 
   AdmissionStats stats() const;
 

@@ -24,11 +24,11 @@ std::uint64_t Mix64(std::uint64_t x) {
 
 constexpr std::uint64_t kTenantSalt = 0x5bf0'3635'0c18'9d4full;
 
-}  // namespace
+/// Virtual nodes per shard on the hash ring. More = smoother balance,
+/// linearly larger ring.
+constexpr std::size_t kVirtualNodes = 16;
 
-Router::Router(RouterOptions options) : options_(options) {
-  LW_CHECK(options_.virtual_nodes > 0) << "need at least one virtual node";
-}
+}  // namespace
 
 void Router::AddShard(Shard* shard) {
   LW_CHECK(shard != nullptr) << "null shard";
@@ -37,7 +37,7 @@ void Router::AddShard(Shard* shard) {
   shards_[id] = shard;
   healthy_[id] = true;
   control_next_[id] = 1;
-  for (std::size_t v = 0; v < options_.virtual_nodes; ++v) {
+  for (std::size_t v = 0; v < kVirtualNodes; ++v) {
     ring_.push_back(RingEntry{
         Mix64((static_cast<std::uint64_t>(id) << 20) | static_cast<std::uint64_t>(v)),
         id});

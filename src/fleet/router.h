@@ -41,12 +41,6 @@ namespace lightwave::fleet {
 /// on every shard.
 inline constexpr std::uint32_t kControlTenant = 0xFFFFFFFFu;
 
-struct RouterOptions {
-  /// Virtual nodes per shard on the hash ring. More = smoother balance,
-  /// linearly larger ring.
-  std::size_t virtual_nodes = 16;
-};
-
 struct RouterStats {
   std::uint64_t routed = 0;
   /// Commands routed past at least one unhealthy shard on the ring.
@@ -61,8 +55,6 @@ struct RouterStats {
 
 class Router {
  public:
-  explicit Router(RouterOptions options = {});
-
   /// Registers a shard (non-owning; the shard outlives the router). Shard
   /// ids must be unique. Shards start healthy.
   void AddShard(Shard* shard);
@@ -129,7 +121,6 @@ class Router {
                                std::uint64_t job_id, std::uint64_t txn_id,
                                const tpu::SliceShape& shape);
 
-  RouterOptions options_;
   std::map<std::uint32_t, Shard*> shards_;
   std::map<std::uint32_t, bool> healthy_;
   std::vector<RingEntry> ring_;

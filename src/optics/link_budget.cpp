@@ -46,11 +46,6 @@ LinkBudget& LinkBudget::AddOcsHop(Decibel insertion_loss, Decibel return_loss,
   return *this;
 }
 
-LinkBudget& LinkBudget::AddElement(PathElement element) {
-  elements_.push_back(std::move(element));
-  return *this;
-}
-
 LinkAnalysis LinkBudget::Analyze() const {
   const bool bidi = transceiver_.bidirectional;
   const Circulator circ(circulator_);

@@ -63,8 +63,6 @@ class LinkBudget {
   /// (§4.1.1).
   LinkBudget& AddOcsHop(common::Decibel insertion_loss, common::Decibel return_loss,
                         std::string label = "ocs");
-  /// Appends an arbitrary element.
-  LinkBudget& AddElement(PathElement element);
 
   /// Analyzes the A->B direction (paths are symmetric by construction).
   LinkAnalysis Analyze() const;

@@ -77,13 +77,6 @@ std::uint64_t RequestStream::TenantCommandCount(std::uint32_t tenant) const {
   return tenant_indices_[tenant].size();
 }
 
-SliceCommand RequestStream::TenantCommand(std::uint32_t tenant, std::uint64_t k) const {
-  LW_CHECK(tenant < config_.tenant_count) << "tenant " << tenant << " out of range";
-  LW_CHECK(k < tenant_indices_[tenant].size())
-      << "tenant " << tenant << " has no command " << k;
-  return Command(tenant_indices_[tenant][k]);
-}
-
 SliceCommand RequestStream::Command(std::uint64_t index) const {
   LW_CHECK(index < count_) << "stream index " << index << " out of range";
   common::Rng rng = common::Rng::Stream(seed_, index);

@@ -57,11 +57,6 @@ class RequestStream {
   /// Commands the stream assigns to `tenant` (its subsequence length).
   std::uint64_t TenantCommandCount(std::uint32_t tenant) const;
 
-  /// The k-th command of `tenant`'s subsequence (k in
-  /// [0, TenantCommandCount)); its command_id is k + 1. This is how a
-  /// per-shard driver replays exactly one tenant's trace.
-  SliceCommand TenantCommand(std::uint32_t tenant, std::uint64_t k) const;
-
  private:
   std::uint64_t seed_;
   std::uint64_t count_;

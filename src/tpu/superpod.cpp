@@ -132,11 +132,6 @@ void Superpod::RepairOcs(int ocs_id) {
   (void)ocs(ocs_id).Reconfigure(target);
 }
 
-bool Superpod::OcsHealthy(int ocs_id) const {
-  assert(ocs_id >= 0 && ocs_id < ocs_count());
-  return ocs_up_[static_cast<std::size_t>(ocs_id)];
-}
-
 bool Superpod::SliceDegraded(SliceId id) const {
   auto it = slices_.find(id);
   assert(it != slices_.end());

@@ -76,7 +76,6 @@ class Superpod {
   /// Brings the OCS back up, programmed with exactly the circuits the
   /// running slices own on it.
   void RepairOcs(int ocs_id);
-  bool OcsHealthy(int ocs_id) const;
 
   /// A slice is degraded when any owning cube is unhealthy or any OCS
   /// carrying its connections is down. Single-cube slices never depend on

@@ -1,6 +1,6 @@
 // Contracts library (common/check.h): macro semantics, streamed messages,
-// source locations, handler plumbing, ensure/fatal accounting, validation
-// mode, and the telemetry sink.
+// source locations, handler plumbing, ensure/fatal accounting, and
+// validation mode.
 #include "common/check.h"
 
 #include <gtest/gtest.h>
@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "telemetry/check_sink.h"
-#include "telemetry/hub.h"
 
 namespace lightwave {
 namespace {
@@ -141,28 +139,6 @@ TEST(Check, ValidationModeToggles) {
     EXPECT_TRUE(common::ValidationEnabled());
   }
   EXPECT_FALSE(common::ValidationEnabled());
-}
-
-TEST(Check, TelemetrySinkCountsByKind) {
-  telemetry::Hub hub;
-  {
-    telemetry::CheckTelemetrySink sink(&hub);
-    (void)LW_ENSURE(false);
-    (void)LW_ENSURE(false);
-    LW_CHECK(false) << "counted, not fatal under the sink";
-  }
-  auto& ensure_counter = hub.metrics().GetCounter("lightwave_check_failures_total",
-                                                  {{"kind", "ensure"}});
-  auto& check_counter = hub.metrics().GetCounter("lightwave_check_failures_total",
-                                                 {{"kind", "check"}});
-  EXPECT_EQ(ensure_counter.value(), 2u);
-  EXPECT_EQ(check_counter.value(), 1u);
-  // Sink uninstalled: a fresh recorder sees subsequent failures.
-  Recorder recorder;
-  auto guard = recorder.Install();
-  (void)LW_ENSURE(false);
-  EXPECT_EQ(recorder.failures.size(), 1u);
-  EXPECT_EQ(ensure_counter.value(), 2u);
 }
 
 TEST(CheckDeath, DefaultHandlerAbortsOnFatalContracts) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/parallel.h"
 #include "journal/file_storage.h"
 #include "storage_test_util.h"
@@ -338,6 +339,82 @@ TEST(FleetAdmission, MisbehavingTenantCannotStarveCompliantTenant) {
   // The flooder still gets its full quota-bounded share, nothing more.
   EXPECT_LE(next_id[0] - 1, kQuotaRate * (kRounds + 1));
   EXPECT_GE(next_id[0] - 1, kQuotaRate * kRounds);
+}
+
+TEST(FleetAdmission, WeightedTenantsShareEachRoundOneToThree) {
+  fleet::AdmissionQueue queue;
+  queue.SetQuota(1, fleet::TenantQuota{64.0, 64.0, 1.0});
+  queue.SetQuota(2, fleet::TenantQuota{64.0, 64.0, 3.0});
+  for (std::uint64_t id = 1; id <= 64; ++id) {
+    ASSERT_TRUE(queue.Offer(Admit(1, id)).ok());
+    ASSERT_TRUE(queue.Offer(Admit(2, id)).ok());
+  }
+  // One 32-command batch is one whole DRR round: quantum 8 per unit weight.
+  std::uint64_t next_id[3] = {0, 1, 1};
+  for (int batch = 0; batch < 2; ++batch) {
+    const auto popped = queue.PopBatch(32);
+    ASSERT_EQ(popped.size(), 32u);
+    std::size_t served[3] = {0, 0, 0};
+    for (const auto& cmd : popped) {
+      ASSERT_TRUE(cmd.tenant_id == 1 || cmd.tenant_id == 2);
+      EXPECT_EQ(cmd.command_id, next_id[cmd.tenant_id]++);  // FIFO per tenant
+      ++served[cmd.tenant_id];
+    }
+    EXPECT_EQ(served[1], 8u) << "batch " << batch;
+    EXPECT_EQ(served[2], 24u) << "batch " << batch;
+  }
+}
+
+TEST(FleetAdmission, SetQuotaRefillsBucketToNewBurst) {
+  fleet::AdmissionOptions options;
+  options.default_quota = fleet::TenantQuota{0.0, 1.0, 1.0};
+  fleet::AdmissionQueue queue(options);
+  ASSERT_TRUE(queue.Offer(Admit(7, 1)).ok());
+  ASSERT_FALSE(queue.Offer(Admit(7, 2)).ok());  // the burst-1 bucket is dry
+
+  queue.SetQuota(7, fleet::TenantQuota{0.0, 2.0, 1.0});
+  EXPECT_TRUE(queue.Offer(Admit(7, 2)).ok());
+  EXPECT_TRUE(queue.Offer(Admit(7, 3)).ok());
+  const auto refused = queue.Offer(Admit(7, 4));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, common::Error::Code::kResourceExhausted);
+  EXPECT_NE(refused.error().message.find("over quota"), std::string::npos)
+      << refused.error().message;
+}
+
+TEST(FleetAdmission, DefaultQuotaIsCheckedLikeSetQuota) {
+  std::vector<common::CheckFailure> failures;
+  common::ScopedCheckHandler handler(
+      [&failures](const common::CheckFailure& failure) { failures.push_back(failure); });
+  fleet::AdmissionOptions options;
+  options.default_quota.weight = 0.0;
+  const fleet::AdmissionQueue queue(options);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].kind, common::CheckKind::kCheck);
+  EXPECT_NE(failures[0].message.find("malformed default quota"), std::string::npos)
+      << failures[0].message;
+}
+
+TEST(FleetAdmission, FractionalWeightStillPopsEveryQueuedCommand) {
+  // Quantum x weight = 0.8 < 1: the first round serves nobody, and PopBatch
+  // must skip ahead instead of returning an empty batch.
+  fleet::AdmissionQueue queue;
+  queue.SetQuota(7, fleet::TenantQuota{64.0, 64.0, 0.1});
+  for (std::uint64_t id = 1; id <= 3; ++id) ASSERT_TRUE(queue.Offer(Admit(7, id)).ok());
+  const auto popped = queue.PopBatch(32);
+  ASSERT_EQ(popped.size(), 3u);
+  for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(popped[i].command_id, i + 1);
+  EXPECT_EQ(queue.Depth(), 0u);
+}
+
+TEST(FleetAdmission, SyncShardWithFractionalDefaultWeightApplies) {
+  fleet::ShardOptions options;
+  options.admission.default_quota.weight = 0.1;
+  ShardHarness h(0, options);
+  ASSERT_TRUE(h.shard->Recover().ok());
+  ASSERT_TRUE(h.shard->Offer(Admit(7, 1)).ok());
+  EXPECT_EQ(h.shard->PumpOnce(), 1u);
+  EXPECT_EQ(h.shard->service().next_command_id(7), 2u);
 }
 
 TEST(FleetService, DuplicateStraddlingBatchBoundaryAppliesOnce) {

@@ -2,8 +2,8 @@
 // partition is exact and machine-independent, results are byte-identical
 // across thread counts (the determinism contract DESIGN.md documents),
 // exceptions propagate deterministically, nesting degrades to inline serial
-// execution, and the pool + telemetry sink survive a multi-threaded stress
-// run (exercised under TSan in CI).
+// execution, and the pool survives a multi-threaded stress run (exercised
+// under TSan in CI).
 #include "common/parallel.h"
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "sim/availability.h"
 #include "telemetry/export.h"
 #include "telemetry/hub.h"
-#include "telemetry/parallel_sink.h"
 
 namespace lightwave::common::parallel {
 namespace {
@@ -239,14 +238,13 @@ TEST(ParallelEdgeCases, EmptyAndSingleItemRanges) {
   EXPECT_EQ(one[0], 41u);
 }
 
-// Stress case for TSan: many concurrent regions back-to-back with the
-// telemetry sink installed, so the pool's queue, the observer hooks, and
-// the per-worker accounting are all exercised under contention.
+// Stress case for TSan: many regions back-to-back on an 8-thread pool, so
+// the pool's queue and the region handshake are exercised under contention,
+// and every chunk must run exactly once.
 TEST(ParallelStress, RepeatedRegionsWithTelemetrySink) {
   ThreadCountGuard guard;
   SetThreads(8);
-  telemetry::Hub hub;
-  telemetry::ParallelTelemetrySink sink(&hub);
+  std::atomic<std::uint64_t> executed{0};
   std::uint64_t expected_tasks = 0;
   for (int round = 0; round < 50; ++round) {
     const std::uint64_t n = 256 + static_cast<std::uint64_t>(round);
@@ -258,15 +256,12 @@ TEST(ParallelStress, RepeatedRegionsWithTelemetrySink) {
       for (std::uint64_t i = begin; i < end; ++i) {
         out[static_cast<std::size_t>(i)] = rng.NextU64() | 1u;
       }
+      executed.fetch_add(1, std::memory_order_relaxed);
     });
     // Disjoint chunk ranges must each have been written.
     for (std::uint64_t v : out) EXPECT_NE(v, 0u);
   }
-  EXPECT_EQ(
-      hub.metrics().GetCounter("lightwave_parallel_tasks_total").value(),
-      expected_tasks);
-  EXPECT_EQ(
-      hub.metrics().GetCounter("lightwave_parallel_regions_total").value(), 50u);
+  EXPECT_EQ(executed.load(), expected_tasks);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Annotated sync primitives (common/sync.h): MutexLock/CondVar semantics and
-// the lock-rank deadlock detector — rank-order enforcement, acquired-before
-// cycle detection (an AB/BA inversion trips the FIRST time both orders have
-// been observed, no timing-dependent deadlock needed), re-entrant and
+// the lock-rank deadlock detector — rank-order enforcement (an AB/BA or
+// longer inversion trips on its FIRST out-of-order nesting, no
+// timing-dependent deadlock needed), mandatory ranks, re-entrant and
 // unbalanced misuse, and a TSan-targeted multi-thread stress. Every test
 // forces the detector on with ScopedDeadlockDetector so the checks run under
 // the NDEBUG sanitizer legs too.
@@ -14,6 +14,7 @@
 #include <deque>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -40,6 +41,13 @@
 
 namespace lightwave {
 namespace {
+
+// A rank is part of every mutex's type contract: forgetting it is a compile
+// error, not a mutex the rank check silently skips.
+static_assert(!std::is_default_constructible_v<lw::Mutex>,
+              "lw::Mutex needs a name and a rank");
+static_assert(!std::is_constructible_v<lw::Mutex, const char*>,
+              "lw::Mutex needs a rank, not only a name");
 
 /// Records every failure the handler sees (and never aborts) — the same
 /// idiom as check_test.cpp. The detector is written to keep its own
@@ -68,8 +76,7 @@ TEST(Sync, RankOrderedAcquisitionIsClean) {
     lw::MutexLock a(outer);
     lw::MutexLock b(inner);
   }
-  // Repetition must stay clean too: the acquired-before edge is recorded,
-  // not re-reported.
+  // Repetition stays clean too.
   {
     lw::MutexLock a(outer);
     lw::MutexLock b(inner);
@@ -115,38 +122,15 @@ TEST(Sync, EqualRankTrips) {
       << recorder.failures[0].message;
 }
 
-TEST(Sync, UnrankedMutexesSkipTheRankCheck) {
-  lw::ScopedDeadlockDetector detector(true);
-  Recorder recorder;
-  auto guard = recorder.Install();
-  // Ranked-under-unranked and unranked-under-ranked are both fine; only
-  // ranked-under-ranked is ordered. Distinct pairs per direction — reversing
-  // the SAME pair would (correctly) trip the cycle detector instead.
-  lw::Mutex ranked_outer("sync.ranked_outer", lw::rank::kTelemetrySeries);
-  lw::Mutex unranked_inner("sync.unranked_inner");
-  {
-    lw::MutexLock a(ranked_outer);
-    lw::MutexLock b(unranked_inner);
-  }
-  lw::Mutex unranked_outer("sync.unranked_outer");
-  lw::Mutex ranked_inner("sync.ranked_inner", lw::rank::kTelemetrySeries);
-  {
-    lw::MutexLock a(unranked_outer);
-    lw::MutexLock b(ranked_inner);
-  }
-  EXPECT_TRUE(recorder.failures.empty()) << recorder.MessageOr("");
-}
-
 TEST(Sync, SeededLockOrderInversionTrips) {
   LW_SKIP_UNDER_TSAN();
   lw::ScopedDeadlockDetector detector(true);
   Recorder recorder;
   auto guard = recorder.Install();
-  lw::Mutex a("sync.inversion_a");
-  lw::Mutex b("sync.inversion_b");
+  lw::Mutex a("sync.inversion_a", lw::rank::kFleetAdmission);
+  lw::Mutex b("sync.inversion_b", lw::rank::kShardHandoff);
 
-  // Seed the acquired-before graph with a -> b from another thread. The
-  // nesting is legal on its own, so the helper must not trip.
+  // a -> b from another thread: the nesting ascends, so it must not trip.
   std::thread seeder([&] {
     lw::MutexLock la(a);
     lw::MutexLock lb(b);
@@ -154,23 +138,22 @@ TEST(Sync, SeededLockOrderInversionTrips) {
   seeder.join();
   ASSERT_TRUE(recorder.failures.empty()) << recorder.MessageOr("");
 
-  // The opposite order on this thread closes the cycle. The seeder is long
-  // joined — no timing window, no actual deadlock — yet the detector trips
-  // with BOTH lock sets: this thread's held stack and the held stack
-  // recorded when the a -> b edge was first observed.
+  // The opposite order on this thread. The seeder is long joined — no
+  // timing window, no actual deadlock — yet the first out-of-order nesting
+  // trips, naming both locks and this thread's held set.
   {
     lw::MutexLock lb(b);
     lw::MutexLock la(a);
   }
   ASSERT_EQ(recorder.failures.size(), 1u);
   const std::string message = recorder.failures[0].message;
-  EXPECT_NE(message.find("lock-order inversion"), std::string::npos) << message;
-  EXPECT_NE(message.find("this thread holds {'sync.inversion_b'}"),
+  EXPECT_NE(message.find("lock-rank violation: acquiring 'sync.inversion_a'"),
             std::string::npos)
       << message;
-  EXPECT_NE(message.find("opposite order was recorded holding "
-                         "{'sync.inversion_a'} while acquiring "
-                         "'sync.inversion_b'"),
+  EXPECT_NE(message.find("while holding 'sync.inversion_b'"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("held {'sync.inversion_b' (rank " +
+                         std::to_string(lw::rank::kShardHandoff) + ")}"),
             std::string::npos)
       << message;
 }
@@ -180,9 +163,9 @@ TEST(Sync, TransitiveInversionTrips) {
   lw::ScopedDeadlockDetector detector(true);
   Recorder recorder;
   auto guard = recorder.Install();
-  lw::Mutex a("sync.chain_a");
-  lw::Mutex b("sync.chain_b");
-  lw::Mutex c("sync.chain_c");
+  lw::Mutex a("sync.chain_a", lw::rank::kFleetAdmission);
+  lw::Mutex b("sync.chain_b", lw::rank::kShardHandoff);
+  lw::Mutex c("sync.chain_c", lw::rank::kShardStats);
   {
     lw::MutexLock la(a);
     lw::MutexLock lb(b);  // a -> b
@@ -194,19 +177,22 @@ TEST(Sync, TransitiveInversionTrips) {
   ASSERT_TRUE(recorder.failures.empty()) << recorder.MessageOr("");
   {
     lw::MutexLock lc(c);
-    lw::MutexLock la(a);  // c -> a closes a THREE-lock cycle
+    lw::MutexLock la(a);  // c -> a would close a THREE-lock cycle
   }
   ASSERT_EQ(recorder.failures.size(), 1u);
-  EXPECT_NE(recorder.failures[0].message.find("lock-order inversion"),
+  const std::string message = recorder.failures[0].message;
+  EXPECT_NE(message.find("lock-rank violation: acquiring 'sync.chain_a'"),
             std::string::npos)
-      << recorder.failures[0].message;
+      << message;
+  EXPECT_NE(message.find("while holding 'sync.chain_c'"), std::string::npos)
+      << message;
 }
 
 TEST(Sync, ReentrantAcquisitionTrips) {
   lw::ScopedDeadlockDetector detector(true);
   Recorder recorder;
   auto guard = recorder.Install();
-  lw::Mutex m("sync.reentrant");
+  lw::Mutex m("sync.reentrant", lw::rank::kTelemetrySeries);
   m.Lock();
   m.Lock();  // skipped physically (would self-deadlock), reported
   ASSERT_EQ(recorder.failures.size(), 1u);
@@ -221,7 +207,7 @@ TEST(Sync, UnlockWithoutLockTrips) {
   lw::ScopedDeadlockDetector detector(true);
   Recorder recorder;
   auto guard = recorder.Install();
-  lw::Mutex m("sync.unheld");
+  lw::Mutex m("sync.unheld", lw::rank::kTelemetrySeries);
   m.Unlock();  // skipped physically (UB on std::mutex), reported
   ASSERT_EQ(recorder.failures.size(), 1u);
   EXPECT_NE(recorder.failures[0].message.find("does not hold"),
@@ -249,7 +235,7 @@ TEST(Sync, CondVarHandoffDeliversInOrder) {
   auto guard = recorder.Install();
   constexpr int kItems = 1000;
 
-  lw::Mutex mu("sync.handoff");
+  lw::Mutex mu("sync.handoff", lw::rank::kShardHandoff);
   lw::CondVar cv;
   std::deque<int> queue;
   bool done = false;
@@ -283,7 +269,7 @@ TEST(Sync, CondVarHandoffDeliversInOrder) {
 }
 
 // TSan target: many threads hammering a shared rank-ordered pair plus their
-// own unranked mutex. Rank discipline is respected throughout, so the run
+// own mutex. Rank discipline is respected throughout, so the run
 // must be silent — any report here (or any TSan/deadlock finding) is a bug
 // in the wrappers or the detector itself.
 TEST(Sync, RankOrderedStressIsCleanAcrossThreads) {
@@ -302,7 +288,7 @@ TEST(Sync, RankOrderedStressIsCleanAcrossThreads) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      lw::Mutex local("sync.stress_local");
+      lw::Mutex local("sync.stress_local", lw::rank::kShardStats);
       for (int i = 0; i < kIterations; ++i) {
         {
           lw::MutexLock a(outer);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "telemetry/check_sink.h"
 #include "telemetry/export.h"
 #include "telemetry/hub.h"
 
@@ -114,9 +113,13 @@ TEST(TelemetryRace, TracerSpansUnderContention) {
 }
 
 TEST(TelemetryRace, HubCheckSinkUnderContention) {
-  // Contract violations reported from many threads must count exactly.
-  Hub hub;
-  CheckTelemetrySink sink(&hub);
+  // Contract violations reported from many threads must count exactly, both
+  // in the process-wide check stats and through the installed handler.
+  std::atomic<std::uint64_t> handled{0};
+  common::ScopedCheckHandler handler([&handled](const common::CheckFailure&) {
+    handled.fetch_add(1, std::memory_order_relaxed);
+  });
+  const std::uint64_t before = common::GetCheckStats().ensure_failures;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -125,10 +128,9 @@ TEST(TelemetryRace, HubCheckSinkUnderContention) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(hub.metrics()
-                .GetCounter("lightwave_check_failures_total", {{"kind", "ensure"}})
-                .value(),
-            static_cast<std::uint64_t>(kThreads) * 500);
+  const std::uint64_t expected = static_cast<std::uint64_t>(kThreads) * 500;
+  EXPECT_EQ(common::GetCheckStats().ensure_failures - before, expected);
+  EXPECT_EQ(handled.load(), expected);
 }
 
 }  // namespace
