@@ -111,17 +111,34 @@ static void BM_PalomarReconfigure(benchmark::State& state) {
 }
 BENCHMARK(BM_PalomarReconfigure);
 
+// Installs and removes one slice on an otherwise empty pod. Args: pod cubes,
+// OCSes per torus dimension (16: the 48-OCS production pod; 2: a 6-OCS
+// pod), slice cubes. An install programs every OCS, one circuit per slice
+// cube on each, so its cost grows with OCSes x slice cubes; from 48
+// circuits on, the OCSes are programmed in parallel.
 static void BM_SliceInstall(benchmark::State& state) {
-  tpu::Superpod pod(4);
+  tpu::Superpod pod(4, static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
+  const int slice_cubes = static_cast<int>(state.range(2));
+  const std::map<int, tpu::SliceShape> shapes = {
+      {1, {1, 1, 1}}, {4, {1, 2, 2}}, {8, {2, 2, 2}}, {16, {2, 2, 4}}, {64, {4, 4, 4}}};
   std::vector<int> cubes;
-  for (int i = 0; i < 16; ++i) cubes.push_back(i);
-  auto topology = tpu::SliceTopology::Create(tpu::SliceShape{2, 2, 4}, cubes).value();
+  for (int i = 0; i < slice_cubes; ++i) cubes.push_back(i);
+  auto topology = tpu::SliceTopology::Create(shapes.at(slice_cubes), cubes).value();
   for (auto _ : state) {
     auto id = pod.InstallSlice(topology).value();
+    benchmark::DoNotOptimize(id);
     (void)pod.RemoveSlice(id);
   }
 }
-BENCHMARK(BM_SliceInstall);
+BENCHMARK(BM_SliceInstall)
+    ->ArgNames({"pod_cubes", "ocs_per_dim", "slice_cubes"})
+    ->Args({64, 16, 1})
+    ->Args({64, 16, 4})
+    ->Args({64, 16, 16})
+    ->Args({64, 16, 64})
+    ->Args({16, 2, 1})
+    ->Args({16, 2, 4})
+    ->Args({16, 2, 8});
 
 static void BM_SchedulerAllocate(benchmark::State& state) {
   tpu::Superpod pod(5);

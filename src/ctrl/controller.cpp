@@ -446,8 +446,9 @@ FabricTransactionResult FabricController::ApplyTopology(
     NoteContact(p.ocs_id);
     result.replies[p.ocs_id] = *reply;
     if (!reply->ok) {
-      // The switch rejected the target — or, after a mid-reconfigure mirror
-      // death, applied it partially. Either way it must be restored too.
+      // The switch rejected the target and applied none of it. A mirror
+      // death behind the rejection may still have torn down a circuit
+      // through the dead port, so it is restored too.
       touched.push_back(&p);
       Rollback(touched, &result);
       return Fail(result, "ocs " + std::to_string(p.ocs_id) + ": " + reply->error);

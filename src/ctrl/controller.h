@@ -148,9 +148,9 @@ struct FabricTransactionResult {
   std::vector<int> rolled_back;
   /// OCS ids whose state could not be confirmed restored (the rollback
   /// exhausted retries or was rejected). Their mapping may be the target,
-  /// the snapshot, or — after a mid-reconfigure mirror death — a partial
-  /// application; per-switch bijectivity still holds (the switch validates
-  /// its own invariants at every transaction boundary).
+  /// or the snapshot less any circuit a mirror death tore down; per-switch
+  /// bijectivity still holds (the switch validates its own invariants at
+  /// every transaction boundary).
   std::vector<int> torn;
   std::string error;
 };

@@ -5,8 +5,9 @@
 //   - bus brownout windows: the management network degrades in bursts, so
 //     loss is correlated across consecutive frames instead of i.i.d.;
 //   - mirror death mid-reconfigure: a MEMS mirror chain under a port of the
-//     incoming target fails while the switch is being driven to it, which
-//     can leave the switch partially applied (the rollback path's hard case).
+//     incoming target fails just as the switch is driven to it; when no
+//     spare mirror survives, the port dies with its circuit and the switch
+//     rejects the target (the rollback path's hard case).
 // Every decision comes from counter-based common::Rng streams derived from
 // one seed, so a chaos run replays bit-for-bit.
 #pragma once
@@ -51,7 +52,7 @@ struct FaultProfile {
   double brownout_drop_prob = 0.9;
 
   /// Per-executed-reconfigure probability that a mirror chain under one of
-  /// the target's ports dies mid-transaction.
+  /// the target's ports dies just before the switch validates the target.
   double mirror_death_prob = 0.0;
 };
 

@@ -98,27 +98,12 @@ common::Status PalomarSwitch::RemapToSpare(bool north_side, int logical_port) {
   return common::Status::Ok();
 }
 
-Result<Connection> PalomarSwitch::EstablishInternal(int north, int south) {
-  if (!InUsableRange(north) || !InUsableRange(south)) {
-    NoteRejected();
-    return common::InvalidArgument("port index out of usable range");
-  }
-  const int north_phys = PhysicalPort(true, north);
-  const int south_phys = PhysicalPort(false, south);
-  if (!north_usable_[static_cast<std::size_t>(north_phys)] ||
-      !south_usable_[static_cast<std::size_t>(south_phys)]) {
-    NoteRejected();
-    return common::Unavailable("port has a dead mirror chain");
-  }
-  if (north_to_south_[Slot(north)] != kNoPort || south_to_north_[Slot(south)] != kNoPort) {
-    NoteRejected();
-    return common::AlreadyExists("port already connected");
-  }
-  auto metrics = core_.EstablishPath(north_phys, south_phys);
-  if (!metrics.has_value()) {
-    NoteRejected();
-    return common::Unavailable("mirror chain failed during establish");
-  }
+Connection PalomarSwitch::Establish(int north, int south) {
+  auto metrics = core_.EstablishPath(PhysicalPort(true, north), PhysicalPort(false, south));
+  // A usable port always has a live mirror chain: a mirror dies only through
+  // InjectMirrorFailure, which marks its port unusable when no spare survives.
+  LW_CHECK(metrics.has_value()) << "switch '" << name_ << "': dead mirror under usable ports "
+                                << north << "->" << south;
   Connection conn{
       .north = north,
       .south = south,
@@ -139,10 +124,22 @@ Result<Connection> PalomarSwitch::EstablishInternal(int north, int south) {
 }
 
 Result<Connection> PalomarSwitch::Connect(int north, int south) {
-  auto result = EstablishInternal(north, south);
-  if (result.ok()) telemetry_.cumulative_switch_ms += last_alignment_ms_ + kCommandOverheadMs;
+  if (!InUsableRange(north) || !InUsableRange(south)) {
+    NoteRejected();
+    return common::InvalidArgument("port index out of usable range");
+  }
+  if (!PortUsable(true, north) || !PortUsable(false, south)) {
+    NoteRejected();
+    return common::Unavailable("port has a dead mirror chain");
+  }
+  if (north_to_south_[Slot(north)] != kNoPort || south_to_north_[Slot(south)] != kNoPort) {
+    NoteRejected();
+    return common::AlreadyExists("port already connected");
+  }
+  const Connection conn = Establish(north, south);
+  telemetry_.cumulative_switch_ms += last_alignment_ms_ + kCommandOverheadMs;
   MaybeValidate("Connect");
-  return result;
+  return conn;
 }
 
 int PalomarSwitch::CircuitNorth(bool north_side, int port) const {
@@ -222,17 +219,12 @@ Result<ReconfigureReport> PalomarSwitch::Reconfigure(const std::map<int, int>& t
     }
   }
 
-  // Establish the new connections.
+  // Establish the new connections. Validation found every port usable and
+  // the teardown freed every port the target moves, so none can fail: the
+  // transaction applies whole or (above) not at all.
   for (const auto& [north, south] : target) {
     if (north_to_south_[Slot(north)] != kNoPort) continue;  // undisturbed
-    auto result = EstablishInternal(north, south);
-    if (!result.ok()) {
-      // Mirror chain death mid-transaction: report what we achieved so the
-      // control plane can re-plan; partially-applied state is the honest
-      // hardware behaviour.
-      return result.error();
-    }
-    report.established.push_back(result.value());
+    report.established.push_back(Establish(north, south));
     max_alignment_ms = std::max(max_alignment_ms, last_alignment_ms_);
   }
 
@@ -253,8 +245,7 @@ Result<double> PalomarSwitch::ConnectDelta(const std::map<int, int>& delta) {
   // new circuits, so the optical core's RNG draws are the same.
   double max_alignment_ms = 0.0;
   for (const auto& [north, south] : delta) {
-    auto result = EstablishInternal(north, south);
-    if (!result.ok()) return result.error();  // mirror death, as in Reconfigure
+    Establish(north, south);
     max_alignment_ms = std::max(max_alignment_ms, last_alignment_ms_);
   }
   return FinishTransaction(max_alignment_ms, "ConnectDelta");

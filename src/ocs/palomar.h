@@ -76,7 +76,8 @@ class PalomarSwitch {
 
   /// Atomically moves to `target` (a set of north->south pairs). Preserves
   /// intersecting connections undisturbed. Fails (with no state change) when
-  /// the target is not bijective or references dead/out-of-range ports.
+  /// the target is not bijective or references dead/out-of-range ports;
+  /// once validated it always applies in full.
   common::Result<ReconfigureReport> Reconfigure(const std::map<int, int>& target);
 
   /// Adds the circuits in `delta` (north -> south) in one transaction that
@@ -87,6 +88,7 @@ class PalomarSwitch {
   /// Returns the transaction duration (command overhead + slowest alignment).
   common::Result<double> ConnectDelta(const std::map<int, int>& delta);
   /// ConnectDelta's validation alone: no state change, no rejection counted.
+  /// A delta it passes, ConnectDelta applies in full.
   common::Status CheckConnectDelta(const std::map<int, int>& delta) const;
 
   /// Tears down the circuits in `delta` in one transaction, exactly as
@@ -158,7 +160,9 @@ class PalomarSwitch {
   /// Port-table entry of a port with no circuit.
   static constexpr int kNoPort = -1;
 
-  common::Result<Connection> EstablishInternal(int north, int south);
+  /// Aligns and records the circuit north -> south. Both ports must be in
+  /// range, usable and free (callers check first), so it cannot fail.
+  Connection Establish(int north, int south);
   /// North end of the circuit through `port` on the given side, or kNoPort.
   int CircuitNorth(bool north_side, int port) const;
   /// Removes the live circuit on `north` from the port tables.

@@ -1,7 +1,9 @@
 // The TPU v4 superpod (Fig. 14): 64 electrically-wired 4x4x4 cubes joined by
 // a lightwave fabric of 48 Palomar OCSes. Slices are installed and removed
 // as per-OCS delta transactions that touch only the slice's own ports, so
-// installing or removing one slice never blips another (§4.2.4).
+// installing or removing one slice never blips another (§4.2.4). An install
+// of 48 or more circuits programs its OCSes in parallel on the process-wide
+// thread pool.
 #pragma once
 
 #include <cstdint>

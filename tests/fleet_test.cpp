@@ -4,8 +4,9 @@
 // quota/fairness isolation, duplicate and gap handling across batch and
 // shard boundaries, circuit-breaker-driven re-hashing, cross-shard
 // two-phase commit with in-doubt resolution, exporter visibility of the
-// fleet metrics, and a pipelined shard stress run that must be clean under
-// TSan.
+// fleet metrics, a pipelined shard stress run that must be clean under
+// TSan, and three pipelined shards installing slices over the one thread
+// pool at once.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,23 +99,25 @@ const svc::RequestStream& Stream() {
 // media (crash simulation).
 
 struct ShardHarness {
+  int pod_cubes;
+  int ocs_per_dim;
   std::unique_ptr<tpu::Superpod> pod;
   journal::MemStorage wal;
   journal::MemStorage snapshot;
   std::unique_ptr<fleet::Shard> shard;
 
   explicit ShardHarness(std::uint32_t id, fleet::ShardOptions options = {},
-                        std::uint64_t pod_seed = kPodSeed) {
-    pod = std::make_unique<tpu::Superpod>(pod_seed, kPodCubes, kOcsPerDim);
-    shard = std::make_unique<fleet::Shard>(id, *pod, core::AllocationPolicy::kReconfigurable,
-                                           wal, snapshot, options);
+                        std::uint64_t pod_seed = kPodSeed, int pod_cubes = kPodCubes,
+                        int ocs_per_dim = kOcsPerDim)
+      : pod_cubes(pod_cubes), ocs_per_dim(ocs_per_dim) {
+    Reincarnate(id, options, pod_seed);
   }
 
   /// Simulated crash: the shard and pod die; the storages survive.
   void Reincarnate(std::uint32_t id, fleet::ShardOptions options = {},
                    std::uint64_t pod_seed = kPodSeed) {
     shard.reset();
-    pod = std::make_unique<tpu::Superpod>(pod_seed, kPodCubes, kOcsPerDim);
+    pod = std::make_unique<tpu::Superpod>(pod_seed, pod_cubes, ocs_per_dim);
     shard = std::make_unique<fleet::Shard>(id, *pod, core::AllocationPolicy::kReconfigurable,
                                            wal, snapshot, options);
   }
@@ -994,6 +997,64 @@ TEST(FleetPipeline, PipelinedCrashMatrixRecoversByteIdentical) {
                           157ull, 199ull, 200ull}) {
     CheckPipelinedTrial(CrashPoint::kMidApply, j,
                         RunPipelinedCrashTrial(CrashPoint::kMidApply, j));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Parallel slice installs from concurrent pipelines: each started shard's
+// apply thread fans every install out over the one process-wide pool, so
+// three shards put three apply threads into it at once.
+
+TEST(FleetPipeline, PipelinedShardsInstallInParallelByteIdentical) {
+  constexpr std::uint32_t kShards = 3;
+  svc::RequestStreamConfig config;
+  config.tenant_count = kTenants;
+  config.zipf_skew = 0.9;
+  std::vector<svc::RequestStream> streams;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    streams.emplace_back(kStreamSeed + s, kCommands, config);
+  }
+  // A shard on a full 64-cube pod, whose 48 OCSes every install fans out
+  // to, with its whole stream pre-offered, as the pipelined crash matrix
+  // does.
+  const auto make_shard = [&](std::uint32_t s) {
+    auto h = std::make_unique<ShardHarness>(s, PipelinedOptions(), kPodSeed + s,
+                                            tpu::kCubesPerPod, tpu::kOcsPerDim);
+    EXPECT_TRUE(h->shard->Recover().ok());
+    for (std::uint64_t i = 0; i < kCommands; ++i) {
+      EXPECT_TRUE(h->shard->Offer(streams[s].Command(i)).ok());
+    }
+    return h;
+  };
+  const int configured = common::parallel::Threads();
+
+  // Oracle: each stream through a sync shard, every install serial.
+  common::parallel::SetThreads(1);
+  std::vector<std::vector<std::uint8_t>> expected;
+  std::vector<std::uint64_t> admitted;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    auto h = make_shard(s);
+    h->shard->PumpAll();
+    expected.push_back(h->shard->service().SerializeState());
+    admitted.push_back(h->shard->service().stats().admitted);
+    EXPECT_GT(admitted.back(), 0u) << "shard " << s;
+  }
+
+  common::parallel::SetThreads(8);
+  std::vector<std::unique_ptr<ShardHarness>> pipelines;
+  for (std::uint32_t s = 0; s < kShards; ++s) pipelines.push_back(make_shard(s));
+  for (auto& h : pipelines) h->shard->Start();
+  for (auto& h : pipelines) h->shard->Drain();
+  for (auto& h : pipelines) h->shard->Stop();
+  common::parallel::SetThreads(configured);
+
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const svc::FleetService& service = pipelines[s]->shard->service();
+    EXPECT_EQ(service.stats().processed, kCommands);
+    EXPECT_EQ(service.stats().admitted, admitted[s]);
+    EXPECT_EQ(service.SerializeState(), expected[s]);
+    EXPECT_TRUE(service.scheduler().ValidateInvariants().ok());
   }
 }
 

@@ -390,14 +390,22 @@ TEST(Fuzz, PalomarInvariantsUnderRandomOps) {
     }
     return true;
   };
+  const auto usable = [&ocs](int n, int s) {
+    return ocs.PortUsable(true, n) && ocs.PortUsable(false, s);
+  };
+  // Ports destroyed by mirror deaths and re-patched onto spares, per side
+  // (0 = north): the run must reach both, or it proves nothing about them.
+  int destroyed[2] = {0, 0};
+  int remapped[2] = {0, 0};
 
   for (int op = 0; op < 4000; ++op) {
-    const int kind = static_cast<int>(rng.UniformInt(6));
+    const int kind = static_cast<int>(rng.UniformInt(8));
     if (kind == 0) {
       const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
       const int s = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
       const auto result = ocs.Connect(n, s);
-      EXPECT_EQ(result.ok(), !model.contains(n) && south_free(s)) << "op " << op;
+      EXPECT_EQ(result.ok(), !model.contains(n) && south_free(s) && usable(n, s))
+          << "op " << op;
       if (result.ok()) model[n] = s;
     } else if (kind == 1) {
       const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
@@ -405,9 +413,11 @@ TEST(Fuzz, PalomarInvariantsUnderRandomOps) {
       EXPECT_EQ(result.ok(), model.contains(n)) << "op " << op;
       model.erase(n);
     } else if (kind == 2 && op % 97 == 0) {
-      // Occasional full reconfiguration to a random partial permutation.
+      // Occasional full reconfiguration to a random partial permutation:
+      // valid iff every port is alive, and then it applies in full.
       std::map<int, int> target;
       std::set<int> souths;
+      bool valid = true;
       const int size = static_cast<int>(rng.UniformInt(64));
       for (int i = 0; i < size; ++i) {
         const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
@@ -415,10 +425,12 @@ TEST(Fuzz, PalomarInvariantsUnderRandomOps) {
         if (!target.contains(n) && !souths.contains(s)) {
           target[n] = s;
           souths.insert(s);
+          valid = valid && usable(n, s);
         }
       }
-      ASSERT_TRUE(ocs.Reconfigure(target).ok());
-      model = target;
+      const auto result = ocs.Reconfigure(target);
+      ASSERT_EQ(result.ok(), valid) << "op " << op;
+      if (result.ok()) model = target;
     } else if (kind == 3) {
       // Read-only probes never change state.
       const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
@@ -429,7 +441,8 @@ TEST(Fuzz, PalomarInvariantsUnderRandomOps) {
       }
     } else if (kind == 4) {
       // Delta connect of a few random pairs: valid iff every port is free
-      // and no south repeats; a rejection changes nothing.
+      // and alive and no south repeats; a rejection changes nothing, and a
+      // valid delta always applies (no mirror dies under a usable port).
       std::map<int, int> delta;
       std::set<int> souths;
       bool valid = true;
@@ -438,7 +451,8 @@ TEST(Fuzz, PalomarInvariantsUnderRandomOps) {
         const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
         const int s = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
         if (delta.contains(n)) continue;
-        valid = valid && !model.contains(n) && south_free(s) && souths.insert(s).second;
+        valid = valid && !model.contains(n) && south_free(s) && usable(n, s) &&
+                souths.insert(s).second;
         delta[n] = s;
       }
       const auto result = ocs.ConnectDelta(delta);
@@ -456,6 +470,36 @@ TEST(Fuzz, PalomarInvariantsUnderRandomOps) {
       for (const auto& [dn, ds] : delta) {
         if (auto it = model.find(dn); it != model.end() && it->second == ds) model.erase(it);
       }
+    } else if (kind == 6 && op % 20 == 0) {
+      // Repeated mirror deaths under one port: spare mirrors absorb them
+      // until the array's pool runs dry, then the port dies and its circuit
+      // goes. The model cannot tell which deaths a spare absorbs, so it
+      // re-syncs from the switch.
+      const bool north_side = rng.Bernoulli(0.5);
+      const int port = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
+      const int repeats = 1 + static_cast<int>(rng.UniformInt(16));
+      for (int i = 0; i < repeats; ++i) {
+        const bool was_usable = ocs.PortUsable(north_side, port);
+        const bool survived = ocs.InjectMirrorFailure(north_side, port);
+        EXPECT_EQ(ocs.PortUsable(north_side, port), was_usable && survived) << "op " << op;
+        destroyed[north_side ? 0 : 1] += was_usable && !survived ? 1 : 0;
+      }
+      model = ocs.CurrentMapping();
+    } else if (kind == 7 && op % 20 == 0) {
+      // Re-patch the first dead port at or after a random one (any port if
+      // none is dead) onto a spare collimator position: it comes back alive
+      // while the pool lasts.
+      const bool north_side = rng.Bernoulli(0.5);
+      int port = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
+      for (int i = 0; i < ocs::kPalomarUsablePorts && ocs.PortUsable(north_side, port); ++i) {
+        port = (port + 1) % ocs::kPalomarUsablePorts;
+      }
+      const bool has_spare = ocs.SparePortsRemaining(north_side) > 0;
+      const bool was_usable = ocs.PortUsable(north_side, port);
+      EXPECT_EQ(ocs.RemapToSpare(north_side, port).ok(), has_spare) << "op " << op;
+      EXPECT_EQ(ocs.PortUsable(north_side, port), was_usable || has_spare) << "op " << op;
+      remapped[north_side ? 0 : 1] += has_spare && !was_usable ? 1 : 0;
+      model = ocs.CurrentMapping();
     }
     if (op % 500 == 0) {
       // Full-state audit: bijectivity + agreement with the shadow model.
@@ -468,6 +512,10 @@ TEST(Fuzz, PalomarInvariantsUnderRandomOps) {
         EXPECT_EQ(model.at(c.north), c.south);
       }
     }
+  }
+  for (int side : {0, 1}) {
+    EXPECT_GT(destroyed[side], 0) << "side " << side;
+    EXPECT_GT(remapped[side], 0) << "side " << side;
   }
 }
 

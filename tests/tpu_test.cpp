@@ -6,7 +6,9 @@
 #include <bit>
 #include <iterator>
 #include <set>
+#include <string>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "tpu/cube.h"
 #include "tpu/slice.h"
@@ -379,11 +381,12 @@ std::uint64_t SwitchDigest(const Superpod& pod) {
   return hash;
 }
 
-TEST(SuperpodTest, ChurnMatchesFullTargetReconfigureByteForByte) {
-  // Seeded allocate/release churn on the production pod. The pinned values
-  // were produced when every install and remove ran one full-target
-  // PalomarSwitch::Reconfigure per OCS; the delta path must reproduce them
-  // exactly, alignment RNG draws included.
+/// Seeded allocate/release churn on the production pod. The pinned values
+/// were produced when every install and remove ran one full-target
+/// PalomarSwitch::Reconfigure per OCS, one OCS after another; the delta path
+/// must reproduce them exactly, alignment RNG draws included, however many
+/// pool threads program an install's switches.
+void ExpectPinnedChurn() {
   Superpod pod(4242);
   common::Rng rng(77);
   std::vector<SliceId> live;
@@ -427,6 +430,16 @@ TEST(SuperpodTest, ChurnMatchesFullTargetReconfigureByteForByte) {
   EXPECT_EQ(connects, 368592u);
   EXPECT_EQ(disconnects, 366048u);
   EXPECT_EQ(pod.TotalReconfigMs(), 426451.99999999686);
+}
+
+TEST(SuperpodTest, ChurnMatchesFullTargetReconfigureByteForByte) {
+  const int configured = common::parallel::Threads();
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    common::parallel::SetThreads(threads);
+    ExpectPinnedChurn();
+  }
+  common::parallel::SetThreads(configured);
 }
 
 TEST(SuperpodTest, Cwdm8PodVariantUses24Switches) {
