@@ -150,6 +150,26 @@ static void BM_SchedulerAllocate(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerAllocate);
 
+// Rejects a one-cube slice on a full pod: the cube pick finds no free
+// healthy cube, so no switch is touched. Args: pod cubes, OCSes per torus
+// dimension (16/2: the perfbench flood pod; 64/16: the churn pod).
+static void BM_SchedulerReject(benchmark::State& state) {
+  tpu::Superpod pod(6, static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
+  core::SliceScheduler scheduler(pod, core::AllocationPolicy::kReconfigurable);
+  if (!scheduler.Allocate(tpu::SliceShape{1, 1, pod.cube_count()}).ok()) {
+    state.SkipWithError("could not fill the pod");
+    return;
+  }
+  for (auto _ : state) {
+    auto rejected = scheduler.Allocate(tpu::SliceShape{1, 1, 1});
+    benchmark::DoNotOptimize(rejected);
+  }
+}
+BENCHMARK(BM_SchedulerReject)
+    ->ArgNames({"pod_cubes", "ocs_per_dim"})
+    ->Args({16, 2})
+    ->Args({64, 16});
+
 static void BM_WireReconfigureRoundTrip(benchmark::State& state) {
   ctrl::ReconfigureRequest request;
   request.transaction_id = 42;

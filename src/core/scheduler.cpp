@@ -108,6 +108,17 @@ Result<SliceId> SliceScheduler::Allocate(const SliceShape& shape) {
     ++stats_.rejected;
     if (rejected_counter_ != nullptr) rejected_counter_->Inc();
   };
+  // Bound every dimension before the cube count is computed: a shape from
+  // the wire can be anything, and three unbounded ints overflow the
+  // product. No dimension longer than the pod can place.
+  for (int dim : {shape.a, shape.b, shape.c}) {
+    if (dim < 1 || dim > pod_.cube_count()) {
+      reject();
+      return common::InvalidArgument("slice shape " + shape.ToCubeString() +
+                                     " needs every dimension in [1, " +
+                                     std::to_string(pod_.cube_count()) + "]");
+    }
+  }
   auto cubes = PickCubes(shape);
   if (!cubes.has_value()) {
     reject();

@@ -24,35 +24,31 @@ Cube::Cube(int id) : id_(id) {
   }
 }
 
-bool Cube::Healthy() const {
-  for (const auto& h : hosts_) {
-    if (!h.healthy) return false;
-  }
-  for (const auto& c : chips_) {
-    if (!c.healthy) return false;
-  }
-  return true;
+void Cube::SetFlag(bool& flag, bool healthy) {
+  if (flag != healthy) unhealthy_ += healthy ? -1 : 1;
+  flag = healthy;
 }
 
 void Cube::SetHostHealth(int host, bool healthy) {
   assert(host >= 0 && host < kHostsPerCube);
-  hosts_[static_cast<std::size_t>(host)].healthy = healthy;
+  SetFlag(hosts_[static_cast<std::size_t>(host)].healthy, healthy);
   // A host failure takes down its 4 TPUs.
   if (!healthy) {
     for (int c = host * kChipsPerHost; c < (host + 1) * kChipsPerHost; ++c) {
-      chips_[static_cast<std::size_t>(c)].healthy = false;
+      SetFlag(chips_[static_cast<std::size_t>(c)].healthy, false);
     }
   }
 }
 
 void Cube::SetChipHealth(int chip, bool healthy) {
   assert(chip >= 0 && chip < kChipsPerCube);
-  chips_[static_cast<std::size_t>(chip)].healthy = healthy;
+  SetFlag(chips_[static_cast<std::size_t>(chip)].healthy, healthy);
 }
 
 void Cube::Restore() {
   for (auto& h : hosts_) h.healthy = true;
   for (auto& c : chips_) c.healthy = true;
+  unhealthy_ = 0;
 }
 
 ChipCoord Cube::CoordOf(int chip_index) {

@@ -59,7 +59,7 @@ class Cube {
 
   /// A cube participates in slices only when every host (and hence every
   /// chip) is healthy — the scheduling granularity is the whole cube.
-  bool Healthy() const;
+  bool Healthy() const { return unhealthy_ == 0; }
 
   void SetHostHealth(int host, bool healthy);
   void SetChipHealth(int chip, bool healthy);
@@ -72,9 +72,15 @@ class Cube {
   static int HostOf(int chip_index);
 
  private:
+  /// Sets one host or chip flag and keeps `unhealthy_` in step with it.
+  void SetFlag(bool& flag, bool healthy);
+
   int id_;
   std::vector<TpuChip> chips_;
   std::vector<CpuHost> hosts_;
+  /// Unhealthy hosts plus unhealthy chips, so Healthy() is one compare on
+  /// the scheduler's cube pick.
+  int unhealthy_ = 0;
 };
 
 }  // namespace lightwave::tpu

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -59,7 +60,9 @@ common::Result<SliceTopology> SliceTopology::Create(SliceShape shape,
   if (shape.a < 1 || shape.b < 1 || shape.c < 1) {
     return common::InvalidArgument("slice shape dims must be >= 1");
   }
-  if (static_cast<int>(cube_ids.size()) != shape.CubeCount()) {
+  // In 64 bits: the int product of three dimensions can overflow.
+  const std::int64_t cubes = std::int64_t{shape.a} * shape.b * shape.c;
+  if (static_cast<std::int64_t>(cube_ids.size()) != cubes) {
     return common::InvalidArgument("cube id count does not match shape");
   }
   std::set<int> unique(cube_ids.begin(), cube_ids.end());

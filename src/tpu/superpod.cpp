@@ -26,7 +26,7 @@ constexpr std::size_t kMinParallelCircuits = 48;
 }  // namespace
 
 Superpod::Superpod(std::uint64_t seed, int cubes, int ocs_per_dim)
-    : plan_(cubes, ocs_per_dim) {
+    : plan_(cubes, ocs_per_dim), cube_owner_(static_cast<std::size_t>(cubes)) {
   assert(cubes <= ocs::kPalomarUsablePorts);
   common::Rng rng(seed);
   cubes_.reserve(static_cast<std::size_t>(cubes));
@@ -56,7 +56,7 @@ Result<SliceId> Superpod::InstallSliceWithId(SliceId slice_id,
     if (!cubes_[static_cast<std::size_t>(id)].Healthy()) {
       return common::FailedPrecondition("cube " + std::to_string(id) + " unhealthy");
     }
-    if (cube_owner_.contains(id)) {
+    if (cube_owner_[static_cast<std::size_t>(id)].has_value()) {
       return common::AlreadyExists("cube " + std::to_string(id) + " owned by a slice");
     }
   }
@@ -102,7 +102,9 @@ Result<SliceId> Superpod::InstallSliceWithId(SliceId slice_id,
   for (double duration : durations) install_ms = std::max(install_ms, duration);
 
   if (slice_id >= next_slice_id_) next_slice_id_ = slice_id + 1;
-  for (int cube_id : topology.cube_ids()) cube_owner_[cube_id] = slice_id;
+  for (int cube_id : topology.cube_ids()) {
+    cube_owner_[static_cast<std::size_t>(cube_id)] = slice_id;
+  }
   slices_.emplace(slice_id, InstalledSlice{
                                 .id = slice_id,
                                 .topology = topology,
@@ -125,21 +127,23 @@ Status Superpod::RemoveSlice(SliceId id) {
     auto removed = ocs(ocs_id).DisconnectDelta(conns);
     if (!removed.ok()) return removed.error();
   }
-  for (int cube_id : it->second.topology.cube_ids()) cube_owner_.erase(cube_id);
+  for (int cube_id : it->second.topology.cube_ids()) {
+    cube_owner_[static_cast<std::size_t>(cube_id)].reset();
+  }
   slices_.erase(it);
   return Status::Ok();
 }
 
 std::optional<SliceId> Superpod::SliceOwningCube(int cube_id) const {
-  auto it = cube_owner_.find(cube_id);
-  if (it == cube_owner_.end()) return std::nullopt;
-  return it->second;
+  if (cube_id < 0 || cube_id >= cube_count()) return std::nullopt;
+  return cube_owner_[static_cast<std::size_t>(cube_id)];
 }
 
 std::vector<int> Superpod::FreeHealthyCubes() const {
   std::vector<int> free;
   for (int i = 0; i < cube_count(); ++i) {
-    if (cubes_[static_cast<std::size_t>(i)].Healthy() && !cube_owner_.contains(i)) {
+    const auto slot = static_cast<std::size_t>(i);
+    if (cubes_[slot].Healthy() && !cube_owner_[slot].has_value()) {
       free.push_back(i);
     }
   }

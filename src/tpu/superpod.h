@@ -90,7 +90,9 @@ class Superpod {
   /// Test-only corruption hooks for the slice-accounting validator's
   /// negative tests: write the slice tables directly, bypassing
   /// InstallSlice/RemoveSlice.
-  void TestOnlySetCubeOwner(int cube_id, SliceId id) { cube_owner_[cube_id] = id; }
+  void TestOnlySetCubeOwner(int cube_id, SliceId id) {
+    cube_owner_.at(static_cast<std::size_t>(cube_id)) = id;
+  }
   /// Duplicates an installed slice's record under a fresh id without
   /// touching any switch: its cubes become double-booked.
   SliceId TestOnlyDuplicateSliceRecord(SliceId id) {
@@ -105,7 +107,8 @@ class Superpod {
   std::vector<std::unique_ptr<ocs::PalomarSwitch>> switches_;
   std::vector<bool> ocs_up_;
   std::map<SliceId, InstalledSlice> slices_;
-  std::map<int, SliceId> cube_owner_;
+  /// The slice owning each cube, indexed by cube id.
+  std::vector<std::optional<SliceId>> cube_owner_;
   SliceId next_slice_id_ = 1;
 };
 

@@ -4,7 +4,9 @@
 // models, and the FabricManager facade.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "core/fabric_manager.h"
 #include "core/scheduler.h"
@@ -22,10 +24,19 @@ using tpu::SliceShape;
 
 // --- scheduler -------------------------------------------------------------------
 
+/// Every switch's reconfiguration count, in OCS order.
+std::vector<std::uint64_t> Reconfigurations(const tpu::Superpod& pod) {
+  std::vector<std::uint64_t> counts;
+  for (int i = 0; i < pod.ocs_count(); ++i) {
+    counts.push_back(pod.ocs(i).telemetry().reconfigurations);
+  }
+  return counts;
+}
+
 TEST(Scheduler, ReconfigurablePlacesNonContiguous) {
   tpu::Superpod pod(1, 8, 2);
   SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
-  // Occupy cubes 0..3 then free 1 and 3 -> fragmented free set {1,3,4..7}.
+  // Occupy cubes 0..3 then free 0 and 1 -> fragmented free set {0,1,4..7}.
   auto a = scheduler.Allocate(SliceShape{1, 1, 2});
   auto b = scheduler.Allocate(SliceShape{1, 1, 2});
   ASSERT_TRUE(a.ok());
@@ -35,6 +46,42 @@ TEST(Scheduler, ReconfigurablePlacesNonContiguous) {
   auto c = scheduler.Allocate(SliceShape{1, 2, 3});
   EXPECT_TRUE(c.ok());
   EXPECT_EQ(scheduler.BusyCubes(), 8);
+
+  // The pod is full: a single cube rejects with the usual message, counts
+  // as a rejection and touches no switch.
+  const auto reconfigurations = Reconfigurations(pod);
+  const std::uint64_t rejected = scheduler.stats().rejected;
+  auto full = scheduler.Allocate(SliceShape{1, 1, 1});
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.error().code, common::Error::Code::kResourceExhausted);
+  EXPECT_EQ(full.error().message, "no placement for shape 1x1x1 under reconfigurable policy");
+  EXPECT_EQ(scheduler.stats().rejected, rejected + 1);
+  EXPECT_EQ(Reconfigurations(pod), reconfigurations);
+}
+
+TEST(Scheduler, RejectsShapeDimensionOutsidePod) {
+  // A dimension below 1 or above the pod's cube count rejects before the
+  // cube count is computed: 65536 x 65536 overflows int to 0 cubes.
+  for (const auto policy : {AllocationPolicy::kReconfigurable, AllocationPolicy::kContiguous}) {
+    tpu::Superpod pod(4, 8, 2);
+    SliceScheduler scheduler(pod, policy);
+    const auto reconfigurations = Reconfigurations(pod);
+    const std::vector<SliceShape> bad = {
+        SliceShape{65536, 65536, 1}, SliceShape{0, 1, 1}, SliceShape{-1, -1, 1},
+        SliceShape{1, 1, 9}};
+    for (const SliceShape& shape : bad) {
+      auto rejected = scheduler.Allocate(shape);
+      ASSERT_FALSE(rejected.ok()) << shape.ToCubeString();
+      EXPECT_EQ(rejected.error().code, common::Error::Code::kInvalidArgument)
+          << ToString(policy) << " " << shape.ToCubeString();
+    }
+    EXPECT_EQ(scheduler.stats().requests, bad.size());
+    EXPECT_EQ(scheduler.stats().rejected, bad.size());
+    EXPECT_EQ(scheduler.BusyCubes(), 0);
+    EXPECT_EQ(Reconfigurations(pod), reconfigurations);
+    // The scheduler still places a valid shape afterwards.
+    EXPECT_TRUE(scheduler.Allocate(SliceShape{2, 2, 2}).ok()) << ToString(policy);
+  }
 }
 
 TEST(Scheduler, ContiguousRequiresAlignedBox) {

@@ -449,6 +449,29 @@ TEST(FleetService, DuplicateStraddlingBatchBoundaryAppliesOnce) {
   EXPECT_EQ(run(true), run(false));
 }
 
+TEST(FleetService, OversizedShapeRejectsAndRecovers) {
+  // 65536 x 65536 x 1 cubes overflows an int cube count. The shard journals
+  // the command before applying it, so the rejection must be deterministic
+  // for every later recovery to replay it.
+  ShardHarness h(0);
+  ASSERT_TRUE(h.shard->Recover().ok());
+  svc::SliceCommand oversized = Admit(3, 1);
+  oversized.shape = tpu::SliceShape{65536, 65536, 1};
+  ASSERT_TRUE(h.shard->Offer(oversized).ok());
+  ASSERT_TRUE(h.shard->Offer(Admit(3, 2)).ok());
+  EXPECT_EQ(h.shard->PumpAll(), 2u);
+  EXPECT_EQ(h.shard->service().stats().rejected_apply, 1u);
+  EXPECT_EQ(h.shard->service().stats().admitted, 1u);
+  EXPECT_EQ(h.shard->service().scheduler().stats().rejected, 1u);
+  const auto state = h.shard->service().SerializeState();
+
+  h.Reincarnate(0);
+  const auto recovered = h.shard->Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.error().message;
+  EXPECT_EQ(recovered.value().records_replayed, 2u);
+  EXPECT_EQ(h.shard->service().SerializeState(), state);
+}
+
 // ---------------------------------------------------------------------------
 // Router: hashing, health, relocation, 2PC.
 

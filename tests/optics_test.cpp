@@ -6,7 +6,6 @@
 #include "optics/circulator.h"
 #include "optics/fiber.h"
 #include "optics/link_budget.h"
-#include "optics/mux.h"
 #include "optics/transceiver.h"
 #include "optics/wdm.h"
 
@@ -143,39 +142,6 @@ TEST(Transceiver, MlPartsCarryDspBlocks) {
   EXPECT_TRUE(Cwdm4Bidi().has_inner_sfec);
   EXPECT_TRUE(Cwdm8Bidi().has_oim_dsp);
   EXPECT_FALSE(Cwdm4Duplex().has_oim_dsp);
-}
-
-// --- mux/demux ------------------------------------------------------------------
-
-TEST(Mux, LaneLossGrowsAlongCascade) {
-  const ThinFilmMux mux(WdmGrid::Make(WdmGridKind::kCwdm4), Cwdm4MuxSpec());
-  for (int lane = 1; lane < 4; ++lane) {
-    EXPECT_GT(mux.LaneLoss(lane).value(), mux.LaneLoss(lane - 1).value());
-  }
-  EXPECT_DOUBLE_EQ(mux.WorstLaneLoss().value(), mux.LaneLoss(3).value());
-}
-
-TEST(Mux, Cwdm4StaysLowLoss) {
-  // §3.3.1: low-loss thin-film mux/demux keeps the budget workable; the
-  // full mux+demux pair on the worst lane stays near 1.5 dB.
-  const ThinFilmMux mux(WdmGrid::Make(WdmGridKind::kCwdm4), Cwdm4MuxSpec());
-  EXPECT_LT(MuxDemuxPairLoss(mux, 3).value(), 1.6);
-}
-
-TEST(Mux, Cwdm8TradesLossForDensity) {
-  const ThinFilmMux mux4(WdmGrid::Make(WdmGridKind::kCwdm4), Cwdm4MuxSpec());
-  const ThinFilmMux mux8(WdmGrid::Make(WdmGridKind::kCwdm8), Cwdm8MuxSpec());
-  // Deeper cascade + sharper filters: worse worst-lane loss and crosstalk.
-  EXPECT_GT(mux8.WorstLaneLoss().value(), mux4.WorstLaneLoss().value());
-  EXPECT_GT(mux8.CrosstalkAt(4).value(), mux4.CrosstalkAt(1).value());
-}
-
-TEST(Mux, CrosstalkDominatedByAdjacentChannels) {
-  const ThinFilmMux mux(WdmGrid::Make(WdmGridKind::kCwdm8), Cwdm8MuxSpec());
-  // Middle lane has two adjacent neighbours, edge lane one.
-  EXPECT_GT(mux.CrosstalkAt(4).value(), mux.CrosstalkAt(0).value());
-  // Aggregate crosstalk sits within ~4 dB of a single adjacent leak.
-  EXPECT_LT(mux.CrosstalkAt(4).value(), Cwdm8MuxSpec().adjacent_isolation.value() + 4.0);
 }
 
 // --- fiber -------------------------------------------------------------------

@@ -5,8 +5,10 @@
 
 #include <bit>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -67,6 +69,53 @@ TEST(CubeTest, SingleChipFailureDegradesCube) {
   Cube cube(1);
   cube.SetChipHealth(17, false);
   EXPECT_FALSE(cube.Healthy());
+}
+
+TEST(CubeTest, HealthyMatchesFlagsUnderRandomOps) {
+  // Healthy() is a count the setters keep; after every call it must equal
+  // the per-host and per-chip flags it summarizes.
+  auto every_flag_healthy = [](const Cube& cube) {
+    for (int h = 0; h < cube.host_count(); ++h) {
+      if (!cube.host(h).healthy) return false;
+    }
+    for (int c = 0; c < cube.chip_count(); ++c) {
+      if (!cube.chip(c).healthy) return false;
+    }
+    return true;
+  };
+  Cube cube(2);
+  // A host restored while its chips stay dead leaves the cube down.
+  cube.SetHostHealth(5, false);
+  cube.SetHostHealth(5, true);
+  EXPECT_TRUE(cube.host(5).healthy);
+  EXPECT_FALSE(cube.chip(20).healthy);
+  EXPECT_FALSE(cube.Healthy());
+  for (int chip = 20; chip < 24; ++chip) cube.SetChipHealth(chip, true);
+  EXPECT_TRUE(cube.Healthy());
+
+  // Random calls with both values over hosts 0-1 and their 8 chips, so the
+  // cube also comes back up through the setters, not only via Restore.
+  common::Rng rng(17);
+  int restores = 0, healthy_again = 0, unhealthy = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const bool was_healthy = cube.Healthy();
+    const bool healthy = rng.Bernoulli(0.7);
+    const std::uint64_t op = rng.UniformInt(40);
+    if (op == 0) {
+      cube.Restore();
+      ++restores;
+    } else if (op < 10) {
+      cube.SetHostHealth(static_cast<int>(rng.UniformInt(2)), healthy);
+    } else {
+      cube.SetChipHealth(static_cast<int>(rng.UniformInt(2 * kChipsPerHost)), healthy);
+    }
+    ASSERT_EQ(cube.Healthy(), every_flag_healthy(cube)) << "step " << step;
+    if (!cube.Healthy()) ++unhealthy;
+    if (op != 0 && !was_healthy && cube.Healthy()) ++healthy_again;
+  }
+  EXPECT_GT(restores, 0);
+  EXPECT_GT(healthy_again, 0);
+  EXPECT_GT(unhealthy, 0);
 }
 
 // --- wiring -------------------------------------------------------------------
@@ -163,6 +212,7 @@ SliceTopology MakeSlice(SliceShape shape, int first_cube = 0) {
 
 TEST(Slice, CreateValidations) {
   EXPECT_FALSE(SliceTopology::Create(SliceShape{1, 1, 2}, {0}).ok());       // count
+  EXPECT_FALSE(SliceTopology::Create(SliceShape{65536, 65536, 1}, {}).ok());  // 2^32 cubes
   EXPECT_FALSE(SliceTopology::Create(SliceShape{1, 1, 2}, {0, 0}).ok());    // dup
   EXPECT_FALSE(SliceTopology::Create(SliceShape{1, 1, 2}, {0, -1}).ok());   // negative
   EXPECT_TRUE(SliceTopology::Create(SliceShape{1, 1, 2}, {5, 9}).ok());
@@ -251,17 +301,41 @@ TEST(SuperpodTest, InstallAndRemoveSlice) {
   }
 }
 
+/// The owner of every cube, in cube order.
+std::vector<std::optional<SliceId>> Owners(const Superpod& pod) {
+  std::vector<std::optional<SliceId>> owners;
+  for (int i = 0; i < pod.cube_count(); ++i) owners.push_back(pod.SliceOwningCube(i));
+  return owners;
+}
+
 TEST(SuperpodTest, InstallRejectsBusyCube) {
   Superpod pod(101, 8, 2);
-  ASSERT_TRUE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0)).ok());
+  const auto first = pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0));
+  ASSERT_TRUE(first.ok());
+  const auto owners = Owners(pod);
+  const auto free = pod.FreeHealthyCubes();
   const auto overlapping = pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 1));
   EXPECT_FALSE(overlapping.ok());
+  // The failed install leaves ownership as it was.
+  EXPECT_EQ(Owners(pod), owners);
+  EXPECT_EQ(pod.FreeHealthyCubes(), free);
+  EXPECT_EQ(pod.SliceOwningCube(1), first.value());
+  EXPECT_FALSE(pod.SliceOwningCube(2).has_value());
+  EXPECT_EQ(free, (std::vector<int>{2, 3, 4, 5, 6, 7}));
+  // Ids outside the pod have no owner.
+  EXPECT_FALSE(pod.SliceOwningCube(-1).has_value());
+  EXPECT_FALSE(pod.SliceOwningCube(pod.cube_count()).has_value());
 }
 
 TEST(SuperpodTest, InstallRejectsUnhealthyCube) {
   Superpod pod(102, 8, 2);
   pod.cube(3).SetHostHealth(0, false);
+  const auto free = pod.FreeHealthyCubes();
+  EXPECT_EQ(free, (std::vector<int>{0, 1, 2, 4, 5, 6, 7}));
   EXPECT_FALSE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 2)).ok());
+  // Cube 2 passed its checks before cube 3 failed; neither is owned.
+  EXPECT_EQ(Owners(pod), std::vector<std::optional<SliceId>>(8));
+  EXPECT_EQ(pod.FreeHealthyCubes(), free);
 }
 
 TEST(SuperpodTest, SecondSliceDoesNotDisturbFirst) {
@@ -323,8 +397,11 @@ TEST(SuperpodTest, InstallFailsWhenOcsDown) {
   Superpod pod(107, 8, 2);
   pod.FailOcs(3);
   EXPECT_FALSE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0)).ok());
-  // Nothing was programmed, not even on the switches ahead of the down one.
+  // Nothing was programmed, not even on the switches ahead of the down one,
+  // and no cube was claimed.
   for (int i = 0; i < pod.ocs_count(); ++i) EXPECT_EQ(pod.ocs(i).ConnectionCount(), 0) << i;
+  EXPECT_EQ(Owners(pod), std::vector<std::optional<SliceId>>(8));
+  EXPECT_EQ(pod.FreeHealthyCubes(), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
   pod.RepairOcs(3);
   EXPECT_TRUE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0)).ok());
 }
