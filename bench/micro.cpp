@@ -1,6 +1,7 @@
 // Hot-path microbenchmarks (google-benchmark): RS(544,514) codec, Palomar
-// reconfiguration, slice install, scheduler allocation, wire codec, BER
-// evaluation, and the collective/flow simulators.
+// reconfiguration, one circuit's alignment, slice install, scheduler
+// allocation, wire codec, BER evaluation, and the collective/flow
+// simulators.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "phy/ber_model.h"
 #include "core/topology_engineer.h"
 #include "ocs/camera.h"
+#include "ocs/optical_core.h"
 #include "phy/equalizer.h"
 #include "sim/collective.h"
 #include "sim/traffic.h"
@@ -110,6 +112,21 @@ static void BM_PalomarReconfigure(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PalomarReconfigure);
+
+// One circuit's optical physics: open-loop actuation of both mirrors, then
+// each mirror's closed alignment loop. Every circuit a switch programs runs
+// this once.
+static void BM_EstablishPath(benchmark::State& state) {
+  ocs::OpticalCore core(common::Rng(3));
+  common::Rng ports(4);
+  const auto port_count = static_cast<std::uint64_t>(core.port_count());
+  for (auto _ : state) {
+    const int north = static_cast<int>(ports.UniformInt(port_count));
+    const int south = static_cast<int>(ports.UniformInt(port_count));
+    benchmark::DoNotOptimize(core.EstablishPath(north, south));
+  }
+}
+BENCHMARK(BM_EstablishPath);
 
 // Installs and removes one slice on an otherwise empty pod. Args: pod cubes,
 // OCSes per torus dimension (16: the 48-OCS production pod; 2: a 6-OCS

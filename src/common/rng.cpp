@@ -67,6 +67,17 @@ double Rng::Gaussian() {
 
 double Rng::Gaussian(double mean, double stddev) { return mean + stddev * Gaussian(); }
 
+std::pair<double, double> Rng::GaussianPair() {
+  double u = 0.0, v = 0.0, s = 0.0;
+  do {
+    u = 2.0 * NextDouble() - 1.0;
+    v = 2.0 * NextDouble() - 1.0;
+    s = u * u + v * v;
+  } while (s >= 1.0 || s == 0.0);
+  const double scale = std::sqrt(-2.0 * std::log(s) / s);
+  return {u * scale, v * scale};
+}
+
 double Rng::Exponential(double rate) {
   double u = 0.0;
   do {

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 
 namespace lightwave::common {
 
@@ -26,11 +27,21 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t UniformInt(std::uint64_t n);
 
-  /// Standard normal via Box-Muller (cached second variate).
+  /// Standard normal via Box-Muller (cached second variate). Serves the
+  /// scalar callers: collimator fabrication, the phy Monte-Carlo and
+  /// equalizer, camera pixel noise and the fabric survey's population draw.
   double Gaussian();
 
   /// Normal with given mean / standard deviation.
   double Gaussian(double mean, double stddev);
+
+  /// Two independent standard normals by the Marsaglia polar method: a point
+  /// (u, v) uniform in the unit disc, scaled by sqrt(-2 ln s / s) where
+  /// s = u^2 + v^2. No trig, and it neither reads nor fills Gaussian()'s
+  /// cache. Serves every 2-D mirror
+  /// noise draw on an optical core: open-loop actuation, a spare's re-draw,
+  /// and the alignment loop's measurement and actuation noise.
+  std::pair<double, double> GaussianPair();
 
   /// Exponential with given rate (events per unit time). Requires rate > 0.
   double Exponential(double rate);

@@ -107,6 +107,9 @@ void FaultInjector::BeforeReconfigure(ocs::PalomarSwitch& ocs,
   const auto it = std::next(target.begin(), static_cast<std::ptrdiff_t>(index));
   const bool north_side = mirror_rng_.Bernoulli(0.5);
   const int port = north_side ? it->first : it->second;
+  // A target from the wire can name any port; Reconfigure rejects one
+  // outside the switch, and no mirror sits under it to kill.
+  if (port < 0 || port >= ocs::kPalomarUsablePorts) return;
   ++mirror_deaths_;
   if (mirror_death_counter_ != nullptr) mirror_death_counter_->Inc();
   if (!ocs.InjectMirrorFailure(north_side, port)) ++ports_destroyed_;

@@ -1,11 +1,11 @@
 #include "ocs/alignment.h"
 
-#include <cmath>
-
 namespace lightwave::ocs {
 
 AlignmentResult AlignmentController::Align(common::Rng& rng, MemsArray& array,
                                            int logical) const {
+  constexpr double kActuationNoiseStd = 2.0e-6;  // closed-loop HV noise, radians
+  const double threshold_sq = config_.convergence_threshold * config_.convergence_threshold;
   AlignmentResult result;
   MirrorState& m = array.mirror(array.PhysicalMirror(logical));
   for (int i = 0; i < config_.max_iterations; ++i) {
@@ -15,28 +15,27 @@ AlignmentResult AlignmentController::Align(common::Rng& rng, MemsArray& array,
     const double true_x = m.actual_x - m.target_x;
     const double true_y = m.actual_y - m.target_y;
     double measured_x = 0.0, measured_y = 0.0;
-    if (config_.use_camera) {
-      // The monitor-spot image pipeline: render, background-subtract,
-      // centroid. When the spot is outside the tracking ROI, fall back to
-      // the wide-field acquisition mode (coarser but always finds it).
-      if (!MeasurePointingError(config_.camera, true_x, true_y, rng, &measured_x,
-                                &measured_y)) {
-        measured_x = true_x + rng.Gaussian(0.0, config_.acquisition_noise_std);
-        measured_y = true_y + rng.Gaussian(0.0, config_.acquisition_noise_std);
-      }
-    } else {
-      measured_x = true_x + rng.Gaussian(0.0, config_.measurement_noise_std);
-      measured_y = true_y + rng.Gaussian(0.0, config_.measurement_noise_std);
+    // With the camera on, the monitor-spot image pipeline: render,
+    // background-subtract, centroid. When the spot is outside the tracking
+    // ROI, fall back to the wide-field acquisition mode (coarser but always
+    // finds it). With it off, the calibrated abstract measurement.
+    if (!config_.use_camera || !MeasurePointingError(config_.camera, true_x, true_y, rng,
+                                                     &measured_x, &measured_y)) {
+      const double noise_std =
+          config_.use_camera ? config_.acquisition_noise_std : config_.measurement_noise_std;
+      const auto [nx, ny] = rng.GaussianPair();
+      measured_x = true_x + noise_std * nx;
+      measured_y = true_y + noise_std * ny;
     }
-    const double measured_mag = std::hypot(measured_x, measured_y);
-    if (measured_mag < config_.convergence_threshold) {
+    if (measured_x * measured_x + measured_y * measured_y < threshold_sq) {
       result.converged = true;
       break;
     }
     // HV update removes `gain` of the measured error (plus actuation noise
     // well below the open-loop figure).
-    m.actual_x -= config_.gain * measured_x + rng.Gaussian(0.0, 2.0e-6);
-    m.actual_y -= config_.gain * measured_y + rng.Gaussian(0.0, 2.0e-6);
+    const auto [nx, ny] = rng.GaussianPair();
+    m.actual_x -= config_.gain * measured_x + kActuationNoiseStd * nx;
+    m.actual_y -= config_.gain * measured_y + kActuationNoiseStd * ny;
   }
   result.residual_error = array.PointingError(logical);
   if (!result.converged) {

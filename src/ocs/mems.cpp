@@ -35,8 +35,9 @@ void MemsArray::Actuate(common::Rng& rng, int logical, double x, double y) {
   assert(m.functional);
   m.target_x = x;
   m.target_y = y;
-  m.actual_x = x + rng.Gaussian(0.0, kOpenLoopErrorStd);
-  m.actual_y = y + rng.Gaussian(0.0, kOpenLoopErrorStd);
+  const auto [nx, ny] = rng.GaussianPair();
+  m.actual_x = x + kOpenLoopErrorStd * nx;
+  m.actual_y = y + kOpenLoopErrorStd * ny;
 }
 
 bool MemsArray::FailMirror(common::Rng& rng, int physical) {
@@ -52,8 +53,9 @@ bool MemsArray::FailMirror(common::Rng& rng, int physical) {
       spare_pool_.pop_back();
       // The substituted mirror starts unaligned.
       MirrorState& sub = mirrors_[static_cast<std::size_t>(phys)];
-      sub.actual_x = sub.target_x + rng.Gaussian(0.0, kOpenLoopErrorStd);
-      sub.actual_y = sub.target_y + rng.Gaussian(0.0, kOpenLoopErrorStd);
+      const auto [nx, ny] = rng.GaussianPair();
+      sub.actual_x = sub.target_x + kOpenLoopErrorStd * nx;
+      sub.actual_y = sub.target_y + kOpenLoopErrorStd * ny;
       return true;
     }
   }

@@ -288,7 +288,8 @@ std::map<int, int> PalomarSwitch::CurrentMapping() const {
 }
 
 bool PalomarSwitch::InjectMirrorFailure(bool north_side, int port) {
-  assert(port >= 0 && port < kPalomarUsablePorts);
+  LW_CHECK(port >= 0 && port < kPalomarUsablePorts)
+      << "switch '" << name_ << "': mirror failure on port " << port;
   const int port_phys = PhysicalPort(north_side, port);
   const auto& array = north_side ? core_.array_a() : core_.array_b();
   const int physical = array.PhysicalMirror(port_phys);

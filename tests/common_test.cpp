@@ -2,8 +2,12 @@
 // helpers, result types, and table rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/math.h"
@@ -108,6 +112,20 @@ TEST(Rng, UniformIntCoversRange) {
   EXPECT_EQ(*seen.rbegin(), 5u);
 }
 
+/// Kolmogorov-Smirnov distance between the sample's empirical CDF and the
+/// standard normal CDF.
+double KsDistanceToNormal(std::vector<double> sample) {
+  std::sort(sample.begin(), sample.end());
+  const double n = static_cast<double>(sample.size());
+  double distance = 0.0;
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    const double cdf = 0.5 * std::erfc(-sample[i] / std::sqrt(2.0));
+    distance = std::max({distance, cdf - static_cast<double>(i) / n,
+                         static_cast<double>(i + 1) / n - cdf});
+  }
+  return distance;
+}
+
 TEST(Rng, GaussianMoments) {
   Rng rng(13);
   double sum = 0.0, sum_sq = 0.0;
@@ -119,6 +137,30 @@ TEST(Rng, GaussianMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.02);
   EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
+
+  // The polar-method pair: each coordinate standard normal, the two
+  // uncorrelated.
+  Rng pair_rng(14);
+  const int pairs = 1000000;
+  std::vector<double> xs(pairs), ys(pairs);
+  for (int i = 0; i < pairs; ++i) std::tie(xs[i], ys[i]) = pair_rng.GaussianPair();
+  const auto mean = [](const std::vector<double>& v) {
+    return std::accumulate(v.begin(), v.end(), 0.0) / static_cast<double>(v.size());
+  };
+  const double mean_x = mean(xs), mean_y = mean(ys);
+  double var_x = 0.0, var_y = 0.0, cov = 0.0;
+  for (int i = 0; i < pairs; ++i) {
+    var_x += (xs[i] - mean_x) * (xs[i] - mean_x);
+    var_y += (ys[i] - mean_y) * (ys[i] - mean_y);
+    cov += (xs[i] - mean_x) * (ys[i] - mean_y);
+  }
+  EXPECT_LT(std::abs(mean_x), 0.005);
+  EXPECT_LT(std::abs(mean_y), 0.005);
+  EXPECT_LT(std::abs(var_x / pairs - 1.0), 0.01);
+  EXPECT_LT(std::abs(var_y / pairs - 1.0), 0.01);
+  EXPECT_LT(std::abs(cov / std::sqrt(var_x * var_y)), 0.005);
+  EXPECT_LT(KsDistanceToNormal(std::move(xs)), 0.003);
+  EXPECT_LT(KsDistanceToNormal(std::move(ys)), 0.003);
 }
 
 TEST(Rng, GaussianWithParams) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "ctrl/controller.h"
+#include "ctrl/fault_injector.h"
 #include "ctrl/messages.h"
 #include "ctrl/wire.h"
 #include "ocs/palomar.h"
@@ -236,6 +237,45 @@ TEST(Agent, ReportsRejectedReconfigure) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_FALSE(reply->ok);
   EXPECT_FALSE(reply->error.empty());
+}
+
+TEST(Agent, MirrorDeathHookLeavesOutOfRangePortsAlone) {
+  // A decoded target may name any port. The mirror-death hook runs before
+  // Reconfigure validates the target, so it must not reach a mirror through
+  // a port the switch does not have.
+  ocs::PalomarSwitch ocs(56);
+  ASSERT_TRUE(ocs.Connect(0, 1).ok());
+  const auto circuits = ocs.Connections();
+  FaultInjector injector(9, FaultProfile{.mirror_death_prob = 1.0});
+  OcsAgent agent(ocs);
+  agent.SetFaultInjector(&injector);
+  const auto expect_unchanged = [&] {
+    EXPECT_EQ(ocs.Connections(), circuits);
+    EXPECT_EQ(ocs.SparePortsRemaining(true), ocs::kPalomarSparePorts);
+    EXPECT_EQ(ocs.SparePortsRemaining(false), ocs::kPalomarSparePorts);
+    for (int port = 0; port < ocs::kPalomarUsablePorts; ++port) {
+      EXPECT_TRUE(ocs.PortUsable(true, port) && ocs.PortUsable(false, port)) << port;
+    }
+  };
+  // Only out-of-range ports: no mirror may die.
+  const ReconfigureRequest outside{.transaction_id = 1, .target = {{100000, 100001}}};
+  auto reply = DecodeReconfigureReply(agent.Handle(Encode(outside)));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_FALSE(reply->ok);
+  expect_unchanged();
+  EXPECT_EQ(injector.mirror_deaths(), 0u);
+  EXPECT_EQ(injector.ports_destroyed(), 0u);
+  // One port in range: a death there, if drawn, is a real one that a
+  // mirror spare absorbs; the switch still rejects the target untouched.
+  std::uint64_t txn = 2;
+  for (const auto& target : {std::map<int, int>{{100000, 5}}, std::map<int, int>{{5, 100000}}}) {
+    reply = DecodeReconfigureReply(
+        agent.Handle(Encode(ReconfigureRequest{.transaction_id = txn++, .target = target})));
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_FALSE(reply->ok);
+    expect_unchanged();
+  }
+  EXPECT_EQ(injector.ports_destroyed(), 0u);
 }
 
 TEST(Agent, DropsMalformedFrame) {

@@ -6,8 +6,12 @@
 // technology ranking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "ocs/alignment.h"
@@ -113,6 +117,89 @@ TEST(Alignment, MillisecondClassSwitchTime) {
   const auto result = controller.Align(rng, array, 0);
   EXPECT_GT(result.elapsed_ms, 0.1);
   EXPECT_LT(result.elapsed_ms, 50.0);
+}
+
+/// Iteration-count histogram, residual errors and converged count of a batch
+/// of actuate-then-align runs.
+struct AlignmentStats {
+  std::vector<double> iterations;  // fraction of runs per iteration count
+  std::vector<double> residuals;   // sorted
+  int converged = 0;
+
+  double Residual(double q) const {
+    return residuals[static_cast<std::size_t>(q * static_cast<double>(residuals.size() - 1))];
+  }
+};
+
+AlignmentStats Summarize(const std::vector<AlignmentResult>& runs, int max_iterations) {
+  AlignmentStats stats;
+  stats.iterations.assign(static_cast<std::size_t>(max_iterations) + 1, 0.0);
+  stats.residuals.reserve(runs.size());
+  for (const auto& r : runs) {
+    stats.iterations[static_cast<std::size_t>(r.iterations)] += 1.0 / runs.size();
+    stats.residuals.push_back(r.residual_error);
+    stats.converged += r.converged ? 1 : 0;
+  }
+  std::sort(stats.residuals.begin(), stats.residuals.end());
+  return stats;
+}
+
+/// Reference alignment loop on scalar Box-Muller noise: one Gaussian per
+/// axis for the open-loop actuation, each measurement and each HV update,
+/// with the controller's constants.
+AlignmentResult BoxMullerReferenceAlign(common::Rng& rng, const AlignmentConfig& config) {
+  double error_x = rng.Gaussian(0.0, MemsArray::kOpenLoopErrorStd);
+  double error_y = rng.Gaussian(0.0, MemsArray::kOpenLoopErrorStd);
+  AlignmentResult result;
+  for (int i = 0; i < config.max_iterations; ++i) {
+    ++result.iterations;
+    const double measured_x = error_x + rng.Gaussian(0.0, config.measurement_noise_std);
+    const double measured_y = error_y + rng.Gaussian(0.0, config.measurement_noise_std);
+    if (std::hypot(measured_x, measured_y) < config.convergence_threshold) {
+      result.converged = true;
+      break;
+    }
+    error_x -= config.gain * measured_x + rng.Gaussian(0.0, 2.0e-6);
+    error_y -= config.gain * measured_y + rng.Gaussian(0.0, 2.0e-6);
+  }
+  result.residual_error = std::hypot(error_x, error_y);
+  if (!result.converged) result.converged = result.residual_error < config.convergence_threshold;
+  return result;
+}
+
+TEST(Alignment, PolarNoiseMatchesBoxMullerReference) {
+  // Fig. 10/13 read the alignment loop only through its statistics, so the
+  // polar-method noise pairs must leave those statistics where the scalar
+  // Box-Muller draws had them.
+  constexpr int kRuns = 100000;
+  const AlignmentController controller;
+  common::Rng rng(31);
+  MemsArray array(rng);
+  std::vector<AlignmentResult> polar, reference;
+  polar.reserve(kRuns);
+  reference.reserve(kRuns);
+  for (int i = 0; i < kRuns; ++i) {
+    const int logical = i % kUsedMirrors;
+    array.Actuate(rng, logical, 1e-3 * (i % 13), -1e-3 * (i % 7));
+    polar.push_back(controller.Align(rng, array, logical));
+  }
+  common::Rng reference_rng(32);
+  for (int i = 0; i < kRuns; ++i) {
+    reference.push_back(BoxMullerReferenceAlign(reference_rng, controller.config()));
+  }
+  const int max_iterations = controller.config().max_iterations;
+  const AlignmentStats got = Summarize(polar, max_iterations);
+  const AlignmentStats want = Summarize(reference, max_iterations);
+  double total_variation = 0.0;
+  for (std::size_t k = 0; k < got.iterations.size(); ++k) {
+    total_variation += 0.5 * std::abs(got.iterations[k] - want.iterations[k]);
+  }
+  EXPECT_LT(total_variation, 0.01);
+  for (const double q : {0.5, 0.99}) {
+    SCOPED_TRACE("residual quantile " + std::to_string(q));
+    EXPECT_NEAR(got.Residual(q) / want.Residual(q), 1.0, 0.02);
+  }
+  EXPECT_EQ(got.converged, want.converged);
 }
 
 TEST(Alignment, MisalignmentLossQuadratic) {

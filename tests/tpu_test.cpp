@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -458,13 +459,49 @@ std::uint64_t SwitchDigest(const Superpod& pod) {
   return hash;
 }
 
-/// Seeded allocate/release churn on the production pod. The pinned values
-/// were produced when every install and remove ran one full-target
-/// PalomarSwitch::Reconfigure per OCS, one OCS after another; the delta path
-/// must reproduce them exactly, alignment RNG draws included, however many
-/// pool threads program an install's switches.
+/// Programs a slice's circuits onto `twin` through the serial reference path
+/// (perfbench's twin C): one full-target PalomarSwitch::Reconfigure per OCS,
+/// CurrentMapping() plus (or minus) the slice's circuits, one OCS after
+/// another.
+void ReconfigureFullTarget(Superpod& twin,
+                           const std::map<int, std::map<int, int>>& connections, bool add) {
+  for (const auto& [ocs_id, conns] : connections) {
+    ocs::PalomarSwitch& sw = twin.ocs(ocs_id);
+    std::map<int, int> target = sw.CurrentMapping();
+    for (const auto& [north, south] : conns) {
+      if (add) {
+        target[north] = south;
+      } else if (auto it = target.find(north); it != target.end() && it->second == south) {
+        target.erase(it);
+      }
+    }
+    ASSERT_TRUE(sw.Reconfigure(target).ok()) << "ocs " << ocs_id;
+  }
+}
+
+struct ChurnCounters {
+  std::uint64_t reconfigurations = 0, connects = 0, disconnects = 0;
+  bool operator==(const ChurnCounters&) const = default;
+};
+
+ChurnCounters CountChurn(const Superpod& pod) {
+  ChurnCounters counters;
+  for (int i = 0; i < pod.ocs_count(); ++i) {
+    counters.reconfigurations += pod.ocs(i).telemetry().reconfigurations;
+    counters.connects += pod.ocs(i).telemetry().connects;
+    counters.disconnects += pod.ocs(i).telemetry().disconnects;
+  }
+  return counters;
+}
+
+/// Seeded allocate/release churn on the production pod. A twin pod with the
+/// same seed runs the same steps through serial full-target Reconfigure;
+/// the delta path must reproduce it exactly, alignment RNG draws included,
+/// however many pool threads program an install's switches. The pins hold
+/// the twin's values, so a change to the draws must move both together.
 void ExpectPinnedChurn() {
   Superpod pod(4242);
+  Superpod twin(4242);
   common::Rng rng(77);
   std::vector<SliceId> live;
   const SliceShape menu[] = {{1, 1, 1}, {1, 1, 2}, {1, 2, 2}, {2, 2, 2}, {1, 2, 4}, {2, 2, 4}};
@@ -472,6 +509,7 @@ void ExpectPinnedChurn() {
   for (int step = 0; step < 3000; ++step) {
     if (!live.empty() && rng.Bernoulli(0.45)) {
       const auto pick = rng.UniformInt(live.size());
+      ReconfigureFullTarget(twin, pod.slices().at(live[pick]).connections, /*add=*/false);
       ASSERT_TRUE(pod.RemoveSlice(live[pick]).ok());
       live[pick] = live.back();
       live.pop_back();
@@ -491,22 +529,22 @@ void ExpectPinnedChurn() {
     ASSERT_TRUE(topology.ok());
     auto id = pod.InstallSlice(topology.value());
     ASSERT_TRUE(id.ok()) << step << ": " << id.error().message;
+    ReconfigureFullTarget(twin, pod.slices().at(id.value()).connections, /*add=*/true);
     live.push_back(id.value());
     ++installs;
   }
-  std::uint64_t reconfigurations = 0, connects = 0, disconnects = 0;
-  for (int i = 0; i < pod.ocs_count(); ++i) {
-    reconfigurations += pod.ocs(i).telemetry().reconfigurations;
-    connects += pod.ocs(i).telemetry().connects;
-    disconnects += pod.ocs(i).telemetry().disconnects;
-  }
+  const ChurnCounters counters = CountChurn(pod);
+  EXPECT_EQ(SwitchDigest(pod), SwitchDigest(twin));
+  EXPECT_TRUE(counters == CountChurn(twin));
+  EXPECT_EQ(pod.TotalReconfigMs(), twin.TotalReconfigMs());
+
   EXPECT_EQ(installs, 1349);
   EXPECT_EQ(live.size(), 13u);
-  EXPECT_EQ(SwitchDigest(pod), 0xd45d85ab73b34a6dull);
-  EXPECT_EQ(reconfigurations, 128880u);
-  EXPECT_EQ(connects, 368592u);
-  EXPECT_EQ(disconnects, 366048u);
-  EXPECT_EQ(pod.TotalReconfigMs(), 426451.99999999686);
+  EXPECT_EQ(SwitchDigest(pod), 0xb91875dbdaa64922ull);
+  EXPECT_EQ(counters.reconfigurations, 128880u);
+  EXPECT_EQ(counters.connects, 368592u);
+  EXPECT_EQ(counters.disconnects, 366048u);
+  EXPECT_EQ(pod.TotalReconfigMs(), 426311.59999999695);
 }
 
 TEST(SuperpodTest, ChurnMatchesFullTargetReconfigureByteForByte) {
