@@ -1,7 +1,7 @@
 // Hot-path microbenchmarks (google-benchmark): RS(544,514) codec, Palomar
-// reconfiguration, one circuit's alignment, slice install, scheduler
-// allocation, wire codec, BER evaluation, and the collective/flow
-// simulators.
+// reconfiguration, mirror noise draws, one circuit's alignment, slice
+// install, scheduler allocation, wire codec, BER evaluation, and the
+// collective/flow simulators.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -112,6 +112,16 @@ static void BM_PalomarReconfigure(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PalomarReconfigure);
+
+// One 2-D mirror noise draw: a circuit's alignment physics takes about 21
+// of them.
+static void BM_GaussianPair(benchmark::State& state) {
+  common::Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.GaussianPair());
+  }
+}
+BENCHMARK(BM_GaussianPair);
 
 // One circuit's optical physics: open-loop actuation of both mirrors, then
 // each mirror's closed alignment loop. Every circuit a switch programs runs

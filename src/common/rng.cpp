@@ -14,28 +14,31 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
+
+namespace detail {
+
+ZigguratTables::ZigguratTables() {
+  // Doornik's construction: every layer above the base, [0, x[i - 1]) at
+  // heights f(x[i - 1])..f(x[i]), has area V, which fixes x[i] from the
+  // layer below.
+  const auto density = [](double at) { return std::exp(-0.5 * at * at); };
+  x[0] = kV / density(kR);
+  x[1] = kR;
+  for (int i = 2; i < kLayers; ++i) {
+    x[i] = std::sqrt(-2.0 * std::log(kV / x[i - 1] + density(x[i - 1])));
+  }
+  x[kLayers] = 0.0;
+  for (int i = 0; i <= kLayers; ++i) f[i] = density(x[i]);
+  for (int i = 0; i < kLayers; ++i) ratio[i] = x[i + 1] / x[i];
+}
+
+}  // namespace detail
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& w : state_) w = SplitMix64(s);
 }
-
-std::uint64_t Rng::NextU64() {
-  const std::uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
@@ -67,15 +70,25 @@ double Rng::Gaussian() {
 
 double Rng::Gaussian(double mean, double stddev) { return mean + stddev * Gaussian(); }
 
-std::pair<double, double> Rng::GaussianPair() {
-  double u = 0.0, v = 0.0, s = 0.0;
-  do {
-    u = 2.0 * NextDouble() - 1.0;
-    v = 2.0 * NextDouble() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double scale = std::sqrt(-2.0 * std::log(s) / s);
-  return {u * scale, v * scale};
+double Rng::ZigguratEdge(std::size_t layer, double u) {
+  if (layer == 0) {
+    // Marsaglia's tail sampler: R + t with t ~ Exp(R) has the normal's
+    // density beyond R once it survives the test, e ~ Exp(1) above t^2 / 2.
+    constexpr double kR = detail::ZigguratTables::kR;
+    double t = 0.0, e = 0.0;
+    do {
+      t = Exponential(kR);
+      e = Exponential(1.0);
+    } while (e + e < t * t);
+    return u < 0.0 ? -(kR + t) : kR + t;
+  }
+  // The wedge: a height uniform over the layer's band, kept if it lies
+  // under the curve at x; otherwise a fresh attempt.
+  const detail::ZigguratTables& zig = detail::Ziggurat();
+  const double x = u * zig.x[layer];
+  const double height = zig.f[layer + 1] + NextDouble() * (zig.f[layer] - zig.f[layer + 1]);
+  if (height < std::exp(-0.5 * x * x)) return x;
+  return ZigguratNormal();
 }
 
 double Rng::Exponential(double rate) {

@@ -231,11 +231,21 @@ common::Status SliceScheduler::ImportState(ctrl::WireReader& reader) {
     if (!id || !a || !b || !c || !cube_count) {
       return common::Internal("scheduler slice entry truncated");
     }
+    // The snapshot's bytes are outside input: bound every count and cube id
+    // by the pod before the reserve and the casts to int, so a crafted
+    // 2^40-cube entry fails here instead of in the allocator and a = 2^32+1
+    // is not read as 1.
+    const auto pod_cubes = static_cast<std::uint64_t>(pod_.cube_count());
+    if (*a > pod_cubes || *b > pod_cubes || *c > pod_cubes || *cube_count > pod_cubes) {
+      return common::Internal("scheduler slice entry exceeds the pod's " +
+                              std::to_string(pod_cubes) + " cubes");
+    }
     std::vector<int> cubes;
     cubes.reserve(static_cast<std::size_t>(*cube_count));
     for (std::uint64_t j = 0; j < *cube_count; ++j) {
       auto cube = reader.GetVarint();
       if (!cube) return common::Internal("scheduler slice cube list truncated");
+      if (*cube >= pod_cubes) return common::Internal("scheduler slice cube id out of range");
       cubes.push_back(static_cast<int>(*cube));
     }
     const SliceShape shape{static_cast<int>(*a), static_cast<int>(*b),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -138,7 +139,7 @@ TEST(Rng, GaussianMoments) {
   EXPECT_NEAR(sum / n, 0.0, 0.02);
   EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
 
-  // The polar-method pair: each coordinate standard normal, the two
+  // The Ziggurat pair: each coordinate standard normal, the two
   // uncorrelated.
   Rng pair_rng(14);
   const int pairs = 1000000;
@@ -161,6 +162,42 @@ TEST(Rng, GaussianMoments) {
   EXPECT_LT(std::abs(cov / std::sqrt(var_x * var_y)), 0.005);
   EXPECT_LT(KsDistanceToNormal(std::move(xs)), 0.003);
   EXPECT_LT(KsDistanceToNormal(std::move(ys)), 0.003);
+}
+
+TEST(Rng, GaussianPairTails) {
+  // The KS bound above is blind to the tail: only 2 Phi(-R) = 5.8e-4 of the
+  // mass lies beyond the Ziggurat's R, where its tail sampler works, next to
+  // its outermost wedges. Count the draws beyond R and beyond 4 against
+  // their Poisson expectations, and check the whole shape by chi-square over
+  // 64 equiprobable bins (63 degrees of freedom: 120 is about 5 sigma).
+  constexpr int kPairs = 5000000;
+  constexpr double kR = detail::ZigguratTables::kR;
+  Rng rng(15);
+  std::array<std::int64_t, 64> bins{};
+  std::int64_t beyond_r = 0, beyond_4 = 0;
+  const auto tally = [&](double x) {
+    beyond_r += std::abs(x) > kR ? 1 : 0;
+    beyond_4 += std::abs(x) > 4.0 ? 1 : 0;
+    const double cdf = 0.5 * std::erfc(-x / std::sqrt(2.0));
+    ++bins[static_cast<std::size_t>(std::min(63, static_cast<int>(cdf * 64.0)))];
+  };
+  for (int i = 0; i < kPairs; ++i) {
+    const auto [x, y] = rng.GaussianPair();
+    tally(x);
+    tally(y);
+  }
+  const double n = 2.0 * kPairs;
+  for (const auto& [count, cut] : {std::pair{beyond_r, kR}, std::pair{beyond_4, 4.0}}) {
+    const double expected = n * std::erfc(cut / std::sqrt(2.0));  // 2 Phi(-cut) N
+    const double z = (static_cast<double>(count) - expected) / std::sqrt(expected);
+    EXPECT_LT(std::abs(z), 5.0) << "|x| > " << cut << ": " << count << " vs " << expected;
+  }
+  double chi_square = 0.0;
+  for (const std::int64_t count : bins) {
+    const double diff = static_cast<double>(count) - n / 64.0;
+    chi_square += diff * diff / (n / 64.0);
+  }
+  EXPECT_LT(chi_square, 120.0);
 }
 
 TEST(Rng, GaussianWithParams) {

@@ -12,6 +12,7 @@
 #include "core/scheduler.h"
 #include "core/tco.h"
 #include "core/topology_engineer.h"
+#include "ctrl/wire.h"
 #include "optics/transceiver.h"
 #include "phy/ber_model.h"
 #include "telemetry/export.h"
@@ -82,6 +83,58 @@ TEST(Scheduler, RejectsShapeDimensionOutsidePod) {
     // The scheduler still places a valid shape afterwards.
     EXPECT_TRUE(scheduler.Allocate(SliceShape{2, 2, 2}).ok()) << ToString(policy);
   }
+}
+
+/// A one-slice scheduler state laid out as ExportState writes it (zero
+/// stats, slice id 1, next id 2), with the entry's fields as given.
+std::vector<std::uint8_t> OneSliceState(std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                                        std::uint64_t cube_count,
+                                        const std::vector<std::uint64_t>& cubes) {
+  ctrl::WireWriter writer;
+  for (int stat = 0; stat < 4; ++stat) writer.PutVarint(0);
+  writer.PutVarint(1);
+  writer.PutU64(1);
+  for (const std::uint64_t field : {a, b, c, cube_count}) writer.PutVarint(field);
+  for (const std::uint64_t cube : cubes) writer.PutVarint(cube);
+  writer.PutU64(2);
+  return writer.Take();
+}
+
+TEST(Scheduler, ImportStateRejectsEntriesBeyondThePod) {
+  // Snapshot bytes are outside input. A cube count, dimension or cube id
+  // above the pod fails as kInternal before the reserve and the int casts,
+  // which would otherwise throw bad_alloc (2^40 cubes) or length_error
+  // (2^62), or read a = 2^32+1 as 1 and cube 2^32+3 as cube 3.
+  const std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  const std::vector<std::pair<const char*, std::vector<std::uint8_t>>> malformed = {
+      {"2^40 cubes", OneSliceState(1, 1, 1, std::uint64_t{1} << 40, {})},
+      {"2^62 cubes", OneSliceState(1, 1, 1, std::uint64_t{1} << 62, {})},
+      {"a = 2^32+1", OneSliceState(kTwo32 + 1, 1, 1, 1, {0})},
+      {"c = 2^32+2", OneSliceState(1, 1, kTwo32 + 2, 2, {0, 1})},
+      {"cube 2^32+3", OneSliceState(1, 1, 1, 1, {kTwo32 + 3})},
+  };
+  for (const auto& [name, bytes] : malformed) {
+    tpu::Superpod pod(5, 8, 2);
+    SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
+    ctrl::WireReader reader(bytes);
+    const common::Status imported = scheduler.ImportState(reader);
+    ASSERT_FALSE(imported.ok()) << name;
+    EXPECT_EQ(imported.error().code, common::Error::Code::kInternal) << name;
+    EXPECT_TRUE(pod.slices().empty()) << name;
+    EXPECT_EQ(Reconfigurations(pod),
+              std::vector<std::uint64_t>(static_cast<std::size_t>(pod.ocs_count()), 0))
+        << name;
+  }
+  // The same layout with in-range fields imports and exports unchanged.
+  const std::vector<std::uint8_t> valid = OneSliceState(1, 1, 2, 2, {3, 7});
+  tpu::Superpod pod(5, 8, 2);
+  SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
+  ctrl::WireReader reader(valid);
+  ASSERT_TRUE(scheduler.ImportState(reader).ok());
+  EXPECT_EQ(scheduler.BusyCubes(), 2);
+  ctrl::WireWriter writer;
+  scheduler.ExportState(writer);
+  EXPECT_EQ(writer.buffer(), valid);
 }
 
 TEST(Scheduler, ContiguousRequiresAlignedBox) {

@@ -1,7 +1,8 @@
 // Fuzz and randomized-property tests: the wire codec must never crash or
-// mis-decode on corrupted frames; the Palomar switch must hold its
-// invariants under arbitrary command sequences; the RS decoder must agree
-// with brute-force nearest-codeword decoding on a tiny code.
+// mis-decode on corrupted frames; the scheduler's snapshot import must fail
+// cleanly on damaged state; the Palomar switch must hold its invariants
+// under arbitrary command sequences; the RS decoder must agree with
+// brute-force nearest-codeword decoding on a tiny code.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/scheduler.h"
 #include "ctrl/controller.h"
 #include "ctrl/messages.h"
 #include "ctrl/wire.h"
@@ -19,6 +21,7 @@
 #include "ocs/palomar.h"
 #include "svc/command.h"
 #include "tpu/slice.h"
+#include "tpu/superpod.h"
 
 namespace lightwave {
 namespace {
@@ -372,6 +375,112 @@ TEST(Fuzz, SliceCommandDecodeNeverCrashesOnRandomBytes) {
   ASSERT_EQ(tampered[7], static_cast<std::uint8_t>(svc::CommandKind::kPrepare));
   tampered[7] = 200;
   EXPECT_FALSE(svc::SliceCommand::Decode(tampered).ok());
+}
+
+// --- scheduler state import ---------------------------------------------------------
+
+/// One field of a scheduler state in wire order: a varint, or a fixed u64
+/// (the slice ids and the id mint).
+struct StateField {
+  bool varint = true;
+  std::uint64_t value = 0;
+};
+
+/// Splits ExportState bytes into their fields: four stats and the slice
+/// count, then per slice its id, a, b, c, cube count and cube ids, then the
+/// next slice id.
+std::vector<StateField> SchedulerStateFields(const std::vector<std::uint8_t>& bytes) {
+  ctrl::WireReader reader(bytes);
+  std::vector<StateField> fields;
+  const auto take = [&](bool varint) {
+    const auto value = varint ? reader.GetVarint() : reader.GetU64();
+    LW_CHECK(value.has_value());
+    fields.push_back({varint, *value});
+    return *value;
+  };
+  for (int stat = 0; stat < 4; ++stat) take(true);
+  for (std::uint64_t slice = take(true); slice > 0; --slice) {
+    take(false);
+    for (int dim = 0; dim < 3; ++dim) take(true);
+    for (std::uint64_t cube = take(true); cube > 0; --cube) take(true);
+  }
+  take(false);
+  LW_CHECK(reader.AtEnd());
+  return fields;
+}
+
+std::vector<std::uint8_t> EncodeStateFields(const std::vector<StateField>& fields) {
+  ctrl::WireWriter writer;
+  for (const StateField& field : fields) {
+    if (field.varint) {
+      writer.PutVarint(field.value);
+    } else {
+      writer.PutU64(field.value);
+    }
+  }
+  return writer.Take();
+}
+
+TEST(Fuzz, SchedulerImportStateNeverCrashes) {
+  // Snapshot bytes reach SliceScheduler::ImportState through
+  // FleetService::DeserializeState, and the CRC catches only accidental
+  // damage. Every bit flip, truncation and huge varint of a real export
+  // must import or fail with a Status, never abort; an accepted state must
+  // pass the scheduler's audit.
+  const auto import_into_fresh_pod = [](const std::vector<std::uint8_t>& bytes) {
+    tpu::Superpod pod(9, 8, 2);
+    core::SliceScheduler scheduler(pod, core::AllocationPolicy::kReconfigurable);
+    ctrl::WireReader reader(bytes);
+    const bool imported = scheduler.ImportState(reader).ok();
+    if (imported) {
+      EXPECT_TRUE(scheduler.ValidateInvariants().ok());
+    }
+    return imported;
+  };
+  std::vector<std::uint8_t> exported;
+  {
+    tpu::Superpod pod(9, 8, 2);
+    core::SliceScheduler scheduler(pod, core::AllocationPolicy::kReconfigurable);
+    for (const tpu::SliceShape shape :
+         {tpu::SliceShape{1, 1, 2}, tpu::SliceShape{1, 2, 2}, tpu::SliceShape{1, 1, 1}}) {
+      ASSERT_TRUE(scheduler.Allocate(shape).ok());
+    }
+    ctrl::WireWriter writer;
+    scheduler.ExportState(writer);
+    exported = writer.Take();
+  }
+  ASSERT_TRUE(import_into_fresh_pod(exported));
+
+  int accepted_flips = 0;
+  for (std::size_t byte = 0; byte < exported.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto mutated = exported;
+      mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      accepted_flips += import_into_fresh_pod(mutated) ? 1 : 0;
+    }
+  }
+  EXPECT_GT(accepted_flips, 0);  // flips in the stats still import
+  for (std::size_t len = 0; len < exported.size(); ++len) {
+    EXPECT_FALSE(import_into_fresh_pod(
+        {exported.begin(), exported.begin() + static_cast<long>(len)}))
+        << len;
+  }
+
+  // A huge value in any varint past the four stats (the slice count, a
+  // dimension, a cube count or a cube id) must reject.
+  const std::vector<StateField> fields = SchedulerStateFields(exported);
+  ASSERT_EQ(EncodeStateFields(fields), exported);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (!fields[i].varint) continue;
+    for (const std::uint64_t huge :
+         {std::uint64_t{1} << 31, (std::uint64_t{1} << 32) + 1, std::uint64_t{1} << 40,
+          std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+      auto mutated = fields;
+      mutated[i].value = huge;
+      EXPECT_EQ(import_into_fresh_pod(EncodeStateFields(mutated)), i < 4)
+          << "field " << i << " = " << huge;
+    }
+  }
 }
 
 // --- palomar random-operation stress ----------------------------------------------

@@ -169,26 +169,27 @@ AlignmentResult BoxMullerReferenceAlign(common::Rng& rng, const AlignmentConfig&
 
 TEST(Alignment, PolarNoiseMatchesBoxMullerReference) {
   // Fig. 10/13 read the alignment loop only through its statistics, so the
-  // polar-method noise pairs must leave those statistics where the scalar
-  // Box-Muller draws had them.
+  // GaussianPair noise (the Ziggurat; the polar method when this test was
+  // named) must leave those statistics where the scalar Box-Muller draws
+  // had them.
   constexpr int kRuns = 100000;
   const AlignmentController controller;
   common::Rng rng(31);
   MemsArray array(rng);
-  std::vector<AlignmentResult> polar, reference;
-  polar.reserve(kRuns);
+  std::vector<AlignmentResult> paired, reference;
+  paired.reserve(kRuns);
   reference.reserve(kRuns);
   for (int i = 0; i < kRuns; ++i) {
     const int logical = i % kUsedMirrors;
     array.Actuate(rng, logical, 1e-3 * (i % 13), -1e-3 * (i % 7));
-    polar.push_back(controller.Align(rng, array, logical));
+    paired.push_back(controller.Align(rng, array, logical));
   }
   common::Rng reference_rng(32);
   for (int i = 0; i < kRuns; ++i) {
     reference.push_back(BoxMullerReferenceAlign(reference_rng, controller.config()));
   }
   const int max_iterations = controller.config().max_iterations;
-  const AlignmentStats got = Summarize(polar, max_iterations);
+  const AlignmentStats got = Summarize(paired, max_iterations);
   const AlignmentStats want = Summarize(reference, max_iterations);
   double total_variation = 0.0;
   for (std::size_t k = 0; k < got.iterations.size(); ++k) {

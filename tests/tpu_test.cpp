@@ -540,11 +540,11 @@ void ExpectPinnedChurn() {
 
   EXPECT_EQ(installs, 1349);
   EXPECT_EQ(live.size(), 13u);
-  EXPECT_EQ(SwitchDigest(pod), 0xb91875dbdaa64922ull);
+  EXPECT_EQ(SwitchDigest(pod), 0xb38eebdf03eaabe0ull);
   EXPECT_EQ(counters.reconfigurations, 128880u);
   EXPECT_EQ(counters.connects, 368592u);
   EXPECT_EQ(counters.disconnects, 366048u);
-  EXPECT_EQ(pod.TotalReconfigMs(), 426311.59999999695);
+  EXPECT_EQ(pod.TotalReconfigMs(), 426446.39999999694);
 }
 
 TEST(SuperpodTest, ChurnMatchesFullTargetReconfigureByteForByte) {
