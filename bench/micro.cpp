@@ -1,11 +1,14 @@
 // Hot-path microbenchmarks (google-benchmark): RS(544,514) codec, Palomar
 // reconfiguration, mirror noise draws, one circuit's alignment, slice
-// install, scheduler allocation, wire codec, BER evaluation, and the
-// collective/flow simulators.
+// install, scheduler allocation, WAL scan, wire codec, BER evaluation, and
+// the collective/flow simulators.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,6 +18,8 @@
 #include "core/scheduler.h"
 #include "ctrl/messages.h"
 #include "fec/reed_solomon.h"
+#include "journal/file_storage.h"
+#include "journal/wal.h"
 #include "ocs/palomar.h"
 #include "phy/ber_model.h"
 #include "core/topology_engineer.h"
@@ -23,6 +28,7 @@
 #include "phy/equalizer.h"
 #include "sim/collective.h"
 #include "sim/traffic.h"
+#include "svc/command.h"
 #include "tpu/routing.h"
 #include "sim/llm_model.h"
 #include "tpu/superpod.h"
@@ -196,6 +202,56 @@ BENCHMARK(BM_SchedulerReject)
     ->ArgNames({"pod_cubes", "ocs_per_dim"})
     ->Args({16, 2})
     ->Args({64, 16});
+
+// Scans one recover-workload shard log: 3072 journaled slice commands, a
+// churn of one-cube to eight-cube admits and their releases. Arg file:0
+// scans a MemStorage, file:1 a FileStorage in a temporary directory. Items
+// are records.
+static void BM_WalScan(benchmark::State& state) {
+  constexpr int kRecords = 3072;
+  const tpu::SliceShape shapes[] = {{1, 1, 1}, {1, 1, 2}, {1, 2, 2}, {2, 2, 2}};
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (int i = 0; i < kRecords; ++i) {
+    svc::SliceCommand cmd;
+    cmd.command_id = static_cast<std::uint64_t>(i + 1);
+    cmd.kind = i % 2 == 0 ? svc::CommandKind::kAdmit : svc::CommandKind::kRelease;
+    cmd.job_id = static_cast<std::uint64_t>(i / 2 + 1);
+    if (cmd.kind == svc::CommandKind::kAdmit) cmd.shape = shapes[(i / 2) % 4];
+    payloads.push_back(cmd.Encode());
+  }
+  journal::MemStorage mem;
+  std::unique_ptr<journal::FileStorage> file;
+  std::string dir;
+  if (state.range(0) != 0) {
+    std::string tmpl = (std::filesystem::temp_directory_path() / "lw_walscan_XXXXXX").string();
+    if (::mkdtemp(tmpl.data()) == nullptr) {
+      state.SkipWithError("mkdtemp failed");
+      return;
+    }
+    dir = tmpl;
+    auto opened = journal::FileStorage::Open(dir + "/wal.log");
+    if (!opened.ok()) {
+      std::filesystem::remove_all(dir);
+      state.SkipWithError("opening the log file failed");
+      return;
+    }
+    file = std::move(opened.value());
+  }
+  journal::Storage& storage = file ? static_cast<journal::Storage&>(*file) : mem;
+  {
+    journal::Wal wal(storage);
+    (void)wal.AppendBatch(payloads);
+  }
+  for (auto _ : state) {
+    auto scan = journal::Wal::Scan(storage);
+    benchmark::DoNotOptimize(scan.records.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kRecords);
+  state.counters["log_bytes"] = static_cast<double>(storage.size());
+  file.reset();
+  if (!dir.empty()) std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_WalScan)->ArgName("file")->Arg(0)->Arg(1);
 
 static void BM_WireReconfigureRoundTrip(benchmark::State& state) {
   ctrl::ReconfigureRequest request;

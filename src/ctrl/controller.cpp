@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "ctrl/fault_injector.h"
 #include "telemetry/hub.h"
@@ -337,6 +338,12 @@ common::Status FabricController::ImportState(WireReader& reader) {
     if (*state > static_cast<std::uint8_t>(BreakerState::kHalfOpen)) {
       return common::Internal("controller state carries unknown breaker state " +
                               std::to_string(*state));
+    }
+    // The snapshot's bytes are outside input: an id or counter past INT_MAX
+    // would wrap in the cast below (OCS 2^32+1 read as OCS 1).
+    constexpr auto kIntMax = static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+    if (*ocs_id > kIntMax || *exhaustions > kIntMax || *cooldown > kIntMax) {
+      return common::Internal("controller health entry exceeds the int range");
     }
     health[static_cast<int>(*ocs_id)] =
         AgentHealth{.state = static_cast<BreakerState>(*state),

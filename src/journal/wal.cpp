@@ -1,5 +1,6 @@
 #include "journal/wal.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -104,6 +105,12 @@ const char* ToString(WalTailKind kind) {
 WalScan Wal::Scan(const Storage& storage) {
   WalScan scan;
   const std::uint64_t total = storage.size();
+  if (total == 0) return scan;
+  // One device read for the whole log; every frame below is walked,
+  // CRC-checked and copied out of this buffer.
+  std::vector<std::uint8_t> log(static_cast<std::size_t>(total));
+  storage.ReadAt(0, log.size(), log.data());
+  const std::uint8_t* const end = log.data() + log.size();
   std::uint64_t offset = 0;
   // Every early return below is a torn tail: records up to `offset` are
   // intact, the bytes from `offset` on are unusable. The scan reports the
@@ -121,10 +128,9 @@ WalScan Wal::Scan(const Storage& storage) {
       scan.valid_bytes = offset;
       return scan;
     }
-    std::array<std::uint8_t, kHeaderBytes> header{};
-    storage.ReadAt(offset, header.size(), header.data());
-    const std::uint64_t length = ReadU32(header.data());
-    const std::uint32_t stored_crc = ReadU32(header.data() + 4);
+    const std::uint8_t* const header = log.data() + offset;
+    const std::uint64_t length = ReadU32(header);
+    const std::uint32_t stored_crc = ReadU32(header + 4);
     if (length == 0 && stored_crc == 0) {
       // A zero header is never a legal frame (length >= 8). Some
       // filesystems extend a file with zero pages on a crash between the
@@ -133,15 +139,8 @@ WalScan Wal::Scan(const Storage& storage) {
       // header INSIDE the durable prefix followed by nonzero bytes means
       // stable bytes were damaged: that is the corruption alarm, not the
       // expected truncation artifact.
-      bool rest_zero = true;
-      std::vector<std::uint8_t> rest(static_cast<std::size_t>(remaining - kHeaderBytes));
-      if (!rest.empty()) storage.ReadAt(offset + kHeaderBytes, rest.size(), rest.data());
-      for (const std::uint8_t byte : rest) {
-        if (byte != 0) {
-          rest_zero = false;
-          break;
-        }
-      }
+      const bool rest_zero =
+          std::all_of(header + kHeaderBytes, end, [](std::uint8_t byte) { return byte == 0; });
       if (offset >= storage.durable_size() || rest_zero) {
         scan.tail = common::Internal("torn tail: zero-filled tail at offset " +
                                      std::to_string(offset));
@@ -170,12 +169,11 @@ WalScan Wal::Scan(const Storage& storage) {
       scan.valid_bytes = offset;
       return scan;
     }
-    std::vector<std::uint8_t> body(static_cast<std::size_t>(length));
-    storage.ReadAt(offset + kHeaderBytes, body.size(), body.data());
+    const std::uint8_t* const body = header + kHeaderBytes;
     // The CRC covers the length field too: a bit flip that only changes the
     // length cannot re-frame the log into a different valid record stream.
-    std::uint32_t crc = Crc32cExtend(Crc32cInit(), header.data(), 4);
-    crc = Crc32cFinish(Crc32cExtend(crc, body.data(), body.size()));
+    std::uint32_t crc = Crc32cExtend(Crc32cInit(), header, 4);
+    crc = Crc32cFinish(Crc32cExtend(crc, body, static_cast<std::size_t>(length)));
     if (crc != stored_crc) {
       scan.tail = common::Internal("torn tail: crc mismatch at offset " +
                                    std::to_string(offset));
@@ -183,7 +181,7 @@ WalScan Wal::Scan(const Storage& storage) {
       scan.valid_bytes = offset;
       return scan;
     }
-    const std::uint64_t seq = ReadU64(body.data());
+    const std::uint64_t seq = ReadU64(body);
     if (!scan.records.empty() && seq != scan.records.back().seq + 1) {
       scan.tail = common::Internal(
           "torn tail: sequence discontinuity (" + std::to_string(scan.records.back().seq) +
@@ -193,8 +191,7 @@ WalScan Wal::Scan(const Storage& storage) {
       return scan;
     }
     scan.records.push_back(WalRecord{
-        .seq = seq,
-        .payload = std::vector<std::uint8_t>(body.begin() + kSeqBytes, body.end())});
+        .seq = seq, .payload = std::vector<std::uint8_t>(body + kSeqBytes, body + length)});
     offset += kHeaderBytes + length;
   }
   scan.valid_bytes = offset;

@@ -10,15 +10,16 @@
 // `length` counts the sequence field plus the payload (so length >= 8); the
 // CRC32C (Castagnoli) covers the length field, the sequence, and the payload,
 // so a bit flip anywhere in the record — including a lying length field — is
-// caught. A scan walks records from offset 0 and stops at the first frame
-// that is truncated, corrupt, oversized, or out of sequence: that is the
-// torn tail a crash mid-append leaves behind. The scan NEVER throws or
-// crashes on hostile bytes; it reports how far the log was valid, why it
-// stopped, and WHICH KIND of defect it hit — a clean truncation (the
-// expected artifact of a crash inside a sync window or mid-append) vs
-// genuine corruption of bytes that were supposedly durable (bit rot, a
-// misdirected write) — and recovery truncates the tail and appends from
-// there.
+// caught. A scan reads the whole log in one Storage::ReadAt, walks the
+// records in that buffer from offset 0, and copies each payload out once. It
+// stops at the first frame that is truncated, corrupt, oversized, or out of
+// sequence: that is the torn tail a crash mid-append leaves behind. The scan
+// NEVER throws or crashes on hostile bytes; it reports how far the log was
+// valid, why it stopped, and WHICH KIND of defect it hit — a clean
+// truncation (the expected artifact of a crash inside a sync window or
+// mid-append) vs genuine corruption of bytes that were supposedly durable
+// (bit rot, a misdirected write) — and recovery truncates the tail and
+// appends from there.
 //
 // Durability boundary: every Append/AppendBatch ends with a Storage::Sync()
 // — the commit point. Over FileStorage that is where the sync policy bites
@@ -106,8 +107,9 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Walks the records in `storage` without modifying it. Total: any byte
-  /// soup is safe input; the result's `tail` explains the first defect.
+  /// Walks the records in `storage` without modifying it. The log is read
+  /// in one call (none when it is empty) and framed from memory. Total: any
+  /// byte soup is safe input; the result's `tail` explains the first defect.
   static WalScan Scan(const Storage& storage);
 
   /// Appends one record and returns its sequence number. The record is

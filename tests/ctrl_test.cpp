@@ -4,6 +4,11 @@
 // circuit-breaker behaviour over a lossy bus.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "ctrl/controller.h"
 #include "ctrl/fault_injector.h"
 #include "ctrl/messages.h"
@@ -539,6 +544,71 @@ TEST(Controller, BreakerOpensHalfOpensAndCloses) {
   EXPECT_TRUE(recovered.ok) << recovered.error;
   EXPECT_EQ(controller.breaker_state(0), BreakerState::kClosed);
   EXPECT_EQ(hub.metrics().GetGauge("lightwave_ctrl_agent_unhealthy").value(), 0.0);
+}
+
+// Controller state bytes in ExportState's layout: the two counters, then one
+// (ocs id, breaker state, exhaustions, cooldown) entry per OCS.
+struct HealthEntry {
+  std::uint64_t ocs_id;
+  BreakerState state;
+  std::uint64_t exhaustions;
+  std::uint64_t cooldown;
+};
+
+std::vector<std::uint8_t> ControllerState(const std::vector<HealthEntry>& entries) {
+  WireWriter writer;
+  writer.PutU64(7);  // next transaction id
+  writer.PutU64(9);  // next telemetry nonce
+  writer.PutVarint(entries.size());
+  for (const HealthEntry& entry : entries) {
+    writer.PutVarint(entry.ocs_id);
+    writer.PutU8(static_cast<std::uint8_t>(entry.state));
+    writer.PutVarint(entry.exhaustions);
+    writer.PutVarint(entry.cooldown);
+  }
+  return writer.Take();
+}
+
+TEST(Controller, ImportStateRejectsValuesBeyondInt) {
+  // Snapshot bytes are outside input. An OCS id, exhaustion count or
+  // cooldown above INT_MAX fails as kInternal before anything is assigned;
+  // the int casts would otherwise read OCS 2^32+1 as OCS 1, 2^32+5
+  // exhaustions as 5, and a 2^31 cooldown as INT_MIN.
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kTwo31 = std::uint64_t{1} << 31;
+  constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  MessageBus bus(21);
+  FabricController controller(bus);
+  const auto exported = [&controller] {
+    WireWriter writer;
+    controller.ExportState(writer);
+    return writer.Take();
+  };
+  // In range, up to INT_MAX in every field: imports and re-exports byte for
+  // byte.
+  const std::vector<std::uint8_t> valid =
+      ControllerState({{2, BreakerState::kOpen, 3, 4},
+                       {kIntMax, BreakerState::kHalfOpen, kIntMax, kIntMax}});
+  WireReader valid_reader(valid);
+  ASSERT_TRUE(controller.ImportState(valid_reader).ok());
+  ASSERT_EQ(exported(), valid);
+  const std::vector<std::pair<const char*, std::vector<std::uint8_t>>> malformed = {
+      {"ocs 2^31", ControllerState({{kTwo31, BreakerState::kOpen, 0, 1}})},
+      {"ocs 2^32+1", ControllerState({{kTwo32 + 1, BreakerState::kOpen, 0, 1}})},
+      {"exhaustions 2^32+5", ControllerState({{1, BreakerState::kOpen, kTwo32 + 5, 1}})},
+      {"cooldown 2^31", ControllerState({{1, BreakerState::kOpen, 0, kTwo31}})},
+      {"cooldown 2^64-1",
+       ControllerState({{1, BreakerState::kOpen, 0, std::numeric_limits<std::uint64_t>::max()}})},
+  };
+  for (const auto& [name, bytes] : malformed) {
+    WireReader reader(bytes);
+    const common::Status imported = controller.ImportState(reader);
+    ASSERT_FALSE(imported.ok()) << name;
+    EXPECT_EQ(imported.error().code, common::Error::Code::kInternal) << name;
+    EXPECT_EQ(controller.breaker_state(1), BreakerState::kClosed) << name;
+    EXPECT_EQ(controller.breaker_state(2), BreakerState::kOpen) << name;
+    EXPECT_EQ(exported(), valid) << name;
+  }
 }
 
 TEST(Controller, CollectsTelemetryFromAll) {

@@ -44,6 +44,23 @@ journal::MemStorage LogWith(int records) {
   return storage;
 }
 
+// Two scans agree field for field: every record's seq and payload,
+// valid_bytes, the tail message and tail_kind.
+void ExpectSameScan(const journal::WalScan& got, const journal::WalScan& want,
+                    const std::string& context) {
+  ASSERT_EQ(got.records.size(), want.records.size()) << context;
+  for (std::size_t i = 0; i < want.records.size(); ++i) {
+    EXPECT_EQ(got.records[i].seq, want.records[i].seq) << context << " record " << i;
+    EXPECT_EQ(got.records[i].payload, want.records[i].payload) << context << " record " << i;
+  }
+  EXPECT_EQ(got.valid_bytes, want.valid_bytes) << context;
+  ASSERT_EQ(got.tail.ok(), want.tail.ok()) << context;
+  if (!want.tail.ok()) {
+    EXPECT_EQ(got.tail.error().message, want.tail.error().message) << context;
+  }
+  EXPECT_EQ(got.tail_kind, want.tail_kind) << context;
+}
+
 TEST(Wal, AppendScanRoundTrip) {
   journal::MemStorage storage = LogWith(10);
   const auto scan = journal::Wal::Scan(storage);
@@ -575,6 +592,13 @@ TEST(FileStorage, EveryTruncationOffsetScansCleanly) {
     auto storage = journal::FileStorage::Open(path);
     ASSERT_TRUE(storage.ok());
     journal::Wal wal(*storage.value());
+    // The scan over the file frames exactly what a MemStorage scan of the
+    // same bytes frames.
+    journal::MemStorage same_bytes;
+    same_bytes.bytes().assign(oracle.bytes().begin(),
+                              oracle.bytes().begin() + static_cast<long>(cut));
+    ExpectSameScan(wal.recovery_scan(), journal::Wal::Scan(same_bytes),
+                   "cut=" + std::to_string(cut));
     const std::size_t expect =
         static_cast<std::size_t>(std::count_if(boundaries.begin(), boundaries.end(),
                                                [&](std::uint64_t b) { return b <= cut; }));
@@ -760,6 +784,71 @@ TEST(Wal, ZeroedHeaderAboveDurableFrontierIsTruncation) {
   EXPECT_EQ(scan.tail_kind, journal::WalTailKind::kTruncated);
   EXPECT_EQ(scan.valid_bytes, faulty.durable_size());
   EXPECT_EQ(scan.records.size(), 2u);
+}
+
+// Forwards to a MemStorage and counts the ReadAt calls made through it.
+class ReadCountingStorage final : public journal::Storage {
+ public:
+  explicit ReadCountingStorage(journal::MemStorage& base) : base_(base) {}
+  std::uint64_t size() const override { return base_.size(); }
+  void Append(const std::uint8_t* data, std::size_t n) override { base_.Append(data, n); }
+  void ReadAt(std::uint64_t offset, std::size_t n, std::uint8_t* out) const override {
+    ++reads_;
+    base_.ReadAt(offset, n, out);
+  }
+  void Truncate(std::uint64_t new_size) override { base_.Truncate(new_size); }
+  int TakeReads() { return std::exchange(reads_, 0); }
+
+ private:
+  journal::MemStorage& base_;
+  mutable int reads_ = 0;
+};
+
+TEST(Wal, ScanReadsTheLogInOneCall) {
+  // A recover-workload shard log: 3072 records, read in one call by Scan
+  // and again by the constructor (a header-then-body scan made 6144).
+  journal::MemStorage log = LogWith(3072);
+  ReadCountingStorage counted(log);
+  const auto scan = journal::Wal::Scan(counted);
+  ASSERT_TRUE(scan.tail.ok()) << scan.tail.error().message;
+  EXPECT_EQ(scan.records.size(), 3072u);
+  EXPECT_EQ(counted.TakeReads(), 1);
+  {
+    journal::Wal wal(counted);
+    EXPECT_EQ(counted.TakeReads(), 1);
+    EXPECT_EQ(wal.next_seq(), 3073u);
+  }
+
+  // An empty log is not read at all.
+  journal::MemStorage empty;
+  ReadCountingStorage counted_empty(empty);
+  EXPECT_TRUE(journal::Wal::Scan(counted_empty).tail.ok());
+  {
+    journal::Wal wal(counted_empty);
+    EXPECT_EQ(wal.next_seq(), 1u);
+  }
+  EXPECT_EQ(counted_empty.TakeReads(), 0);
+
+  // A zeroed fifth header amid nonzero durable bytes: the bytes behind it
+  // are checked in the same buffer, and the diagnosis is still corruption.
+  journal::MemStorage damaged = LogWith(8);
+  const std::uint64_t fifth = [&] {
+    std::uint64_t offset = 0;
+    for (std::size_t i = 0; i < 4; ++i) offset += 16 + Payload(static_cast<int>(i)).size();
+    return offset;
+  }();
+  for (std::uint64_t i = fifth; i < fifth + 8; ++i) damaged.bytes()[i] = 0;
+  ReadCountingStorage counted_damaged(damaged);
+  const auto damaged_scan = journal::Wal::Scan(counted_damaged);
+  ASSERT_FALSE(damaged_scan.tail.ok());
+  EXPECT_EQ(damaged_scan.tail_kind, journal::WalTailKind::kCorrupt);
+  EXPECT_EQ(damaged_scan.valid_bytes, fifth);
+  EXPECT_EQ(damaged_scan.records.size(), 4u);
+  EXPECT_EQ(counted_damaged.TakeReads(), 1);
+  journal::Wal wal(counted_damaged);
+  EXPECT_EQ(counted_damaged.TakeReads(), 1);
+  EXPECT_EQ(wal.recovery_scan().tail_kind, journal::WalTailKind::kCorrupt);
+  EXPECT_EQ(damaged.size(), fifth);
 }
 
 TEST(Replay, SplitsTailCountersByKindAndRecordsMetrics) {

@@ -149,7 +149,9 @@ TEST_P(RoutingShapeSweep, RandomRoutesMatchDistance) {
         static_cast<int>(rng.UniformInt(static_cast<std::uint64_t>(dims.z)))};
     const auto route = router.ComputeRoute(src, dst);
     EXPECT_EQ(static_cast<int>(route.hops.size()), router.Distance(src, dst));
-    if (!route.hops.empty()) EXPECT_EQ(route.hops.back().to, dst);
+    if (!route.hops.empty()) {
+      EXPECT_EQ(route.hops.back().to, dst);
+    }
     EXPECT_LE(static_cast<int>(route.hops.size()), router.DiameterHops());
   }
 }
