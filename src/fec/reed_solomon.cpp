@@ -298,22 +298,15 @@ common::Result<int> ReedSolomon::DecodeWithComputedSyndromes(std::span<Element> 
 void ReedSolomon::EncodeMany(std::span<const Element> data, std::span<Element> codewords,
                              BatchScratch& scratch) const {
   LW_CHECK(data.size() % static_cast<std::size_t>(k_) == 0) << "data length % k != 0";
-  const std::size_t count = data.size() / static_cast<std::size_t>(k_);
-  LW_CHECK(codewords.size() == count * static_cast<std::size_t>(n_))
+  const int count = static_cast<int>(data.size() / static_cast<std::size_t>(k_));
+  LW_CHECK(codewords.size() == static_cast<std::size_t>(count) * static_cast<std::size_t>(n_))
       << "codewords length != count * n";
-  for (std::size_t w = 0; w < count; ++w) {
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(w * static_cast<std::size_t>(k_)),
-              data.begin() + static_cast<std::ptrdiff_t>((w + 1) * static_cast<std::size_t>(k_)),
-              codewords.begin() + static_cast<std::ptrdiff_t>(w * static_cast<std::size_t>(n_)));
+  // Stage each word's data in its systematic prefix; the kernels below fill
+  // the parity tails in place.
+  for (int w = 0; w < count; ++w) {
+    std::copy_n(data.data() + static_cast<std::size_t>(w) * k_, k_,
+                codewords.data() + static_cast<std::size_t>(w) * n_);
   }
-  EncodeManyInPlace(codewords, scratch);
-}
-
-void ReedSolomon::EncodeManyInPlace(std::span<Element> codewords,
-                                    BatchScratch& scratch) const {
-  LW_CHECK(codewords.size() % static_cast<std::size_t>(n_) == 0)
-      << "codewords length % n != 0";
-  const int count = static_cast<int>(codewords.size() / static_cast<std::size_t>(n_));
   const int lanes = batch::kLaneWidth;
   const int parity = n_ - k_;
   scratch.tile.resize(static_cast<std::size_t>(k_) * lanes);
@@ -349,46 +342,19 @@ void ReedSolomon::EncodeManyInPlace(std::span<Element> codewords,
 
 void ReedSolomon::DecodeMany(std::span<Element> words, std::span<int> corrected,
                              BatchScratch& scratch) const {
-  DecodeManyWithErasures(words, {}, corrected, scratch);
-}
-
-void ReedSolomon::DecodeManyWithErasures(std::span<Element> words,
-                                         const std::vector<std::vector<int>>& erasures,
-                                         std::span<int> corrected,
-                                         BatchScratch& scratch) const {
   LW_CHECK(words.size() % static_cast<std::size_t>(n_) == 0) << "words length % n != 0";
   const int count = static_cast<int>(words.size() / static_cast<std::size_t>(n_));
   LW_CHECK(static_cast<int>(corrected.size()) == count) << "corrected length != count";
-  LW_CHECK(erasures.empty() || static_cast<int>(erasures.size()) == count)
-      << "erasures length != count";
   const int lanes = batch::kLaneWidth;
   const int two_t = n_ - k_;
   scratch.tile.resize(static_cast<std::size_t>(n_) * lanes);
   scratch.syn_tile.resize(static_cast<std::size_t>(two_t) * lanes);
-
-  const auto erasures_of = [&](int word_index) -> const std::vector<int>* {
-    if (erasures.empty()) return nullptr;
-    const auto& e = erasures[static_cast<std::size_t>(word_index)];
-    return e.empty() ? nullptr : &e;
+  const auto word_at = [&](int word_index) {
+    return std::span<Element>(words.data() + static_cast<std::size_t>(word_index) * n_,
+                              static_cast<std::size_t>(n_));
   };
-  // Scalar fallback for one word, identical to the public per-word calls.
-  const auto decode_one = [&](int word_index) {
-    Element* word = words.data() + static_cast<std::size_t>(word_index) * n_;
-    const std::vector<int>* erased = erasures_of(word_index);
-    if (erased == nullptr) {
-      const auto result = DecodeInPlace({word, static_cast<std::size_t>(n_)}, scratch.scalar);
-      corrected[static_cast<std::size_t>(word_index)] =
-          result.ok() ? result.value() : kDecodeFailed;
-      return;
-    }
-    scratch.word_copy.assign(word, word + n_);
-    const auto outcome = DecodeWithErasures(scratch.word_copy, *erased);
-    if (outcome.ok()) {
-      std::copy(outcome.value().codeword.begin(), outcome.value().codeword.end(), word);
-      corrected[static_cast<std::size_t>(word_index)] = outcome.value().corrected_symbols;
-    } else {
-      corrected[static_cast<std::size_t>(word_index)] = kDecodeFailed;
-    }
+  const auto corrected_count = [](const common::Result<int>& result) {
+    return result.ok() ? result.value() : kDecodeFailed;
   };
 
   int w = 0;
@@ -407,54 +373,26 @@ void ReedSolomon::DecodeManyWithErasures(std::span<Element> words,
     batch::SyndromeTile(scratch.tile.data(), n_, two_t, syndrome_planes_.data(),
                         scratch.syn_tile.data());
     for (int l = 0; l < lanes; ++l) {
-      const int word_index = w + l;
+      int& out = corrected[static_cast<std::size_t>(w + l)];
       if (!lane_valid[l]) {
-        // The scalar calls reject out-of-field words before touching them.
-        corrected[static_cast<std::size_t>(word_index)] = kDecodeFailed;
+        // DecodeInPlace rejects out-of-field words before touching them.
+        out = kDecodeFailed;
         continue;
       }
-      bool clean = true;
-      for (int j = 0; j < two_t; ++j) {
-        if (scratch.syn_tile[static_cast<std::size_t>(j) * lanes + static_cast<std::size_t>(l)] !=
-            0) {
-          clean = false;
-          break;
-        }
-      }
-      const std::vector<int>* erased = erasures_of(word_index);
-      if (clean && erased != nullptr) {
-        // DecodeWithErasures validates the erasure list before its own
-        // zero-syndrome early-out; replicate that order.
-        bool valid = static_cast<int>(erased->size()) <= two_t;
-        for (int pos : *erased) {
-          if (pos < 0 || pos >= n_) valid = false;
-        }
-        corrected[static_cast<std::size_t>(word_index)] = valid ? 0 : kDecodeFailed;
-        continue;
-      }
-      if (clean) {
-        corrected[static_cast<std::size_t>(word_index)] = 0;
-        continue;
-      }
-      if (erased != nullptr) {
-        decode_one(word_index);
-        continue;
-      }
-      // Slow path, reusing the tile's syndromes instead of recomputing.
+      // The scalar tail takes the tile's syndromes instead of recomputing
+      // them, and returns 0 at once for a clean word.
       scratch.scalar.syndromes.resize(static_cast<std::size_t>(two_t));
       for (int j = 0; j < two_t; ++j) {
         scratch.scalar.syndromes[static_cast<std::size_t>(j)] =
             scratch.syn_tile[static_cast<std::size_t>(j) * lanes + static_cast<std::size_t>(l)];
       }
-      const auto result = DecodeWithComputedSyndromes(
-          {words.data() + static_cast<std::size_t>(word_index) * n_,
-           static_cast<std::size_t>(n_)},
-          scratch.scalar);
-      corrected[static_cast<std::size_t>(word_index)] =
-          result.ok() ? result.value() : kDecodeFailed;
+      out = corrected_count(DecodeWithComputedSyndromes(word_at(w + l), scratch.scalar));
     }
   }
-  for (; w < count; ++w) decode_one(w);  // ragged tail
+  for (; w < count; ++w) {  // ragged tail: the per-word decoder
+    corrected[static_cast<std::size_t>(w)] =
+        corrected_count(DecodeInPlace(word_at(w), scratch.scalar));
+  }
 }
 
 common::Result<DecodeOutcome> ReedSolomon::Decode(const std::vector<Element>& received) const {

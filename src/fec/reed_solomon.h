@@ -70,13 +70,12 @@ class ReedSolomon {
     std::vector<Element> tile;      // SoA staging: up to n rows of kLaneWidth
     std::vector<Element> rem_tile;  // (n - k) remainder rows
     std::vector<Element> syn_tile;  // (n - k) syndrome rows
-    std::vector<Element> word_copy;
     Scratch scalar;
   };
 
-  /// DecodeMany/DecodeManyWithErasures per-word result for a word whose
-  /// decode failed (uncorrectable pattern or invalid symbols); treat such a
-  /// word's content as unspecified, exactly like a failed DecodeInPlace.
+  /// DecodeMany's per-word result for a word whose decode failed
+  /// (uncorrectable pattern or invalid symbols); treat such a word's
+  /// content as unspecified, exactly like a failed DecodeInPlace.
   static constexpr int kDecodeFailed = -1;
 
   /// n = total symbols, k = data symbols; (n - k) must be even.
@@ -104,16 +103,9 @@ class ReedSolomon {
   /// `count` blocks of n (so count = data.size() / k). Full
   /// batch::kLaneWidth tiles go through the vectorized SoA kernels; the
   /// ragged tail uses the scalar kernel. `data` must not overlap
-  /// `codewords` (data already resident in the codeword buffer is the
-  /// EncodeManyInPlace case).
+  /// `codewords`.
   void EncodeMany(std::span<const Element> data, std::span<Element> codewords,
                   BatchScratch& scratch) const;
-
-  /// Batch encode with the data aliasing the codeword buffer: each of the
-  /// count = codewords.size() / n words already carries its k data symbols
-  /// in positions [0, k); the (n-k) parity tails are filled in. Bit-exact
-  /// with the aliased EncodeInto call on every word.
-  void EncodeManyInPlace(std::span<Element> codewords, BatchScratch& scratch) const;
 
   /// Batch decode-and-correct in place: `words` holds count =
   /// words.size() / n received words; corrected[w] receives the corrected
@@ -124,16 +116,6 @@ class ReedSolomon {
   /// same corrected counts, same final word bytes, including after failures.
   void DecodeMany(std::span<Element> words, std::span<int> corrected,
                   BatchScratch& scratch) const;
-
-  /// Batch errors-and-erasures decode in place: erasures[w] flags the known
-  /// unreliable positions of word w (empty = plain decode). Clean words
-  /// short-circuit through the vectorized syndrome sweep; flagged words
-  /// with nonzero syndromes take the scalar DecodeWithErasures path.
-  /// Bit-exact with the scalar calls; a failed word keeps its received
-  /// bytes and gets kDecodeFailed.
-  void DecodeManyWithErasures(std::span<Element> words,
-                              const std::vector<std::vector<int>>& erasures,
-                              std::span<int> corrected, BatchScratch& scratch) const;
 
   /// Decodes and corrects `word` (length n) in place using `scratch` for
   /// all intermediate state; returns the number of corrected symbols.

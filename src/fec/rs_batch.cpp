@@ -1,8 +1,6 @@
 #include "fec/rs_batch.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/check.h"
@@ -10,10 +8,8 @@
 // The AVX2 path compiles through a per-function target attribute (no
 // -mavx2 on the TU, so nothing outside the attributed functions can emit
 // AVX2 instructions) and is only reachable when CPUID reports the feature.
-// -DLIGHTWAVE_SIMD=OFF removes it entirely, leaving the portable SWAR and
-// scalar paths.
-#if defined(LIGHTWAVE_SIMD_ENABLED) && defined(__GNUC__) && \
-    (defined(__x86_64__) || defined(__i386__))
+// Other targets and compilers build the portable SWAR path alone.
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #define LW_RS_BATCH_AVX2 1
 #include <immintrin.h>
 #else
@@ -28,55 +24,6 @@ using U64 = std::uint64_t;
 
 constexpr int kW = kLaneWidth;
 constexpr int kB = kPlaneBits;
-
-// ---------------------------------------------------------------- scalar --
-
-/// Mul-by-constant through the bit planes of one broadcast row block
-/// (`planes` points at kB rows of kW identical values; lane 0 is read).
-inline U16 MulPlanesScalar(U16 x, const U16* planes) {
-  U16 acc = 0;
-  for (int b = 0; b < kB; ++b) {
-    const U16 mask = static_cast<U16>(-static_cast<int>((x >> b) & 1u));
-    acc = static_cast<U16>(acc ^ (mask & planes[b * kW]));
-  }
-  return acc;
-}
-
-void EncodeTileScalar(const U16* data, int k, int parity, const U16* planes,
-                      U16* rem) {
-  std::memset(rem, 0, static_cast<std::size_t>(parity) * kW * sizeof(U16));
-  U16 feedback[kW];
-  for (int i = 0; i < k; ++i) {
-    const U16* d = data + static_cast<std::size_t>(i) * kW;
-    const U16* last = rem + static_cast<std::size_t>(parity - 1) * kW;
-    for (int l = 0; l < kW; ++l) feedback[l] = static_cast<U16>(d[l] ^ last[l]);
-    for (int j = parity - 1; j > 0; --j) {
-      const U16* src = rem + static_cast<std::size_t>(j - 1) * kW;
-      U16* dst = rem + static_cast<std::size_t>(j) * kW;
-      const U16* p = planes + static_cast<std::size_t>(j) * kB * kW;
-      for (int l = 0; l < kW; ++l) {
-        dst[l] = static_cast<U16>(src[l] ^ MulPlanesScalar(feedback[l], p));
-      }
-    }
-    for (int l = 0; l < kW; ++l) rem[l] = MulPlanesScalar(feedback[l], planes);
-  }
-}
-
-void SyndromeTileScalar(const U16* word, int n, int two_t, const U16* planes,
-                        U16* syn) {
-  U16 acc[kW];
-  for (int j = 0; j < two_t; ++j) {
-    const U16* p = planes + static_cast<std::size_t>(j) * kB * kW;
-    std::memset(acc, 0, sizeof(acc));
-    for (int i = 0; i < n; ++i) {
-      const U16* r = word + static_cast<std::size_t>(i) * kW;
-      for (int l = 0; l < kW; ++l) {
-        acc[l] = static_cast<U16>(MulPlanesScalar(acc[l], p) ^ r[l]);
-      }
-    }
-    std::memcpy(syn + static_cast<std::size_t>(j) * kW, acc, sizeof(acc));
-  }
-}
 
 // ------------------------------------------------------------------ SWAR --
 
@@ -230,45 +177,10 @@ __attribute__((target("avx2"))) void SyndromeTileAvx2(const U16* word, int n,
 /// -1 = no Force() override; otherwise the forced Dispatch value.
 std::atomic<int> g_forced{-1};
 
-Dispatch BestSupported() {
-#if LW_RS_BATCH_AVX2
-  if (__builtin_cpu_supports("avx2")) return Dispatch::kAvx2;
-#endif
-  return Dispatch::kSwar;
-}
-
-Dispatch ParseEnvOrAuto() {
-  const char* env = std::getenv("LIGHTWAVE_SIMD");
-  if (env == nullptr || std::strcmp(env, "") == 0 || std::strcmp(env, "auto") == 0) {
-    return BestSupported();
-  }
-  if (std::strcmp(env, "scalar") == 0) return Dispatch::kScalar;
-  if (std::strcmp(env, "swar") == 0) return Dispatch::kSwar;
-  if (std::strcmp(env, "avx2") == 0) {
-    if (Supported(Dispatch::kAvx2)) return Dispatch::kAvx2;
-    std::fprintf(stderr,
-                 "lightwave: LIGHTWAVE_SIMD=avx2 requested but unavailable "
-                 "(not compiled in or CPU lacks AVX2); using %s\n",
-                 Name(BestSupported()));
-    return BestSupported();
-  }
-  std::fprintf(stderr,
-               "lightwave: unrecognized LIGHTWAVE_SIMD=%s (want auto|scalar|"
-               "swar|avx2); using %s\n",
-               env, Name(BestSupported()));
-  return BestSupported();
-}
-
-Dispatch AutoDispatch() {
-  static const Dispatch dispatch = ParseEnvOrAuto();
-  return dispatch;
-}
-
 }  // namespace
 
 const char* Name(Dispatch dispatch) {
   switch (dispatch) {
-    case Dispatch::kScalar: return "scalar";
     case Dispatch::kSwar: return "swar";
     case Dispatch::kAvx2: return "avx2";
   }
@@ -277,7 +189,6 @@ const char* Name(Dispatch dispatch) {
 
 bool Supported(Dispatch dispatch) {
   switch (dispatch) {
-    case Dispatch::kScalar:
     case Dispatch::kSwar:
       return true;
     case Dispatch::kAvx2:
@@ -293,7 +204,9 @@ bool Supported(Dispatch dispatch) {
 Dispatch Active() {
   const int forced = g_forced.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<Dispatch>(forced);
-  return AutoDispatch();
+  static const Dispatch automatic =
+      Supported(Dispatch::kAvx2) ? Dispatch::kAvx2 : Dispatch::kSwar;
+  return automatic;
 }
 
 void Force(Dispatch dispatch) {
@@ -306,36 +219,24 @@ void ResetDispatch() { g_forced.store(-1, std::memory_order_relaxed); }
 
 void EncodeTile(const U16* data_tile, int k, int parity, const U16* planes,
                 U16* rem_tile) {
-  switch (Active()) {
 #if LW_RS_BATCH_AVX2
-    case Dispatch::kAvx2:
-      EncodeTileAvx2(data_tile, k, parity, planes, rem_tile);
-      return;
-#endif
-    case Dispatch::kSwar:
-      EncodeTileSwar(data_tile, k, parity, planes, rem_tile);
-      return;
-    default:
-      EncodeTileScalar(data_tile, k, parity, planes, rem_tile);
-      return;
+  if (Active() == Dispatch::kAvx2) {
+    EncodeTileAvx2(data_tile, k, parity, planes, rem_tile);
+    return;
   }
+#endif
+  EncodeTileSwar(data_tile, k, parity, planes, rem_tile);
 }
 
 void SyndromeTile(const U16* word_tile, int n, int two_t, const U16* planes,
                   U16* syn_tile) {
-  switch (Active()) {
 #if LW_RS_BATCH_AVX2
-    case Dispatch::kAvx2:
-      SyndromeTileAvx2(word_tile, n, two_t, planes, syn_tile);
-      return;
-#endif
-    case Dispatch::kSwar:
-      SyndromeTileSwar(word_tile, n, two_t, planes, syn_tile);
-      return;
-    default:
-      SyndromeTileScalar(word_tile, n, two_t, planes, syn_tile);
-      return;
+  if (Active() == Dispatch::kAvx2) {
+    SyndromeTileAvx2(word_tile, n, two_t, planes, syn_tile);
+    return;
   }
+#endif
+  SyndromeTileSwar(word_tile, n, two_t, planes, syn_tile);
 }
 
 }  // namespace lightwave::fec::batch

@@ -12,17 +12,16 @@
 // pre-broadcast (each plane value repeated kLaneWidth times) so vector
 // paths load them straight from memory.
 //
-// Dispatch. Three bit-exact implementations:
-//   - kScalar  reference loop, one lane at a time (the determinism anchor)
+// Dispatch. Two bit-exact implementations, chosen from the CPU alone:
 //   - kSwar    SIMD-within-a-register over uint64_t, 4 lanes per word;
-//              portable C++, the only path compiled under
-//              -DLIGHTWAVE_SIMD=OFF
+//              portable C++, the path on a CPU without AVX2 and in every
+//              non-x86 build
 //   - kAvx2    256-bit path, all 16 lanes per register; compiled via a
 //              target attribute and selected only when CPUID reports AVX2
-// Selection happens once per process: the LIGHTWAVE_SIMD environment
-// variable ("auto", "scalar", "swar", "avx2") then CPUID. All paths compute
-// identical bits — GF arithmetic is exact, so the dispatch choice can never
-// change a result, only its speed. Force() pins a path for tests.
+// The choice is made once per process. Both paths compute identical bits —
+// GF arithmetic is exact, so the dispatch choice can never change a result,
+// only its speed; the per-word ReedSolomon kernels are the reference the
+// tests hold both against. Force() pins a path for tests.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +31,7 @@ namespace lightwave::fec::batch {
 /// Codewords per tile. Fixed (not dispatch-dependent) so the SoA layout,
 /// chunking, and results are identical on every machine: 16 lanes is one
 /// AVX2 register of 10-bit symbols; the SWAR path covers it as 4 uint64
-/// words and the scalar path one lane at a time.
+/// words.
 inline constexpr int kLaneWidth = 16;
 
 /// Bit planes per constant multiply — GF(2^10) symbols. Mirrors
@@ -41,19 +40,18 @@ inline constexpr int kLaneWidth = 16;
 inline constexpr int kPlaneBits = 10;
 
 enum class Dispatch {
-  kScalar,
   kSwar,
   kAvx2,
 };
 
 const char* Name(Dispatch dispatch);
 
-/// True when `dispatch` can run on this build + CPU (kScalar/kSwar always;
-/// kAvx2 only when compiled in and CPUID agrees).
+/// True when `dispatch` can run on this build + CPU (kSwar always; kAvx2
+/// only in an x86 GCC/Clang build on a CPU whose CPUID reports AVX2).
 bool Supported(Dispatch dispatch);
 
-/// The active implementation: a Force() override if set, else the
-/// LIGHTWAVE_SIMD environment selection, else the best supported path.
+/// The active implementation: a Force() override if set, else kAvx2 when
+/// Supported, else kSwar.
 Dispatch Active();
 
 /// Pins the dispatch path (tests proving cross-path bit-exactness).

@@ -41,10 +41,7 @@ std::size_t Shard::PumpOnce() {
   if (service_.crashed()) return 0;
   JournaledBatch batch;
   if (!Journal(admission_.PopBatch(options_.batch_size), &batch)) return 0;
-  const std::size_t applied = service_.ApplyJournaled(batch.commands, batch.first_seq);
-  lw::MutexLock lock(stats_mu_);
-  stats_.applied += applied;
-  return applied;
+  return service_.ApplyJournaled(batch.commands, batch.first_seq);
 }
 
 std::size_t Shard::PumpAll() {
@@ -188,12 +185,7 @@ void Shard::ApplyLoop() {
       ++applying_;
     }
     handoff_cv_.NotifyAll();  // freed a handoff slot for the journal thread
-    const std::size_t applied =
-        service_.ApplyJournaled(batch.commands, batch.first_seq);
-    {
-      lw::MutexLock lock(stats_mu_);
-      stats_.applied += applied;
-    }
+    service_.ApplyJournaled(batch.commands, batch.first_seq);
     {
       lw::MutexLock lock(handoff_mu_);
       --applying_;

@@ -60,8 +60,6 @@ struct ShardOptions {
 struct ShardStats {
   /// Batches the journal stage appended (== service stats().batches).
   std::uint64_t batches = 0;
-  /// Commands applied by this shard.
-  std::uint64_t applied = 0;
   /// Duplicates acked and gaps dropped by the journal stage's filter.
   std::uint64_t pipeline_duplicates = 0;
   std::uint64_t pipeline_gaps = 0;

@@ -1,6 +1,7 @@
 #include "svc/fleet_service.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 #include "ctrl/controller.h"
@@ -380,6 +381,9 @@ std::vector<std::uint8_t> FleetService::SerializeState() const {
 }
 
 Status FleetService::DeserializeState(const std::vector<std::uint8_t>& bytes) {
+  // The snapshot's bytes are outside input: a tenant id past 32 bits would
+  // wrap in the casts below (tenant 2^32+5 read as tenant 5).
+  constexpr std::uint64_t kMaxTenant = std::numeric_limits<std::uint32_t>::max();
   ctrl::WireReader reader(bytes);
   auto tenant_count = reader.GetVarint();
   if (!tenant_count) return common::Internal("service state truncated");
@@ -388,6 +392,7 @@ Status FleetService::DeserializeState(const std::vector<std::uint8_t>& bytes) {
     auto tenant = reader.GetVarint();
     auto next = reader.GetU64();
     if (!tenant || !next) return common::Internal("service frontier table truncated");
+    if (*tenant > kMaxTenant) return common::Internal("service frontier tenant exceeds 32 bits");
     frontiers[static_cast<std::uint32_t>(*tenant)] = *next;
   }
   auto job_count = reader.GetVarint();
@@ -400,6 +405,7 @@ Status FleetService::DeserializeState(const std::vector<std::uint8_t>& bytes) {
     if (!tenant || !job_id || !slice_id) {
       return common::Internal("service job table truncated");
     }
+    if (*tenant > kMaxTenant) return common::Internal("service job tenant exceeds 32 bits");
     jobs[{static_cast<std::uint32_t>(*tenant), *job_id}] = *slice_id;
   }
   auto prepared_count = reader.GetVarint();
@@ -413,6 +419,9 @@ Status FleetService::DeserializeState(const std::vector<std::uint8_t>& bytes) {
     auto slice_id = reader.GetU64();
     if (!txn_id || !tenant || !job_id || !vote || !slice_id) {
       return common::Internal("service prepared-txn table truncated");
+    }
+    if (*tenant > kMaxTenant) {
+      return common::Internal("service prepared-txn tenant exceeds 32 bits");
     }
     prepared[*txn_id] = PreparedTxn{.tenant_id = static_cast<std::uint32_t>(*tenant),
                                     .job_id = *job_id,

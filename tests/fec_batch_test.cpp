@@ -1,6 +1,6 @@
 // Batch Reed-Solomon kernel tests (CTest label: fecbatch): bit-exactness of
-// EncodeMany/DecodeMany against the scalar kernels under every supported
-// dispatch path, ragged tails, aliasing, per-lane failure isolation, and the
+// EncodeMany/DecodeMany against the per-word kernels under every supported
+// dispatch path, ragged tails, per-lane failure isolation, and the
 // thread-count/dispatch invariance of the parallel Monte-Carlo FER sweep.
 #include <algorithm>
 #include <cstdint>
@@ -30,7 +30,7 @@ class ScopedDispatch {
 
 std::vector<batch::Dispatch> SupportedDispatches() {
   std::vector<batch::Dispatch> out;
-  for (auto d : {batch::Dispatch::kScalar, batch::Dispatch::kSwar, batch::Dispatch::kAvx2}) {
+  for (auto d : {batch::Dispatch::kSwar, batch::Dispatch::kAvx2}) {
     if (batch::Supported(d)) out.push_back(d);
   }
   return out;
@@ -72,26 +72,29 @@ void CorruptWord(std::span<Element> words, int n, int w, int errors, common::Rng
   }
 }
 
-TEST(RsBatchDispatch, ScalarAndSwarAlwaysSupported) {
-  EXPECT_TRUE(batch::Supported(batch::Dispatch::kScalar));
+TEST(RsBatchDispatch, SwarAlwaysSupported) {
   EXPECT_TRUE(batch::Supported(batch::Dispatch::kSwar));
   // Whatever is active must report as supported.
   EXPECT_TRUE(batch::Supported(batch::Active()));
 }
 
 TEST(RsBatchDispatch, NamesAreStable) {
-  EXPECT_STREQ(batch::Name(batch::Dispatch::kScalar), "scalar");
   EXPECT_STREQ(batch::Name(batch::Dispatch::kSwar), "swar");
   EXPECT_STREQ(batch::Name(batch::Dispatch::kAvx2), "avx2");
 }
 
 TEST(RsBatchDispatch, ForceOverridesAndResetRestores) {
-  const auto before = batch::Active();
-  {
-    ScopedDispatch forced(batch::Dispatch::kScalar);
-    EXPECT_EQ(batch::Active(), batch::Dispatch::kScalar);
+  // Without an override the CPU alone picks the path.
+  const auto automatic = batch::Supported(batch::Dispatch::kAvx2) ? batch::Dispatch::kAvx2
+                                                                  : batch::Dispatch::kSwar;
+  EXPECT_EQ(batch::Active(), automatic);
+  for (auto dispatch : SupportedDispatches()) {
+    {
+      ScopedDispatch forced(dispatch);
+      EXPECT_EQ(batch::Active(), dispatch);
+    }
+    EXPECT_EQ(batch::Active(), automatic);
   }
-  EXPECT_EQ(batch::Active(), before);
 }
 
 TEST(RsBatchEncode, MatchesScalarOnFullTilesAndRaggedTail) {
@@ -107,27 +110,6 @@ TEST(RsBatchEncode, MatchesScalarOnFullTilesAndRaggedTail) {
     std::vector<Element> got(expected.size());
     rs.EncodeMany(data, got, scratch);
     EXPECT_EQ(got, expected) << "dispatch=" << batch::Name(dispatch);
-  }
-}
-
-TEST(RsBatchEncode, InPlaceAliasedDataMatches) {
-  const auto rs = ReedSolomon::Kp4();
-  ReedSolomon::BatchScratch scratch;
-  common::Rng rng(1);
-  const int count = batch::kLaneWidth + 3;
-  const auto data = RandomData(rs, count, rng);
-  const auto expected = EncodeEachScalar(rs, data);
-  for (auto dispatch : SupportedDispatches()) {
-    ScopedDispatch forced(dispatch);
-    // Stage the data prefixes in the codeword buffer, parity slots zeroed.
-    std::vector<Element> words(expected.size(), 0);
-    for (int w = 0; w < count; ++w) {
-      std::copy_n(data.data() + static_cast<std::size_t>(w) * rs.k(),
-                  static_cast<std::size_t>(rs.k()),
-                  words.data() + static_cast<std::size_t>(w) * rs.n());
-    }
-    rs.EncodeManyInPlace(words, scratch);
-    EXPECT_EQ(words, expected) << "dispatch=" << batch::Name(dispatch);
   }
 }
 
@@ -214,79 +196,6 @@ TEST(RsBatchDecode, OutOfFieldLaneFailsWithoutPoisoningNeighbors) {
               std::vector<Element>(
                   words.begin() + static_cast<std::ptrdiff_t>(5) * rs.n(),
                   words.begin() + static_cast<std::ptrdiff_t>(6) * rs.n()));
-  }
-}
-
-TEST(RsBatchDecode, ErasuresMatchScalarPerLane) {
-  const auto rs = ReedSolomon::Kp4();
-  ReedSolomon::BatchScratch scratch;
-  common::Rng rng(9);
-  const int count = batch::kLaneWidth + 2;
-  const auto data = RandomData(rs, count, rng);
-  const auto clean = EncodeEachScalar(rs, data);
-  auto corrupted = clean;
-  std::vector<std::vector<int>> erasures(static_cast<std::size_t>(count));
-  for (int w = 0; w < count; ++w) {
-    switch (w % 5) {
-      case 0:  // clean word, no erasures
-        break;
-      case 1: {  // pure erasures beyond t (only decodable as erasures)
-        const int f = rs.t() + 5;
-        for (int i = 0; i < f; ++i) {
-          const int pos = 7 * i + w;
-          erasures[static_cast<std::size_t>(w)].push_back(pos);
-          corrupted[static_cast<std::size_t>(w) * rs.n() + static_cast<std::size_t>(pos)] ^=
-              static_cast<Element>(1 + (i % 1023));
-        }
-        break;
-      }
-      case 2:  // errors only, empty erasure list
-        CorruptWord(corrupted, rs.n(), w, rs.t(), rng);
-        break;
-      case 3:  // clean word with an out-of-range erasure entry
-        erasures[static_cast<std::size_t>(w)] = {0, rs.n()};
-        break;
-      default:  // mixed errors + erasures within 2e + f <= 2t
-        CorruptWord(corrupted, rs.n(), w, 5, rng);
-        erasures[static_cast<std::size_t>(w)] = {1, 2, 3};
-        for (int pos : erasures[static_cast<std::size_t>(w)]) {
-          corrupted[static_cast<std::size_t>(w) * rs.n() + static_cast<std::size_t>(pos)] ^=
-              static_cast<Element>(pos + 1);
-        }
-        break;
-    }
-  }
-  // Scalar reference.
-  auto expected_words = corrupted;
-  std::vector<int> expected(static_cast<std::size_t>(count));
-  ReedSolomon::Scratch scalar_scratch;
-  for (int w = 0; w < count; ++w) {
-    const auto& e = erasures[static_cast<std::size_t>(w)];
-    std::span<Element> word(expected_words.data() + static_cast<std::size_t>(w) * rs.n(),
-                            static_cast<std::size_t>(rs.n()));
-    if (e.empty()) {
-      const auto result = rs.DecodeInPlace(word, scalar_scratch);
-      expected[static_cast<std::size_t>(w)] =
-          result.ok() ? result.value() : ReedSolomon::kDecodeFailed;
-    } else {
-      const std::vector<Element> received(word.begin(), word.end());
-      const auto outcome = rs.DecodeWithErasures(received, e);
-      if (outcome.ok()) {
-        std::copy(outcome.value().codeword.begin(), outcome.value().codeword.end(),
-                  word.begin());
-        expected[static_cast<std::size_t>(w)] = outcome.value().corrected_symbols;
-      } else {
-        expected[static_cast<std::size_t>(w)] = ReedSolomon::kDecodeFailed;
-      }
-    }
-  }
-  for (auto dispatch : SupportedDispatches()) {
-    ScopedDispatch forced(dispatch);
-    auto words = corrupted;
-    std::vector<int> corrected(static_cast<std::size_t>(count));
-    rs.DecodeManyWithErasures(words, erasures, corrected, scratch);
-    EXPECT_EQ(corrected, expected) << "dispatch=" << batch::Name(dispatch);
-    EXPECT_EQ(words, expected_words) << "dispatch=" << batch::Name(dispatch);
   }
 }
 

@@ -24,6 +24,7 @@
 #include "ctrl/fault_injector.h"
 #include "ctrl/wire.h"
 #include "fleet/shard.h"
+#include "journal/snapshot.h"
 #include "journal/storage.h"
 #include "svc/fleet_service.h"
 #include "svc/request_stream.h"
@@ -627,6 +628,82 @@ TEST(FleetService, CrashPointVisitAccounting) {
   EXPECT_EQ(injector.crash_point_visits(CrashPoint::kPostAppendPreApply), 10u);
   EXPECT_EQ(injector.crash_point_visits(CrashPoint::kMidApply), 10u);
   EXPECT_EQ(injector.crashes_fired(), 0u);
+}
+
+/// Service state in SerializeState's layout, with one entry naming `tenant`
+/// in table `table` (0 frontiers, 1 live jobs, 2 prepared transactions),
+/// over an empty scheduler and no controller.
+std::vector<std::uint8_t> StateNamingTenant(int table, std::uint64_t tenant) {
+  ctrl::WireWriter writer;
+  writer.PutVarint(table == 0 ? 1 : 0);
+  if (table == 0) {
+    writer.PutVarint(tenant);
+    writer.PutU64(42);  // next command id
+  }
+  writer.PutVarint(table == 1 ? 1 : 0);
+  if (table == 1) {
+    writer.PutVarint(tenant);
+    writer.PutVarint(7);  // job id
+    writer.PutU64(3);     // slice id
+  }
+  writer.PutVarint(table == 2 ? 1 : 0);
+  if (table == 2) {
+    writer.PutVarint(9);  // txn id
+    writer.PutVarint(tenant);
+    writer.PutVarint(7);  // job id
+    writer.PutU8(1);      // voted yes
+    writer.PutU64(3);     // slice id
+  }
+  writer.PutVarint(0);  // decided transactions
+  writer.PutVarint(9);  // highest txn id seen
+  auto pod = FreshPod();
+  core::SliceScheduler(*pod, core::AllocationPolicy::kReconfigurable).ExportState(writer);
+  writer.PutU8(0);  // no controller state
+  return writer.Take();
+}
+
+TEST(FleetService, RecoverRejectsTenantIdsBeyond32Bits) {
+  constexpr std::uint64_t kWrapsToFive = (std::uint64_t{1} << 32) + 5;
+  std::vector<std::uint8_t> fresh_state;
+  {
+    auto pod = FreshPod();
+    journal::MemStorage wal_storage;
+    journal::MemStorage snapshot_storage;
+    auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
+    ASSERT_TRUE(shard->Recover().ok());
+    fresh_state = shard->service().SerializeState();
+  }
+  for (int table = 0; table < 3; ++table) {
+    SCOPED_TRACE("table " + std::to_string(table));
+    {
+      // A snapshot naming tenant 2^32+5 must not recover as tenant 5.
+      auto pod = FreshPod();
+      journal::MemStorage wal_storage;
+      journal::MemStorage snapshot_storage;
+      ASSERT_TRUE(journal::SnapshotWriter::Write(snapshot_storage, 3,
+                                                 StateNamingTenant(table, kWrapsToFive))
+                      .ok());
+      auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
+      auto recovery = shard->Recover();
+      EXPECT_FALSE(recovery.ok()) << "tenant 2^32+5 recovered";
+      if (!recovery.ok()) {
+        EXPECT_EQ(recovery.error().code, common::Error::Code::kInternal);
+      }
+      EXPECT_EQ(shard->service().next_command_id(5), 1u);
+      EXPECT_EQ(shard->service().SerializeState(), fresh_state);
+    }
+    // The same state naming tenant 5 recovers and re-serializes unchanged.
+    auto pod = FreshPod();
+    journal::MemStorage wal_storage;
+    journal::MemStorage snapshot_storage;
+    const std::vector<std::uint8_t> state = StateNamingTenant(table, 5);
+    ASSERT_TRUE(journal::SnapshotWriter::Write(snapshot_storage, 3, state).ok());
+    auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
+    auto recovery = shard->Recover();
+    ASSERT_TRUE(recovery.ok()) << recovery.error().message;
+    EXPECT_EQ(shard->service().SerializeState(), state);
+    EXPECT_EQ(shard->service().next_command_id(5), table == 0 ? 42u : 1u);
+  }
 }
 
 }  // namespace
