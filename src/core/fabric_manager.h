@@ -103,7 +103,6 @@ class FabricManager {
   /// BER / insertion-loss histograms (the Fig. 13 population). Pass nullptr
   /// to detach everything (the default no-op sink).
   void AttachTelemetry(telemetry::Hub* hub);
-  telemetry::Hub* telemetry_hub() const { return hub_; }
 
  private:
   FabricManagerConfig config_;

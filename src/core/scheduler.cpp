@@ -197,67 +197,51 @@ void SliceScheduler::ExportState(ctrl::WireWriter& writer) const {
   for (const auto& [id, slice] : pod_.slices()) {
     writer.PutU64(id);
     const SliceShape& shape = slice.topology.shape();
-    writer.PutVarint(static_cast<std::uint64_t>(shape.a));
-    writer.PutVarint(static_cast<std::uint64_t>(shape.b));
-    writer.PutVarint(static_cast<std::uint64_t>(shape.c));
+    writer.PutInt(shape.a);
+    writer.PutInt(shape.b);
+    writer.PutInt(shape.c);
     writer.PutVarint(slice.topology.cube_ids().size());
-    for (int cube : slice.topology.cube_ids()) {
-      writer.PutVarint(static_cast<std::uint64_t>(cube));
-    }
+    for (int cube : slice.topology.cube_ids()) writer.PutInt(cube);
   }
   writer.PutU64(pod_.next_slice_id());
 }
 
 common::Status SliceScheduler::ImportState(ctrl::WireReader& reader) {
-  Stats stats;
-  auto requests = reader.GetVarint();
-  auto accepted = reader.GetVarint();
-  auto rejected = reader.GetVarint();
-  auto repairs = reader.GetVarint();
-  auto slice_count = reader.GetVarint();
-  if (!requests || !accepted || !rejected || !repairs || !slice_count) {
-    return common::Internal("scheduler state truncated");
-  }
-  stats.requests = *requests;
-  stats.accepted = *accepted;
-  stats.rejected = *rejected;
-  stats.repairs = *repairs;
-  for (std::uint64_t i = 0; i < *slice_count; ++i) {
-    auto id = reader.GetU64();
-    auto a = reader.GetVarint();
-    auto b = reader.GetVarint();
-    auto c = reader.GetVarint();
-    auto cube_count = reader.GetVarint();
-    if (!id || !a || !b || !c || !cube_count) {
-      return common::Internal("scheduler slice entry truncated");
-    }
-    // The snapshot's bytes are outside input: bound every count and cube id
-    // by the pod before the reserve and the casts to int, so a crafted
-    // 2^40-cube entry fails here instead of in the allocator and a = 2^32+1
-    // is not read as 1.
-    const auto pod_cubes = static_cast<std::uint64_t>(pod_.cube_count());
-    if (*a > pod_cubes || *b > pod_cubes || *c > pod_cubes || *cube_count > pod_cubes) {
-      return common::Internal("scheduler slice entry exceeds the pod's " +
-                              std::to_string(pod_cubes) + " cubes");
-    }
+  // The snapshot's bytes are outside input, so every count, dimension and
+  // cube id is read against the pod: a crafted 2^40-cube entry fails at its
+  // read instead of in the allocator, and a = 2^32+1 is not read as 1.
+  const auto pod_cubes = static_cast<std::uint64_t>(pod_.cube_count());
+  const Stats stats{.requests = reader.GetVarint(),
+                    .accepted = reader.GetVarint(),
+                    .rejected = reader.GetVarint(),
+                    .repairs = reader.GetVarint()};
+  struct Entry {
+    SliceId id;
+    SliceShape shape;
     std::vector<int> cubes;
-    cubes.reserve(static_cast<std::size_t>(*cube_count));
-    for (std::uint64_t j = 0; j < *cube_count; ++j) {
-      auto cube = reader.GetVarint();
-      if (!cube) return common::Internal("scheduler slice cube list truncated");
-      if (*cube >= pod_cubes) return common::Internal("scheduler slice cube id out of range");
-      cubes.push_back(static_cast<int>(*cube));
+  };
+  std::vector<Entry> entries;
+  for (std::uint64_t i = reader.GetVarint(pod_cubes); i > 0 && reader.ok(); --i) {
+    Entry& entry = entries.emplace_back(Entry{
+        .id = reader.GetU64(),
+        .shape = {static_cast<int>(reader.GetVarint(pod_cubes)),
+                  static_cast<int>(reader.GetVarint(pod_cubes)),
+                  static_cast<int>(reader.GetVarint(pod_cubes))},
+        .cubes = {}});
+    for (std::uint64_t j = reader.GetVarint(pod_cubes); j > 0 && reader.ok(); --j) {
+      entry.cubes.push_back(static_cast<int>(reader.GetVarint(pod_cubes - 1)));
     }
-    const SliceShape shape{static_cast<int>(*a), static_cast<int>(*b),
-                           static_cast<int>(*c)};
-    auto topology = SliceTopology::Create(shape, std::move(cubes));
+  }
+  const SliceId next_slice_id = reader.GetU64();
+  if (!reader.ok()) return common::Internal("scheduler state truncated or beyond the pod");
+  // Only a state that decoded whole touches the pod.
+  for (Entry& entry : entries) {
+    auto topology = SliceTopology::Create(entry.shape, std::move(entry.cubes));
     if (!topology.ok()) return topology.error();
-    auto installed = pod_.InstallSliceWithId(*id, topology.value());
+    auto installed = pod_.InstallSliceWithId(entry.id, topology.value());
     if (!installed.ok()) return installed.error();
   }
-  auto next_slice_id = reader.GetU64();
-  if (!next_slice_id) return common::Internal("scheduler state truncated");
-  pod_.SetNextSliceId(*next_slice_id);
+  pod_.SetNextSliceId(next_slice_id);
   stats_ = stats;
   UpdateBusyGauge();
   MaybeValidate("ImportState");

@@ -72,8 +72,9 @@ class SliceScheduler {
   /// by reinstalling the slices, which is deterministic.
   void ExportState(ctrl::WireWriter& writer) const;
   /// Inverse of ExportState against a scheduler over a fresh pod of the same
-  /// geometry. Fails cleanly on truncated or malformed bytes and on slices
-  /// that no longer fit the pod.
+  /// geometry. It decodes the whole state before it installs any slice, so
+  /// truncated or malformed bytes leave the pod and the stats untouched. A
+  /// slice that no longer fits the pod fails the import at that slice.
   common::Status ImportState(ctrl::WireReader& reader);
 
   /// Structural audit of slice accounting: every installed slice's cube

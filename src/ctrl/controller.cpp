@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "ctrl/fault_injector.h"
 #include "telemetry/hub.h"
@@ -140,7 +139,6 @@ void MessageBus::AttachTelemetry(telemetry::Hub* hub) {
 std::vector<std::uint8_t> MessageBus::MaybeMangle(std::vector<std::uint8_t> frame,
                                                   bool* dropped) {
   *dropped = false;
-  ++frames_sent_;
   if (sent_counter_ != nullptr) sent_counter_->Inc();
   // Loss sources, most-correlated first: a hard partition, a brownout window
   // (the injector models bursts, not i.i.d. flips), then the classic
@@ -162,7 +160,6 @@ std::vector<std::uint8_t> MessageBus::MaybeMangle(std::vector<std::uint8_t> fram
     return {};
   }
   if (!frame.empty() && rng_.Bernoulli(corrupt_probability_)) {
-    ++frames_corrupted_;
     if (corrupted_counter_ != nullptr) corrupted_counter_->Inc();
     const std::size_t byte = static_cast<std::size_t>(rng_.UniformInt(frame.size()));
     frame[byte] ^= static_cast<std::uint8_t>(1u << rng_.UniformInt(8));
@@ -312,46 +309,32 @@ void FabricController::ExportState(WireWriter& writer) const {
   writer.PutU64(next_nonce_);
   writer.PutVarint(health_.size());
   for (const auto& [ocs_id, health] : health_) {
-    writer.PutVarint(static_cast<std::uint64_t>(ocs_id));
+    writer.PutInt(ocs_id);
     writer.PutU8(static_cast<std::uint8_t>(health.state));
-    writer.PutVarint(static_cast<std::uint64_t>(health.consecutive_exhaustions));
-    writer.PutVarint(static_cast<std::uint64_t>(health.cooldown_remaining));
+    writer.PutInt(health.consecutive_exhaustions);
+    writer.PutInt(health.cooldown_remaining);
   }
 }
 
 common::Status FabricController::ImportState(WireReader& reader) {
-  auto next_txn = reader.GetU64();
-  auto next_nonce = reader.GetU64();
-  auto health_count = reader.GetVarint();
-  if (!next_txn || !next_nonce || !health_count) {
-    return common::Internal("controller state truncated");
-  }
+  const std::uint64_t next_txn = reader.GetU64();
+  const std::uint64_t next_nonce = reader.GetU64();
   std::map<int, AgentHealth> health;
-  for (std::uint64_t i = 0; i < *health_count; ++i) {
-    auto ocs_id = reader.GetVarint();
-    auto state = reader.GetU8();
-    auto exhaustions = reader.GetVarint();
-    auto cooldown = reader.GetVarint();
-    if (!ocs_id || !state || !exhaustions || !cooldown) {
-      return common::Internal("controller health entry truncated");
-    }
-    if (*state > static_cast<std::uint8_t>(BreakerState::kHalfOpen)) {
-      return common::Internal("controller state carries unknown breaker state " +
-                              std::to_string(*state));
-    }
-    // The snapshot's bytes are outside input: an id or counter past INT_MAX
-    // would wrap in the cast below (OCS 2^32+1 read as OCS 1).
-    constexpr auto kIntMax = static_cast<std::uint64_t>(std::numeric_limits<int>::max());
-    if (*ocs_id > kIntMax || *exhaustions > kIntMax || *cooldown > kIntMax) {
-      return common::Internal("controller health entry exceeds the int range");
-    }
-    health[static_cast<int>(*ocs_id)] =
-        AgentHealth{.state = static_cast<BreakerState>(*state),
-                    .consecutive_exhaustions = static_cast<int>(*exhaustions),
-                    .cooldown_remaining = static_cast<int>(*cooldown)};
+  for (std::uint64_t i = reader.GetVarint(); i > 0 && reader.ok(); --i) {
+    const int ocs_id = reader.GetInt();
+    health[ocs_id] = AgentHealth{.state = static_cast<BreakerState>(reader.GetU8()),
+                                 .consecutive_exhaustions = reader.GetInt(),
+                                 .cooldown_remaining = reader.GetInt()};
   }
-  next_txn_ = *next_txn;
-  next_nonce_ = *next_nonce;
+  if (!reader.ok()) return common::Internal("controller state truncated or beyond the int range");
+  for (const auto& [ocs_id, entry] : health) {
+    if (entry.state > BreakerState::kHalfOpen) {
+      return common::Internal("controller state carries unknown breaker state " +
+                              std::to_string(static_cast<int>(entry.state)));
+    }
+  }
+  next_txn_ = next_txn;
+  next_nonce_ = next_nonce;
   health_ = std::move(health);
   UpdateUnhealthyGauge();
   return common::Status::Ok();

@@ -100,9 +100,7 @@ class MessageBus {
   /// direction dropped the message or the agent is failed-stop.
   std::vector<std::uint8_t> RoundTrip(OcsAgent& agent, std::vector<std::uint8_t> frame);
 
-  std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_dropped() const { return frames_dropped_; }
-  std::uint64_t frames_corrupted() const { return frames_corrupted_; }
 
   /// Mirrors the frame counters into `hub` (nullptr detaches). Handles are
   /// resolved once here, so the per-frame cost is one pointer test.
@@ -119,9 +117,7 @@ class MessageBus {
   std::optional<std::uint64_t> partition_after_;
   double drop_probability_ = 0.0;
   double corrupt_probability_ = 0.0;
-  std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_dropped_ = 0;
-  std::uint64_t frames_corrupted_ = 0;
 };
 
 /// How a fabric transaction left the switches it touched.

@@ -72,11 +72,7 @@ bool FaultInjector::OnFrame() {
   } else if (bus_rng_.Bernoulli(profile_.brownout_end_prob)) {
     brownout_ = false;
   }
-  if (brownout_ && bus_rng_.Bernoulli(profile_.brownout_drop_prob)) {
-    ++brownout_drops_;
-    return true;
-  }
-  return false;
+  return brownout_ && bus_rng_.Bernoulli(profile_.brownout_drop_prob);
 }
 
 bool FaultInjector::AgentUp(OcsAgent& agent) {

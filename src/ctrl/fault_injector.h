@@ -103,11 +103,9 @@ class FaultInjector {
   std::uint64_t crash_point_visits(CrashPoint point) const;
 
   const FaultProfile& profile() const { return profile_; }
-  bool in_brownout() const { return brownout_; }
   std::uint64_t fail_stops() const { return fail_stops_; }
   std::uint64_t restarts() const { return restarts_; }
   std::uint64_t brownouts() const { return brownouts_; }
-  std::uint64_t brownout_drops() const { return brownout_drops_; }
   std::uint64_t mirror_deaths() const { return mirror_deaths_; }
   std::uint64_t ports_destroyed() const { return ports_destroyed_; }
 
@@ -125,7 +123,6 @@ class FaultInjector {
   std::uint64_t fail_stops_ = 0;
   std::uint64_t restarts_ = 0;
   std::uint64_t brownouts_ = 0;
-  std::uint64_t brownout_drops_ = 0;
   std::uint64_t mirror_deaths_ = 0;
   std::uint64_t ports_destroyed_ = 0;
   /// The armed CrashPoint as an int, or kDisarmed.

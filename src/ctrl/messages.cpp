@@ -28,8 +28,8 @@ std::vector<std::uint8_t> Encode(const ReconfigureRequest& msg) {
   w.PutU64(msg.transaction_id);
   w.PutVarint(msg.target.size());
   for (const auto& [n, s] : msg.target) {
-    w.PutVarint(static_cast<std::uint64_t>(n));
-    w.PutVarint(static_cast<std::uint64_t>(s));
+    w.PutInt(n);
+    w.PutInt(s);
   }
   return Frame(MessageType::kReconfigureRequest, std::move(w));
 }
@@ -76,8 +76,8 @@ std::vector<std::uint8_t> Encode(const PortSurveyReply& msg) {
   w.PutU64(msg.nonce);
   w.PutVarint(msg.entries.size());
   for (const auto& e : msg.entries) {
-    w.PutVarint(static_cast<std::uint64_t>(e.north));
-    w.PutVarint(static_cast<std::uint64_t>(e.south));
+    w.PutInt(e.north);
+    w.PutInt(e.south);
     w.PutDouble(e.insertion_loss_db);
     w.PutDouble(e.return_loss_db);
   }
@@ -98,16 +98,12 @@ std::optional<ReconfigureRequest> DecodeReconfigureRequest(
   if (!payload) return std::nullopt;
   WireReader r(*payload);
   ReconfigureRequest msg;
-  auto txn = r.GetU64();
-  auto count = r.GetVarint();
-  if (!txn || !count) return std::nullopt;
-  msg.transaction_id = *txn;
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    auto n = r.GetVarint();
-    auto s = r.GetVarint();
-    if (!n || !s) return std::nullopt;
-    msg.target[static_cast<int>(*n)] = static_cast<int>(*s);
+  msg.transaction_id = r.GetU64();
+  for (std::uint64_t i = r.GetVarint(); i > 0 && r.ok(); --i) {
+    const int north = r.GetInt();
+    msg.target[north] = r.GetInt();
   }
+  if (!r.ok()) return std::nullopt;
   return msg;
 }
 
@@ -116,24 +112,14 @@ std::optional<ReconfigureReply> DecodeReconfigureReply(
   auto payload = OpenPayload(frame, MessageType::kReconfigureReply);
   if (!payload) return std::nullopt;
   WireReader r(*payload);
-  ReconfigureReply msg;
-  auto txn = r.GetU64();
-  auto ok = r.GetU8();
-  auto error = r.GetString();
-  auto established = r.GetU32();
-  auto removed = r.GetU32();
-  auto undisturbed = r.GetU32();
-  auto duration = r.GetDouble();
-  if (!txn || !ok || !error || !established || !removed || !undisturbed || !duration) {
-    return std::nullopt;
-  }
-  msg.transaction_id = *txn;
-  msg.ok = *ok != 0;
-  msg.error = *error;
-  msg.established = *established;
-  msg.removed = *removed;
-  msg.undisturbed = *undisturbed;
-  msg.duration_ms = *duration;
+  ReconfigureReply msg{.transaction_id = r.GetU64(),
+                       .ok = r.GetU8() != 0,
+                       .error = r.GetString(),
+                       .established = r.GetU32(),
+                       .removed = r.GetU32(),
+                       .undisturbed = r.GetU32(),
+                       .duration_ms = r.GetDouble()};
+  if (!r.ok()) return std::nullopt;
   return msg;
 }
 
@@ -142,36 +128,24 @@ std::optional<TelemetryRequest> DecodeTelemetryRequest(
   auto payload = OpenPayload(frame, MessageType::kTelemetryRequest);
   if (!payload) return std::nullopt;
   WireReader r(*payload);
-  auto nonce = r.GetU64();
-  if (!nonce) return std::nullopt;
-  return TelemetryRequest{.nonce = *nonce};
+  TelemetryRequest msg{.nonce = r.GetU64()};
+  if (!r.ok()) return std::nullopt;
+  return msg;
 }
 
 std::optional<TelemetryReply> DecodeTelemetryReply(const std::vector<std::uint8_t>& frame) {
   auto payload = OpenPayload(frame, MessageType::kTelemetryReply);
   if (!payload) return std::nullopt;
   WireReader r(*payload);
-  TelemetryReply msg;
-  auto nonce = r.GetU64();
-  auto connects = r.GetU64();
-  auto disconnects = r.GetU64();
-  auto reconfigs = r.GetU64();
-  auto rejected = r.GetU64();
-  auto switch_ms = r.GetDouble();
-  auto power = r.GetDouble();
-  auto operational = r.GetU8();
-  if (!nonce || !connects || !disconnects || !reconfigs || !rejected || !switch_ms ||
-      !power || !operational) {
-    return std::nullopt;
-  }
-  msg.nonce = *nonce;
-  msg.connects = *connects;
-  msg.disconnects = *disconnects;
-  msg.reconfigurations = *reconfigs;
-  msg.rejected_commands = *rejected;
-  msg.cumulative_switch_ms = *switch_ms;
-  msg.power_draw_w = *power;
-  msg.chassis_operational = *operational != 0;
+  TelemetryReply msg{.nonce = r.GetU64(),
+                     .connects = r.GetU64(),
+                     .disconnects = r.GetU64(),
+                     .reconfigurations = r.GetU64(),
+                     .rejected_commands = r.GetU64(),
+                     .cumulative_switch_ms = r.GetDouble(),
+                     .power_draw_w = r.GetDouble(),
+                     .chassis_operational = r.GetU8() != 0};
+  if (!r.ok()) return std::nullopt;
   return msg;
 }
 
@@ -180,9 +154,9 @@ std::optional<PortSurveyRequest> DecodePortSurveyRequest(
   auto payload = OpenPayload(frame, MessageType::kPortSurveyRequest);
   if (!payload) return std::nullopt;
   WireReader r(*payload);
-  auto nonce = r.GetU64();
-  if (!nonce) return std::nullopt;
-  return PortSurveyRequest{.nonce = *nonce};
+  PortSurveyRequest msg{.nonce = r.GetU64()};
+  if (!r.ok()) return std::nullopt;
+  return msg;
 }
 
 std::optional<PortSurveyReply> DecodePortSurveyReply(const std::vector<std::uint8_t>& frame) {
@@ -190,23 +164,14 @@ std::optional<PortSurveyReply> DecodePortSurveyReply(const std::vector<std::uint
   if (!payload) return std::nullopt;
   WireReader r(*payload);
   PortSurveyReply msg;
-  auto nonce = r.GetU64();
-  auto count = r.GetVarint();
-  if (!nonce || !count) return std::nullopt;
-  msg.nonce = *nonce;
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    PortSurveyEntry e;
-    auto n = r.GetVarint();
-    auto s = r.GetVarint();
-    auto il = r.GetDouble();
-    auto rl = r.GetDouble();
-    if (!n || !s || !il || !rl) return std::nullopt;
-    e.north = static_cast<int>(*n);
-    e.south = static_cast<int>(*s);
-    e.insertion_loss_db = *il;
-    e.return_loss_db = *rl;
-    msg.entries.push_back(e);
+  msg.nonce = r.GetU64();
+  for (std::uint64_t i = r.GetVarint(); i > 0 && r.ok(); --i) {
+    msg.entries.push_back({.north = r.GetInt(),
+                           .south = r.GetInt(),
+                           .insertion_loss_db = r.GetDouble(),
+                           .return_loss_db = r.GetDouble()});
   }
+  if (!r.ok()) return std::nullopt;
   return msg;
 }
 

@@ -2,7 +2,7 @@
 
 #include <array>
 #include <bit>
-#include <cstring>
+#include <climits>
 
 #include "common/check.h"
 
@@ -31,11 +31,7 @@ void WireWriter::PutVarint(std::uint64_t v) {
   buffer_.push_back(static_cast<std::uint8_t>(v));
 }
 
-void WireWriter::PutDouble(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
+void WireWriter::PutDouble(double v) { PutU64(std::bit_cast<std::uint64_t>(v)); }
 
 void WireWriter::PutString(std::string_view s) {
   PutVarint(s.size());
@@ -46,63 +42,55 @@ void WireWriter::PutBytes(const std::uint8_t* data, std::size_t size) {
   buffer_.insert(buffer_.end(), data, data + size);
 }
 
-std::optional<std::uint8_t> WireReader::GetU8() {
-  if (remaining() < 1) return std::nullopt;
-  return data_[pos_++];
+bool WireReader::Take(std::size_t size) {
+  ok_ = ok_ && remaining() >= size;
+  if (ok_) pos_ += size;
+  return ok_;
 }
 
-std::optional<std::uint16_t> WireReader::GetU16() {
-  if (remaining() < 2) return std::nullopt;
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_]) |
-                    static_cast<std::uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
-  return v;
-}
-
-std::optional<std::uint32_t> WireReader::GetU32() {
-  if (remaining() < 4) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 4;
-  return v;
-}
-
-std::optional<std::uint64_t> WireReader::GetU64() {
-  if (remaining() < 8) return std::nullopt;
+std::uint64_t WireReader::GetFixed(std::size_t size) {
+  if (!Take(size)) return 0;
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 8;
-  return v;
-}
-
-std::optional<std::uint64_t> WireReader::GetVarint() {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (remaining() < 1 || shift > 63) return std::nullopt;
-    const std::uint8_t byte = data_[pos_++];
-    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
+  for (std::size_t i = 0; i < size; ++i) {
+    v |= static_cast<std::uint64_t>(data_[pos_ - size + i]) << (8 * i);
   }
   return v;
 }
 
-std::optional<double> WireReader::GetDouble() {
-  auto bits = GetU64();
-  if (!bits) return std::nullopt;
-  double v = 0.0;
-  std::memcpy(&v, &*bits, sizeof(v));
-  return v;
+std::uint64_t WireReader::GetVarint(std::uint64_t max) {
+  std::uint64_t v = 0;
+  for (int shift = 0; Take(1); shift += 7) {
+    const std::uint8_t byte = data_[pos_ - 1];
+    // The tenth byte carries bit 63 alone and ends the varint; anything
+    // more would wrap (2^64 + 5 read as 5).
+    if (shift == 63 && byte > 1) break;
+    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return v <= max ? v : Fail();
+  }
+  return Fail();
 }
 
-std::optional<std::string> WireReader::GetString() {
-  auto size = GetVarint();
-  if (!size || remaining() < *size) return std::nullopt;
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_),
-                static_cast<std::size_t>(*size));
-  pos_ += static_cast<std::size_t>(*size);
-  return s;
+int WireReader::GetInt() {
+  // PutInt writes 0..INT_MAX as themselves and INT_MIN..-1 as their images
+  // 2^64 + INT_MIN .. 2^64 - 1; nothing in between.
+  constexpr auto kLowestImage = static_cast<std::uint64_t>(std::int64_t{INT_MIN});
+  const std::uint64_t v = GetVarint();
+  if (v > std::uint64_t{INT_MAX} && v < kLowestImage) return static_cast<int>(Fail());
+  return static_cast<int>(static_cast<std::int64_t>(v));
+}
+
+double WireReader::GetDouble() { return std::bit_cast<double>(GetU64()); }
+
+std::string WireReader::GetString() {
+  const std::uint64_t size = GetVarint();
+  if (!Take(size)) return {};
+  return std::string(reinterpret_cast<const char*>(data_.data() + pos_ - size), size);
+}
+
+std::vector<std::uint8_t> WireReader::GetBytes(std::size_t size) {
+  if (!Take(size)) return {};
+  return std::vector<std::uint8_t>(data_.begin() + static_cast<long>(pos_ - size),
+                                   data_.begin() + static_cast<long>(pos_));
 }
 
 namespace {
@@ -145,25 +133,15 @@ std::optional<UnframedMessage> UnframeMessage(const std::vector<std::uint8_t>& f
   // runtime (never fatal), but every violation fires the failure handler so
   // corrupt frames surface in counters instead of vanishing silently.
   WireReader r(frame);
-  auto version = r.GetU16();
-  auto length = r.GetU32();
-  if (!LW_ENSURE(version.has_value() && length.has_value())) return std::nullopt;
-  if (!LW_ENSURE(*version >= kMinSupportedVersion)) return std::nullopt;
-  // size_t arithmetic: `*length + 4u` in uint32 would wrap for a hostile
-  // length field and let the bounds check pass.
-  if (!LW_ENSURE(r.remaining() >= static_cast<std::size_t>(*length) + 4)) {
-    return std::nullopt;
-  }
-  const std::size_t covered = 6 + static_cast<std::size_t>(*length);
-  std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<std::uint32_t>(frame[covered + static_cast<std::size_t>(i)])
-              << (8 * i);
-  }
+  const std::uint16_t version = r.GetU16();
+  const std::uint32_t length = r.GetU32();
+  std::vector<std::uint8_t> payload = r.GetBytes(length);
+  const std::size_t covered = frame.size() - r.remaining();  // header + payload
+  const std::uint32_t stored = r.GetU32();
+  if (!LW_ENSURE(r.ok())) return std::nullopt;
+  if (!LW_ENSURE(version >= kMinSupportedVersion)) return std::nullopt;
   if (!LW_ENSURE(stored == Crc32(frame.data(), covered))) return std::nullopt;
-  std::vector<std::uint8_t> payload(frame.begin() + 6,
-                                    frame.begin() + static_cast<long>(covered));
-  return UnframedMessage{.version = *version, .payload = std::move(payload)};
+  return UnframedMessage{.version = version, .payload = std::move(payload)};
 }
 
 }  // namespace lightwave::ctrl

@@ -61,7 +61,6 @@ class Chassis {
   bool RepairUnit(FruKind kind, int unit);
 
   bool Operational() const;
-  const std::vector<FruInstance>& frus() const { return frus_; }
 
   /// Total electrical power draw; the paper's headline figure is 108 W for
   /// the whole system.

@@ -25,10 +25,6 @@ class FiberSpan {
   FiberSpan(double length_km, int connectors, int splices);
 
   double length_km() const { return length_km_; }
-  int connector_count() const { return static_cast<int>(connectors_.size()); }
-  const ConnectorSpec& connector(int i) const {
-    return connectors_[static_cast<std::size_t>(i)];
-  }
 
   /// Total attenuation including connectors and splices.
   common::Decibel InsertionLoss() const;

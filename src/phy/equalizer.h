@@ -50,7 +50,6 @@ class AdaptiveEqualizer {
   void PushDecision(double decision);
 
   const std::vector<double>& ffe_weights() const { return ffe_; }
-  const std::vector<double>& dfe_weights() const { return dfe_; }
 
  private:
   std::vector<double> ffe_;

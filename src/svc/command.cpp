@@ -33,42 +33,27 @@ void SliceCommand::EncodeTo(std::vector<std::uint8_t>* out) const {
   writer.PutU8(static_cast<std::uint8_t>(kind));
   writer.PutVarint(job_id);
   writer.PutVarint(txn_id);
-  writer.PutVarint(static_cast<std::uint64_t>(shape.a));
-  writer.PutVarint(static_cast<std::uint64_t>(shape.b));
-  writer.PutVarint(static_cast<std::uint64_t>(shape.c));
+  writer.PutInt(shape.a);
+  writer.PutInt(shape.b);
+  writer.PutInt(shape.c);
   *out = writer.Take();
 }
 
 common::Result<SliceCommand> SliceCommand::Decode(const std::vector<std::uint8_t>& bytes) {
   ctrl::WireReader reader(bytes);
-  auto command_id = reader.GetVarint();
-  auto tenant_id = reader.GetVarint();
-  auto kind = reader.GetU8();
-  auto job_id = reader.GetVarint();
-  auto txn_id = reader.GetVarint();
-  auto a = reader.GetVarint();
-  auto b = reader.GetVarint();
-  auto c = reader.GetVarint();
-  if (!command_id || !tenant_id || !kind || !job_id || !txn_id || !a || !b || !c ||
-      !reader.AtEnd()) {
-    return common::Internal("slice command truncated or overlong");
+  SliceCommand cmd{.command_id = reader.GetVarint(),
+                   .tenant_id = static_cast<std::uint32_t>(reader.GetVarint(UINT32_MAX)),
+                   .kind = static_cast<CommandKind>(reader.GetU8()),
+                   .job_id = reader.GetVarint(),
+                   .txn_id = reader.GetVarint(),
+                   .shape = {reader.GetInt(), reader.GetInt(), reader.GetInt()}};
+  if (!reader.ok() || !reader.AtEnd()) {
+    return common::Internal("slice command truncated, overlong or out of range");
   }
-  if (*kind < static_cast<std::uint8_t>(CommandKind::kAdmit) ||
-      *kind > static_cast<std::uint8_t>(CommandKind::kAbortTxn)) {
-    return common::Internal("unknown command kind " + std::to_string(*kind));
+  if (cmd.kind < CommandKind::kAdmit || cmd.kind > CommandKind::kAbortTxn) {
+    return common::Internal("unknown command kind " +
+                            std::to_string(static_cast<int>(cmd.kind)));
   }
-  if (*tenant_id > 0xFFFFFFFFull) {
-    return common::Internal("tenant id " + std::to_string(*tenant_id) +
-                            " overflows 32 bits");
-  }
-  SliceCommand cmd;
-  cmd.command_id = *command_id;
-  cmd.tenant_id = static_cast<std::uint32_t>(*tenant_id);
-  cmd.kind = static_cast<CommandKind>(*kind);
-  cmd.job_id = *job_id;
-  cmd.txn_id = *txn_id;
-  cmd.shape = tpu::SliceShape{static_cast<int>(*a), static_cast<int>(*b),
-                              static_cast<int>(*c)};
   return cmd;
 }
 

@@ -1,7 +1,6 @@
 #include "svc/fleet_service.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.h"
 #include "ctrl/controller.h"
@@ -381,72 +380,44 @@ std::vector<std::uint8_t> FleetService::SerializeState() const {
 }
 
 Status FleetService::DeserializeState(const std::vector<std::uint8_t>& bytes) {
-  // The snapshot's bytes are outside input: a tenant id past 32 bits would
-  // wrap in the casts below (tenant 2^32+5 read as tenant 5).
-  constexpr std::uint64_t kMaxTenant = std::numeric_limits<std::uint32_t>::max();
+  // The snapshot's bytes are outside input: a tenant id is read against 32
+  // bits, so tenant 2^32+5 fails to decode instead of reading as tenant 5.
   ctrl::WireReader reader(bytes);
-  auto tenant_count = reader.GetVarint();
-  if (!tenant_count) return common::Internal("service state truncated");
+  const auto get_tenant = [&reader] {
+    return static_cast<std::uint32_t>(reader.GetVarint(UINT32_MAX));
+  };
   std::map<std::uint32_t, std::uint64_t> frontiers;
-  for (std::uint64_t i = 0; i < *tenant_count; ++i) {
-    auto tenant = reader.GetVarint();
-    auto next = reader.GetU64();
-    if (!tenant || !next) return common::Internal("service frontier table truncated");
-    if (*tenant > kMaxTenant) return common::Internal("service frontier tenant exceeds 32 bits");
-    frontiers[static_cast<std::uint32_t>(*tenant)] = *next;
+  for (std::uint64_t i = reader.GetVarint(); i > 0 && reader.ok(); --i) {
+    const std::uint32_t tenant = get_tenant();
+    frontiers[tenant] = reader.GetU64();
   }
-  auto job_count = reader.GetVarint();
-  if (!job_count) return common::Internal("service state truncated");
   std::map<std::pair<std::uint32_t, std::uint64_t>, tpu::SliceId> jobs;
-  for (std::uint64_t i = 0; i < *job_count; ++i) {
-    auto tenant = reader.GetVarint();
-    auto job_id = reader.GetVarint();
-    auto slice_id = reader.GetU64();
-    if (!tenant || !job_id || !slice_id) {
-      return common::Internal("service job table truncated");
-    }
-    if (*tenant > kMaxTenant) return common::Internal("service job tenant exceeds 32 bits");
-    jobs[{static_cast<std::uint32_t>(*tenant), *job_id}] = *slice_id;
+  for (std::uint64_t i = reader.GetVarint(); i > 0 && reader.ok(); --i) {
+    const std::pair<std::uint32_t, std::uint64_t> job{get_tenant(), reader.GetVarint()};
+    jobs[job] = reader.GetU64();
   }
-  auto prepared_count = reader.GetVarint();
-  if (!prepared_count) return common::Internal("service state truncated");
   std::map<std::uint64_t, PreparedTxn> prepared;
-  for (std::uint64_t i = 0; i < *prepared_count; ++i) {
-    auto txn_id = reader.GetVarint();
-    auto tenant = reader.GetVarint();
-    auto job_id = reader.GetVarint();
-    auto vote = reader.GetU8();
-    auto slice_id = reader.GetU64();
-    if (!txn_id || !tenant || !job_id || !vote || !slice_id) {
-      return common::Internal("service prepared-txn table truncated");
-    }
-    if (*tenant > kMaxTenant) {
-      return common::Internal("service prepared-txn tenant exceeds 32 bits");
-    }
-    prepared[*txn_id] = PreparedTxn{.tenant_id = static_cast<std::uint32_t>(*tenant),
-                                    .job_id = *job_id,
-                                    .slice_id = *slice_id,
-                                    .vote_yes = *vote != 0};
+  for (std::uint64_t i = reader.GetVarint(); i > 0 && reader.ok(); --i) {
+    PreparedTxn& txn = prepared[reader.GetVarint()];
+    txn.tenant_id = get_tenant();
+    txn.job_id = reader.GetVarint();
+    txn.vote_yes = reader.GetU8() != 0;
+    txn.slice_id = reader.GetU64();
   }
-  auto decided_count = reader.GetVarint();
-  if (!decided_count) return common::Internal("service state truncated");
   std::map<std::uint64_t, TxnDecision> decided;
-  for (std::uint64_t i = 0; i < *decided_count; ++i) {
-    auto txn_id = reader.GetVarint();
-    auto decision = reader.GetU8();
-    if (!txn_id || !decision ||
-        (*decision != static_cast<std::uint8_t>(TxnDecision::kCommitted) &&
-         *decision != static_cast<std::uint8_t>(TxnDecision::kAborted))) {
-      return common::Internal("service decided-txn table truncated");
-    }
-    decided[*txn_id] = static_cast<TxnDecision>(*decision);
+  for (std::uint64_t i = reader.GetVarint(); i > 0 && reader.ok(); --i) {
+    const std::uint64_t txn_id = reader.GetVarint();
+    decided[txn_id] = static_cast<TxnDecision>(reader.GetU8());
   }
-  auto max_txn = reader.GetVarint();
-  if (!max_txn) return common::Internal("service state truncated");
+  const std::uint64_t max_txn = reader.GetVarint();
+  if (!reader.ok()) return common::Internal("service state truncated or past 32-bit tenants");
+  for (const auto& [txn_id, decision] : decided) {
+    if (decision != TxnDecision::kCommitted && decision != TxnDecision::kAborted) {
+      return common::Internal("service decided-txn table carries an unknown decision");
+    }
+  }
   if (Status imported = scheduler_.ImportState(reader); !imported.ok()) return imported;
-  auto has_controller = reader.GetU8();
-  if (!has_controller) return common::Internal("service state truncated");
-  if (*has_controller != 0) {
+  if (reader.GetU8() != 0) {
     if (controller_ == nullptr) {
       return common::FailedPrecondition(
           "snapshot carries controller state but no controller is bound");
@@ -455,12 +426,14 @@ Status FleetService::DeserializeState(const std::vector<std::uint8_t>& bytes) {
       return imported;
     }
   }
-  if (!reader.AtEnd()) return common::Internal("trailing bytes after service state");
+  if (!reader.ok() || !reader.AtEnd()) {
+    return common::Internal("service state truncated or overlong");
+  }
   committed_next_ = std::move(frontiers);
   live_jobs_ = std::move(jobs);
   prepared_ = std::move(prepared);
   decided_ = std::move(decided);
-  max_txn_seen_ = *max_txn;
+  max_txn_seen_ = max_txn;
   return Status::Ok();
 }
 

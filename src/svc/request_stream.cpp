@@ -51,7 +51,7 @@ RequestStream::RequestStream(std::uint64_t seed, std::uint64_t count,
   }
   tenant_of_.reserve(count_);
   per_tenant_id_.reserve(count_);
-  tenant_indices_.resize(config_.tenant_count);
+  std::vector<std::uint64_t> issued(config_.tenant_count, 0);
   for (std::uint64_t i = 0; i < count_; ++i) {
     std::uint32_t tenant = 0;
     if (config_.tenant_count > 1) {
@@ -62,19 +62,13 @@ RequestStream::RequestStream(std::uint64_t seed, std::uint64_t count,
           tenant_cdf_.begin());
     }
     tenant_of_.push_back(tenant);
-    tenant_indices_[tenant].push_back(i);
-    per_tenant_id_.push_back(tenant_indices_[tenant].size());
+    per_tenant_id_.push_back(++issued[tenant]);
   }
 }
 
 std::uint32_t RequestStream::TenantOf(std::uint64_t index) const {
   LW_CHECK(index < count_) << "stream index " << index << " out of range";
   return tenant_of_[index];
-}
-
-std::uint64_t RequestStream::TenantCommandCount(std::uint32_t tenant) const {
-  LW_CHECK(tenant < config_.tenant_count) << "tenant " << tenant << " out of range";
-  return tenant_indices_[tenant].size();
 }
 
 SliceCommand RequestStream::Command(std::uint64_t index) const {

@@ -54,21 +54,17 @@ class RequestStream {
   /// Owning tenant of the i-th command (same assignment Command(i) uses).
   std::uint32_t TenantOf(std::uint64_t index) const;
 
-  /// Commands the stream assigns to `tenant` (its subsequence length).
-  std::uint64_t TenantCommandCount(std::uint32_t tenant) const;
-
  private:
   std::uint64_t seed_;
   std::uint64_t count_;
   RequestStreamConfig config_;
   /// Zipf CDF over tenants (empty when tenant_count == 1).
   std::vector<double> tenant_cdf_;
-  /// Precomputed in the ctor so lookups are O(1)/O(log) and the per-command
-  /// RNG stream carries no tenant-draw state: owner of each global index,
-  /// its dense per-tenant id, and each tenant's global-index subsequence.
+  /// Precomputed in the ctor so lookups are O(1) and the per-command RNG
+  /// stream carries no tenant-draw state: owner of each global index and its
+  /// dense per-tenant id.
   std::vector<std::uint32_t> tenant_of_;
   std::vector<std::uint64_t> per_tenant_id_;
-  std::vector<std::vector<std::uint64_t>> tenant_indices_;
 };
 
 }  // namespace lightwave::svc

@@ -68,7 +68,9 @@ std::string JsonLabels(const LabelSet& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + Escape(k) + "\":\"" + Escape(v) + "\"";
+    // Appended, not concatenated: GCC 12 at -O2 misreads `"\"" +
+    // std::string&&` as an overlapping memcpy (-Wrestrict).
+    out.append("\"").append(Escape(k)).append("\":\"").append(Escape(v)).append("\"");
   }
   out += "}";
   return out;

@@ -32,11 +32,6 @@ double HistogramMetric::Percentile(double p) const {
   return samples_.Percentile(p);
 }
 
-common::SampleSet HistogramMetric::Snapshot() const {
-  lw::MutexLock lock(mu_);
-  return samples_;
-}
-
 TimeSeries::TimeSeries(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {
   ring_.reserve(capacity_);
 }

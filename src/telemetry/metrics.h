@@ -62,8 +62,6 @@ class HistogramMetric {
   double sum() const;
   /// Exact nearest-rank percentile; 0.0 when no samples were observed.
   double Percentile(double p) const;
-  /// Copy of the underlying samples for offline analysis.
-  common::SampleSet Snapshot() const;
 
  private:
   mutable lw::Mutex mu_{"telemetry.histogram", lw::rank::kTelemetrySeries};

@@ -133,7 +133,9 @@ TEST(CollectiveBackend, InNetworkSlotExhaustionGatesPipelineDepth) {
     InNetworkConfig config;
     config.pool_slots = slots;
     times.push_back(InNetworkBackend(config).AllReduceCost(8, 64e6, kLink).time_us);
-    if (previous > 0.0) EXPECT_LE(times.back(), previous) << "slots=" << slots;
+    if (previous > 0.0) {
+      EXPECT_LE(times.back(), previous) << "slots=" << slots;
+    }
     previous = times.back();
   }
   // Strictly faster while slot-bound; a starved pool is order-of-magnitude slow.

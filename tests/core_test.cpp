@@ -137,6 +137,53 @@ TEST(Scheduler, ImportStateRejectsEntriesBeyondThePod) {
   EXPECT_EQ(writer.buffer(), valid);
 }
 
+TEST(Scheduler, FailedImportLeavesThePodUntouched) {
+  // ImportState decodes the whole state before it installs a slice, so an
+  // export cut at any length fails with no slice, no circuit and no stats
+  // change on the pod it was imported into.
+  const auto export_of = [](const SliceScheduler& scheduler) {
+    ctrl::WireWriter writer;
+    scheduler.ExportState(writer);
+    return writer.Take();
+  };
+  std::vector<std::uint8_t> exported;
+  {
+    tpu::Superpod pod(6, 8, 2);
+    SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
+    for (int slice = 0; slice < 3; ++slice) {
+      ASSERT_TRUE(scheduler.Allocate(SliceShape{1, 1, 2}).ok());
+    }
+    exported = export_of(scheduler);
+  }
+  const auto circuits = [](const tpu::Superpod& pod) {
+    int count = 0;
+    for (int i = 0; i < pod.ocs_count(); ++i) count += pod.ocs(i).ConnectionCount();
+    return count;
+  };
+  for (std::size_t len = 0; len < exported.size(); ++len) {
+    const std::vector<std::uint8_t> cut(exported.begin(),
+                                        exported.begin() + static_cast<long>(len));
+    tpu::Superpod pod(6, 8, 2);
+    SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
+    const std::vector<std::uint8_t> untouched = export_of(scheduler);
+    ctrl::WireReader reader(cut);
+    const common::Status imported = scheduler.ImportState(reader);
+    ASSERT_FALSE(imported.ok()) << len;
+    EXPECT_EQ(imported.error().code, common::Error::Code::kInternal) << len;
+    EXPECT_TRUE(pod.slices().empty()) << len;
+    EXPECT_EQ(circuits(pod), 0) << len;
+    EXPECT_EQ(export_of(scheduler), untouched) << len;
+  }
+  // Whole, the same bytes install all three slices.
+  tpu::Superpod pod(6, 8, 2);
+  SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
+  ctrl::WireReader reader(exported);
+  ASSERT_TRUE(scheduler.ImportState(reader).ok());
+  EXPECT_EQ(pod.slices().size(), 3u);
+  EXPECT_GT(circuits(pod), 0);
+  EXPECT_EQ(export_of(scheduler), exported);
+}
+
 TEST(Scheduler, ContiguousRequiresAlignedBox) {
   tpu::Superpod pod(2);  // 64 cubes = 4x4x4 grid
   SliceScheduler scheduler(pod, AllocationPolicy::kContiguous);

@@ -30,11 +30,12 @@ TEST(Wire, FixedWidthRoundTrip) {
   w.PutDouble(3.14159);
   const auto buffer = w.buffer();
   WireReader r(buffer);
-  EXPECT_EQ(r.GetU8().value(), 0xAB);
-  EXPECT_EQ(r.GetU16().value(), 0x1234);
-  EXPECT_EQ(r.GetU32().value(), 0xDEADBEEFu);
-  EXPECT_EQ(r.GetU64().value(), 0x0123456789ABCDEFull);
-  EXPECT_DOUBLE_EQ(r.GetDouble().value(), 3.14159);
+  EXPECT_EQ(r.GetU8(), 0xAB);
+  EXPECT_EQ(r.GetU16(), 0x1234);
+  EXPECT_EQ(r.GetU32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.GetU64(), 0x0123456789ABCDEFull);
+  EXPECT_DOUBLE_EQ(r.GetDouble(), 3.14159);
+  EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.AtEnd());
 }
 
@@ -44,7 +45,9 @@ TEST(Wire, VarintRoundTrip) {
   for (auto v : values) w.PutVarint(v);
   const auto buffer = w.buffer();
   WireReader r(buffer);
-  for (auto v : values) EXPECT_EQ(r.GetVarint().value(), v);
+  for (auto v : values) EXPECT_EQ(r.GetVarint(), v);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.AtEnd());
 }
 
 TEST(Wire, VarintCompactness) {
@@ -59,17 +62,72 @@ TEST(Wire, StringRoundTrip) {
   w.PutString("");
   const auto buffer = w.buffer();
   WireReader r(buffer);
-  EXPECT_EQ(r.GetString().value(), "hello fabric");
-  EXPECT_EQ(r.GetString().value(), "");
+  EXPECT_EQ(r.GetString(), "hello fabric");
+  EXPECT_EQ(r.GetString(), "");
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.AtEnd());
 }
 
 TEST(Wire, TruncatedReadsFail) {
   WireWriter w;
-  w.PutU16(7);
+  w.PutU16(0x0107);
   const auto buffer = w.buffer();
   WireReader r(buffer);
-  EXPECT_TRUE(r.GetU8().has_value());
-  EXPECT_FALSE(r.GetU32().has_value());
+  EXPECT_EQ(r.GetU8(), 7);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.GetU32(), 0u);
+  EXPECT_FALSE(r.ok());
+  // The failure latches: the byte that is left reads as zero too.
+  EXPECT_EQ(r.GetU8(), 0);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(Wire, IntRoundTripAndRange) {
+  // PutInt and GetInt are exact inverses; a negative int rides the varint
+  // as its 64-bit two's-complement image.
+  const int ints[] = {std::numeric_limits<int>::min(), -1, 0, 1,
+                      std::numeric_limits<int>::max()};
+  WireWriter w;
+  for (int v : ints) w.PutInt(v);
+  const auto buffer = w.buffer();
+  WireReader r(buffer);
+  for (int v : ints) EXPECT_EQ(r.GetInt(), v);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.AtEnd());
+  // A varint PutInt cannot write fails to read as an int, and the failure
+  // latches.
+  constexpr std::uint64_t kTwo31 = std::uint64_t{1} << 31;
+  const std::uint64_t bad[] = {kTwo31, (std::uint64_t{1} << 32) + 5, std::uint64_t{1} << 63,
+                               ~kTwo31};  // 2^64 - 2^31 - 1: one below INT_MIN's image
+  for (const std::uint64_t v : bad) {
+    WireWriter bad_writer;
+    bad_writer.PutVarint(v);
+    bad_writer.PutInt(3);
+    const auto bad_buffer = bad_writer.buffer();
+    WireReader bad_reader(bad_buffer);
+    EXPECT_EQ(bad_reader.GetInt(), 0) << v;
+    EXPECT_EQ(bad_reader.GetInt(), 0) << v;
+    EXPECT_FALSE(bad_reader.ok()) << v;
+  }
+}
+
+TEST(Wire, BoundedVarintFailsAboveItsMax) {
+  WireWriter w;
+  w.PutVarint(8);
+  w.PutVarint(9);
+  const auto buffer = w.buffer();
+  WireReader r(buffer);
+  EXPECT_EQ(r.GetVarint(8), 8u);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.GetVarint(8), 0u);
+  EXPECT_FALSE(r.ok());
+  // A tenth byte past bit 63 does not wrap: nine 0x80 bytes then 0x02 would
+  // read as 0 (2^64 mod 2^64).
+  std::vector<std::uint8_t> wrapped(9, 0x80);
+  wrapped.push_back(0x02);
+  WireReader wrapped_reader(wrapped);
+  EXPECT_EQ(wrapped_reader.GetVarint(), 0u);
+  EXPECT_FALSE(wrapped_reader.ok());
 }
 
 TEST(Wire, Crc32KnownVector) {
@@ -288,6 +346,53 @@ TEST(Agent, DropsMalformedFrame) {
   OcsAgent agent(ocs);
   std::vector<std::uint8_t> garbage = {1, 2, 3, 4};
   EXPECT_TRUE(agent.Handle(garbage).empty());
+}
+
+// Frames with one port-map entry, laid out as the encoders write them but
+// with the ports as raw varints, so a test can name a port no int holds.
+std::vector<std::uint8_t> ReconfigureFrame(std::uint64_t north, std::uint64_t south) {
+  WireWriter w;
+  w.PutU8(static_cast<std::uint8_t>(MessageType::kReconfigureRequest));
+  w.PutU64(1);  // transaction id
+  w.PutVarint(1);
+  w.PutVarint(north);
+  w.PutVarint(south);
+  return FrameMessage(w.Take());
+}
+
+std::vector<std::uint8_t> PortSurveyReplyFrame(std::uint64_t north, std::uint64_t south) {
+  WireWriter w;
+  w.PutU8(static_cast<std::uint8_t>(MessageType::kPortSurveyReply));
+  w.PutU64(4);  // nonce
+  w.PutVarint(1);
+  w.PutVarint(north);
+  w.PutVarint(south);
+  w.PutDouble(1.5);
+  w.PutDouble(-45.0);
+  return FrameMessage(w.Take());
+}
+
+TEST(Agent, PortBeyondIntIsMalformed) {
+  // A port is an int on the wire. North 2^32+5 must not alias onto port 5:
+  // the frame is malformed, gets no reply and programs nothing.
+  constexpr std::uint64_t kAliasOf5 = (std::uint64_t{1} << 32) + 5;
+  ocs::PalomarSwitch ocs(57);
+  OcsAgent agent(ocs);
+  EXPECT_TRUE(agent.Handle(ReconfigureFrame(kAliasOf5, 7)).empty());
+  EXPECT_EQ(agent.malformed_frames(), 1u);
+  EXPECT_EQ(ocs.ConnectionCount(), 0);
+  // The same layout with north 5 is a valid request for circuit 5 -> 7.
+  const auto reply = DecodeReconfigureReply(agent.Handle(ReconfigureFrame(5, 7)));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_TRUE(reply->ok);
+  EXPECT_EQ(ocs.CurrentMapping(), (std::map<int, int>{{5, 7}}));
+
+  EXPECT_FALSE(DecodePortSurveyReply(PortSurveyReplyFrame(kAliasOf5, 7)).has_value());
+  const auto survey = DecodePortSurveyReply(PortSurveyReplyFrame(5, 7));
+  ASSERT_TRUE(survey.has_value());
+  ASSERT_EQ(survey->entries.size(), 1u);
+  EXPECT_EQ(survey->entries[0].north, 5);
+  EXPECT_EQ(survey->entries[0].south, 7);
 }
 
 TEST(Agent, AnswersTelemetryAndSurvey) {
@@ -571,8 +676,9 @@ std::vector<std::uint8_t> ControllerState(const std::vector<HealthEntry>& entrie
 
 TEST(Controller, ImportStateRejectsValuesBeyondInt) {
   // Snapshot bytes are outside input. An OCS id, exhaustion count or
-  // cooldown above INT_MAX fails as kInternal before anything is assigned;
-  // the int casts would otherwise read OCS 2^32+1 as OCS 1, 2^32+5
+  // cooldown that no int encodes to (above INT_MAX and below INT_MIN's
+  // 64-bit image) fails as kInternal before anything is assigned; a
+  // narrowing cast would otherwise read OCS 2^32+1 as OCS 1, 2^32+5
   // exhaustions as 5, and a 2^31 cooldown as INT_MIN.
   constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
   constexpr std::uint64_t kTwo31 = std::uint64_t{1} << 31;
@@ -597,8 +703,7 @@ TEST(Controller, ImportStateRejectsValuesBeyondInt) {
       {"ocs 2^32+1", ControllerState({{kTwo32 + 1, BreakerState::kOpen, 0, 1}})},
       {"exhaustions 2^32+5", ControllerState({{1, BreakerState::kOpen, kTwo32 + 5, 1}})},
       {"cooldown 2^31", ControllerState({{1, BreakerState::kOpen, 0, kTwo31}})},
-      {"cooldown 2^64-1",
-       ControllerState({{1, BreakerState::kOpen, 0, std::numeric_limits<std::uint64_t>::max()}})},
+      {"cooldown 2^63", ControllerState({{1, BreakerState::kOpen, 0, std::uint64_t{1} << 63}})},
   };
   for (const auto& [name, bytes] : malformed) {
     WireReader reader(bytes);
@@ -609,6 +714,49 @@ TEST(Controller, ImportStateRejectsValuesBeyondInt) {
     EXPECT_EQ(controller.breaker_state(2), BreakerState::kOpen) << name;
     EXPECT_EQ(exported(), valid) << name;
   }
+}
+
+TEST(Controller, ExportImportRoundTripsEveryReachableState) {
+  // With no cooldown, a tripped breaker goes half-open on the next
+  // transaction with its cooldown counted down to -1, which ExportState
+  // writes as 2^64-1. A fresh controller must import that export and
+  // re-export it byte for byte, or a snapshot the service wrote itself
+  // could not be recovered.
+  ocs::PalomarSwitch ocs_a(78), ocs_b(79);
+  OcsAgent agent_a(ocs_a), agent_b(ocs_b);
+  MessageBus bus(14);
+  bus.SetDropProbability(1.0);
+  FabricControllerOptions options;
+  options.max_retries = 1;
+  options.breaker_threshold = 1;
+  options.breaker_cooldown = 0;
+  FabricController controller(bus, options);
+  controller.Register(0, &agent_a);
+  controller.Register(1, &agent_b);
+  const std::map<int, std::map<int, int>> on_a = {{0, {{0, 1}}}};
+  const std::map<int, std::map<int, int>> on_b = {{1, {{0, 1}}}};
+  EXPECT_FALSE(controller.ApplyTopology(on_a).ok);
+  EXPECT_FALSE(controller.ApplyTopology(on_b).ok);
+  EXPECT_EQ(controller.breaker_state(0), BreakerState::kOpen);
+  EXPECT_EQ(controller.breaker_state(1), BreakerState::kOpen);
+  EXPECT_FALSE(controller.ApplyTopology(on_a).ok);
+  ASSERT_EQ(controller.breaker_state(0), BreakerState::kHalfOpen);
+  ASSERT_EQ(controller.breaker_state(1), BreakerState::kOpen);
+  WireWriter writer;
+  controller.ExportState(writer);
+  const std::vector<std::uint8_t> exported = writer.Take();
+
+  MessageBus fresh_bus(15);
+  FabricController fresh(fresh_bus, options);
+  WireReader reader(exported);
+  const common::Status imported = fresh.ImportState(reader);
+  ASSERT_TRUE(imported.ok()) << imported.error().message;
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(fresh.breaker_state(0), BreakerState::kHalfOpen);
+  EXPECT_EQ(fresh.breaker_state(1), BreakerState::kOpen);
+  WireWriter reexport;
+  fresh.ExportState(reexport);
+  EXPECT_EQ(reexport.buffer(), exported);
 }
 
 TEST(Controller, CollectsTelemetryFromAll) {

@@ -5,6 +5,7 @@
 // brute-force nearest-codeword decoding on a tiny code.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 
@@ -377,6 +378,43 @@ TEST(Fuzz, SliceCommandDecodeNeverCrashesOnRandomBytes) {
   EXPECT_FALSE(svc::SliceCommand::Decode(tampered).ok());
 }
 
+TEST(Fuzz, SliceCommandDimensionsAreInts) {
+  // A journaled dimension is an int. One past INT_MAX, or 2^32+1 (which a
+  // narrowing cast would read as 1), must fail to decode as kInternal in
+  // each of a, b and c. Every int round-trips, negatives included: a client
+  // may journal a negative dimension, and replay must decode it to reject
+  // it again.
+  const auto with_dim = [](int dim, std::uint64_t value) {
+    ctrl::WireWriter writer;
+    writer.PutVarint(1);  // command id
+    writer.PutVarint(0);  // tenant
+    writer.PutU8(static_cast<std::uint8_t>(svc::CommandKind::kAdmit));
+    writer.PutVarint(1);  // job id
+    writer.PutVarint(0);  // txn id
+    for (int d = 0; d < 3; ++d) writer.PutVarint(d == dim ? value : 1);
+    return writer.Take();
+  };
+  for (int dim = 0; dim < 3; ++dim) {
+    ASSERT_TRUE(svc::SliceCommand::Decode(with_dim(dim, 2)).ok()) << dim;
+    for (const std::uint64_t value : {std::uint64_t{1} << 31, (std::uint64_t{1} << 32) + 1}) {
+      const auto decoded = svc::SliceCommand::Decode(with_dim(dim, value));
+      ASSERT_FALSE(decoded.ok()) << dim << " " << value;
+      EXPECT_EQ(decoded.error().code, common::Error::Code::kInternal) << dim << " " << value;
+    }
+    for (const int value : {std::numeric_limits<int>::min(), -1, 0,
+                            std::numeric_limits<int>::max()}) {
+      svc::SliceCommand cmd;
+      cmd.command_id = 3;
+      cmd.job_id = 4;
+      int* const dims[] = {&cmd.shape.a, &cmd.shape.b, &cmd.shape.c};
+      *dims[dim] = value;
+      const auto decoded = svc::SliceCommand::Decode(cmd.Encode());
+      ASSERT_TRUE(decoded.ok()) << dim << " " << value;
+      EXPECT_EQ(decoded.value().shape, cmd.shape) << dim << " " << value;
+    }
+  }
+}
+
 // --- scheduler state import ---------------------------------------------------------
 
 /// One field of a scheduler state in wire order: a varint, or a fixed u64
@@ -393,10 +431,10 @@ std::vector<StateField> SchedulerStateFields(const std::vector<std::uint8_t>& by
   ctrl::WireReader reader(bytes);
   std::vector<StateField> fields;
   const auto take = [&](bool varint) {
-    const auto value = varint ? reader.GetVarint() : reader.GetU64();
-    LW_CHECK(value.has_value());
-    fields.push_back({varint, *value});
-    return *value;
+    const std::uint64_t value = varint ? reader.GetVarint() : reader.GetU64();
+    LW_CHECK(reader.ok());
+    fields.push_back({varint, value});
+    return value;
   };
   for (int stat = 0; stat < 4; ++stat) take(true);
   for (std::uint64_t slice = take(true); slice > 0; --slice) {

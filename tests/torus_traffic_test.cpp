@@ -19,22 +19,28 @@ TEST(TorusTraffic, NeighborShiftIsPerfectlyBalanced) {
   EXPECT_NEAR(analysis.link_efficiency, 1.0, 1e-9);
 }
 
+std::size_t UniqueDestinations(const Pattern& pattern) {
+  std::set<std::tuple<int, int, int>> dsts;
+  for (const auto& [src, dst] : pattern) dsts.insert({dst.x, dst.y, dst.z});
+  return dsts.size();
+}
+
 TEST(TorusTraffic, PatternsCoverEveryChipOnce) {
-  for (const auto& pattern :
-       {NeighborShift(kShape, tpu::Dim::kZ), Transpose(kShape), Opposite(kShape),
-        RandomPermutation(kShape, 9)}) {
-    EXPECT_EQ(pattern.size(), 512u);
-    // Destinations of a permutation pattern are unique.
-    std::set<std::tuple<int, int, int>> dsts;
-    for (const auto& [src, dst] : pattern) {
-      dsts.insert({dst.x, dst.y, dst.z});
-    }
-    if (&pattern != nullptr) {
-      // NeighborShift/Opposite/RandomPermutation are permutations; Transpose
-      // on an asymmetric shape may collide, so only check the size bound.
-      EXPECT_LE(dsts.size(), 512u);
+  // NeighborShift, Opposite and RandomPermutation are permutations on any
+  // shape: every chip receives exactly one flow. Transpose is one on a cubic
+  // shape only; on an asymmetric one its destinations collide.
+  const tpu::SliceShape skewed{1, 2, 4};  // 4x8x16 chips
+  for (const tpu::SliceShape& shape : {kShape, skewed}) {
+    for (const auto& pattern : {NeighborShift(shape, tpu::Dim::kZ), Opposite(shape),
+                                RandomPermutation(shape, 9)}) {
+      EXPECT_EQ(pattern.size(), 512u);
+      EXPECT_EQ(UniqueDestinations(pattern), 512u);
     }
   }
+  EXPECT_EQ(UniqueDestinations(Transpose(kShape)), 512u);
+  const auto transposed = Transpose(skewed);
+  EXPECT_EQ(transposed.size(), 512u);
+  EXPECT_LE(UniqueDestinations(transposed), 512u);
 }
 
 TEST(TorusTraffic, OppositeCornerIsWorstDistance) {
