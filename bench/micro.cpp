@@ -1,7 +1,7 @@
 // Hot-path microbenchmarks (google-benchmark): RS(544,514) codec, Palomar
 // reconfiguration, mirror noise draws, one circuit's alignment, slice
-// install, scheduler allocation, WAL scan, wire codec, BER evaluation, and
-// the collective/flow simulators.
+// install, one applied churn batch, scheduler allocation, WAL scan, wire
+// codec, BER evaluation, and the collective/flow simulators.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "ctrl/messages.h"
 #include "fec/reed_solomon.h"
 #include "journal/file_storage.h"
+#include "journal/storage.h"
 #include "journal/wal.h"
 #include "ocs/palomar.h"
 #include "phy/ber_model.h"
@@ -29,6 +30,7 @@
 #include "sim/collective.h"
 #include "sim/traffic.h"
 #include "svc/command.h"
+#include "svc/fleet_service.h"
 #include "tpu/routing.h"
 #include "sim/llm_model.h"
 #include "tpu/superpod.h"
@@ -147,8 +149,9 @@ BENCHMARK(BM_EstablishPath);
 // Installs and removes one slice on an otherwise empty pod. Args: pod cubes,
 // OCSes per torus dimension (16: the 48-OCS production pod; 2: a 6-OCS
 // pod), slice cubes. An install programs every OCS, one circuit per slice
-// cube on each, so its cost grows with OCSes x slice cubes; from 48
-// circuits on, the OCSes are programmed in parallel.
+// cube on each, so its cost grows with OCSes x slice cubes; each call
+// commits on its own, and from 192 circuits on (a 4-cube slice on the
+// 48-OCS pod) the commit programs the OCSes in parallel.
 static void BM_SliceInstall(benchmark::State& state) {
   tpu::Superpod pod(4, static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
   const int slice_cubes = static_cast<int>(state.range(2));
@@ -172,6 +175,48 @@ BENCHMARK(BM_SliceInstall)
     ->Args({16, 2, 1})
     ->Args({16, 2, 4})
     ->Args({16, 2, 8});
+
+// Applies one 32-command churn batch through FleetService::ApplyJournaled on
+// the 64-cube, 48-OCS pod: 16 releases of the previous batch's jobs, then 16
+// admits cycling through perfbench churn's size menu (1, 1, 2, 2, 4, 4, 8
+// and 16 cubes; the last admit of each batch finds the pod full). The pod
+// programs the batch's teardowns and installs in one commit. Journaling is
+// off, so no WAL is written. Items are commands.
+static void BM_ApplyChurnBatch(benchmark::State& state) {
+  constexpr std::uint64_t kJobs = 16;
+  const tpu::SliceShape shapes[] = {{1, 1, 1}, {1, 1, 1}, {1, 1, 2}, {1, 1, 2},
+                                    {1, 2, 2}, {1, 2, 2}, {2, 2, 2}, {2, 2, 4}};
+  tpu::Superpod pod(8);
+  journal::MemStorage wal;
+  journal::MemStorage snapshots;
+  svc::FleetService service(pod, core::AllocationPolicy::kReconfigurable, wal, snapshots,
+                            svc::FleetServiceOptions{.snapshot_interval = 0, .journaling = false});
+  if (!service.Recover().ok()) {
+    state.SkipWithError("recovery of empty media failed");
+    return;
+  }
+  // Round r admits jobs r * kJobs + 1.. and releases round r - 1's; round
+  // 1's releases name jobs that never ran and are rejected.
+  std::vector<svc::SliceCommand> batch(2 * kJobs);
+  std::uint64_t round = 1;
+  std::uint64_t command_id = 0;
+  for (auto _ : state) {
+    for (std::uint64_t i = 0; i < 2 * kJobs; ++i) {
+      svc::SliceCommand& cmd = batch[i];
+      const bool release = i < kJobs;
+      cmd.command_id = ++command_id;
+      cmd.kind = release ? svc::CommandKind::kRelease : svc::CommandKind::kAdmit;
+      cmd.job_id = (release ? round - 1 : round) * kJobs + i % kJobs + 1;
+      cmd.shape = shapes[i % std::size(shapes)];
+    }
+    benchmark::DoNotOptimize(service.ApplyJournaled(batch, 0));
+    ++round;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 * kJobs);
+  state.counters["admitted_per_batch"] =
+      static_cast<double>(service.stats().admitted) / static_cast<double>(round - 1);
+}
+BENCHMARK(BM_ApplyChurnBatch)->Unit(benchmark::kMicrosecond);
 
 static void BM_SchedulerAllocate(benchmark::State& state) {
   tpu::Superpod pod(5);

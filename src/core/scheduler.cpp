@@ -206,46 +206,75 @@ void SliceScheduler::ExportState(ctrl::WireWriter& writer) const {
   writer.PutU64(pod_.next_slice_id());
 }
 
-common::Status SliceScheduler::ImportState(ctrl::WireReader& reader) {
+Result<SliceScheduler::SavedState> SliceScheduler::DecodeState(
+    ctrl::WireReader& reader) const {
   // The snapshot's bytes are outside input, so every count, dimension and
   // cube id is read against the pod: a crafted 2^40-cube entry fails at its
   // read instead of in the allocator, and a = 2^32+1 is not read as 1.
   const auto pod_cubes = static_cast<std::uint64_t>(pod_.cube_count());
-  const Stats stats{.requests = reader.GetVarint(),
-                    .accepted = reader.GetVarint(),
-                    .rejected = reader.GetVarint(),
-                    .repairs = reader.GetVarint()};
-  struct Entry {
-    SliceId id;
-    SliceShape shape;
-    std::vector<int> cubes;
-  };
-  std::vector<Entry> entries;
+  SavedState state;
+  state.stats = Stats{.requests = reader.GetVarint(),
+                      .accepted = reader.GetVarint(),
+                      .rejected = reader.GetVarint(),
+                      .repairs = reader.GetVarint()};
   for (std::uint64_t i = reader.GetVarint(pod_cubes); i > 0 && reader.ok(); --i) {
-    Entry& entry = entries.emplace_back(Entry{
+    SavedState::Slice& slice = state.slices.emplace_back(SavedState::Slice{
         .id = reader.GetU64(),
         .shape = {static_cast<int>(reader.GetVarint(pod_cubes)),
                   static_cast<int>(reader.GetVarint(pod_cubes)),
                   static_cast<int>(reader.GetVarint(pod_cubes))},
         .cubes = {}});
     for (std::uint64_t j = reader.GetVarint(pod_cubes); j > 0 && reader.ok(); --j) {
-      entry.cubes.push_back(static_cast<int>(reader.GetVarint(pod_cubes - 1)));
+      slice.cubes.push_back(static_cast<int>(reader.GetVarint(pod_cubes - 1)));
     }
   }
-  const SliceId next_slice_id = reader.GetU64();
+  state.next_slice_id = reader.GetU64();
   if (!reader.ok()) return common::Internal("scheduler state truncated or beyond the pod");
-  // Only a state that decoded whole touches the pod.
-  for (Entry& entry : entries) {
-    auto topology = SliceTopology::Create(entry.shape, std::move(entry.cubes));
+  return state;
+}
+
+common::Status SliceScheduler::RestoreState(SavedState state) {
+  std::vector<SliceTopology> topologies;
+  std::set<SliceId> ids;
+  std::vector<bool> claimed(static_cast<std::size_t>(pod_.cube_count()), false);
+  for (SavedState::Slice& slice : state.slices) {
+    auto topology = SliceTopology::Create(slice.shape, std::move(slice.cubes));
     if (!topology.ok()) return topology.error();
-    auto installed = pod_.InstallSliceWithId(entry.id, topology.value());
-    if (!installed.ok()) return installed.error();
+    // The pod checks each slice alone: id, cube range, health and owner,
+    // OCS up and every circuit free. What it cannot see is the set itself.
+    if (Status fits = pod_.CheckInstall(slice.id, topology.value()); !fits.ok()) return fits;
+    if (!ids.insert(slice.id).second) {
+      return common::AlreadyExists("slice id " + std::to_string(slice.id) + " repeats");
+    }
+    for (int cube : topology.value().cube_ids()) {
+      if (claimed[static_cast<std::size_t>(cube)]) {
+        return common::AlreadyExists("cube " + std::to_string(cube) + " in two slices");
+      }
+      claimed[static_cast<std::size_t>(cube)] = true;
+    }
+    topologies.push_back(std::move(topology).value());
   }
-  pod_.SetNextSliceId(next_slice_id);
-  stats_ = stats;
+  // Cube c owns north and south port c on every OCS (tpu/wiring.h), so
+  // disjoint slices have disjoint circuits and each passes its switches
+  // beside the others: every install below succeeds.
+  {
+    tpu::Superpod::Batch batch(pod_);
+    for (std::size_t i = 0; i < topologies.size(); ++i) {
+      LW_CHECK_OK(pod_.InstallSliceWithId(state.slices[i].id, topologies[i]))
+          << "validated slice " << state.slices[i].id;
+    }
+  }
+  pod_.SetNextSliceId(state.next_slice_id);
+  stats_ = state.stats;
   UpdateBusyGauge();
   MaybeValidate("ImportState");
   return Status::Ok();
+}
+
+common::Status SliceScheduler::ImportState(ctrl::WireReader& reader) {
+  auto state = DecodeState(reader);
+  if (!state.ok()) return state.error();
+  return RestoreState(std::move(state).value());
 }
 
 common::Status SliceScheduler::ValidateInvariants() const {

@@ -68,13 +68,34 @@ class SliceScheduler {
   /// Durability hooks (journal snapshots): serializes the scheduler's
   /// replayable state — allocation stats plus every installed slice (id,
   /// shape, cube assignment) and the pod's slice-id counter — into `writer`.
-  /// The switch configurations are NOT serialized; ImportState rebuilds them
-  /// by reinstalling the slices, which is deterministic.
+  /// The switch configurations are NOT serialized; RestoreState rebuilds
+  /// them by reinstalling the slices, and a circuit's physics depends only
+  /// on its path, so the rebuilt switches match the exported pod's.
   void ExportState(ctrl::WireWriter& writer) const;
-  /// Inverse of ExportState against a scheduler over a fresh pod of the same
-  /// geometry. It decodes the whole state before it installs any slice, so
-  /// truncated or malformed bytes leave the pod and the stats untouched. A
-  /// slice that no longer fits the pod fails the import at that slice.
+
+  /// ExportState's bytes decoded into plain values; nothing installed.
+  struct SavedState {
+    struct Slice {
+      tpu::SliceId id = 0;
+      tpu::SliceShape shape;
+      std::vector<int> cubes;
+    };
+    Stats stats;
+    std::vector<Slice> slices;
+    tpu::SliceId next_slice_id = 0;
+  };
+  /// Reads one ExportState section, every count, dimension and cube id
+  /// bounded by this scheduler's pod. Changes nothing; fails on truncated
+  /// or out-of-range bytes.
+  common::Result<SavedState> DecodeState(ctrl::WireReader& reader) const;
+  /// Validates the whole slice set against the pod before it stages any
+  /// install: ids unique; cubes in range, disjoint, unowned and healthy;
+  /// every OCS up; every circuit free on its switch. Only then installs
+  /// every slice (one pod commit) and takes the stats and id counter, so a
+  /// state that fails leaves the pod and the stats untouched.
+  common::Status RestoreState(SavedState state);
+  /// DecodeState then RestoreState: the inverse of ExportState against a
+  /// scheduler over a fresh pod of the same geometry.
   common::Status ImportState(ctrl::WireReader& reader);
 
   /// Structural audit of slice accounting: every installed slice's cube

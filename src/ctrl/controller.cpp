@@ -316,27 +316,35 @@ void FabricController::ExportState(WireWriter& writer) const {
   }
 }
 
-common::Status FabricController::ImportState(WireReader& reader) {
-  const std::uint64_t next_txn = reader.GetU64();
-  const std::uint64_t next_nonce = reader.GetU64();
-  std::map<int, AgentHealth> health;
+common::Result<FabricController::SavedState> FabricController::DecodeState(WireReader& reader) {
+  SavedState state{.next_txn = reader.GetU64(), .next_nonce = reader.GetU64(), .health = {}};
   for (std::uint64_t i = reader.GetVarint(); i > 0 && reader.ok(); --i) {
     const int ocs_id = reader.GetInt();
-    health[ocs_id] = AgentHealth{.state = static_cast<BreakerState>(reader.GetU8()),
-                                 .consecutive_exhaustions = reader.GetInt(),
-                                 .cooldown_remaining = reader.GetInt()};
+    state.health[ocs_id] = AgentHealth{.state = static_cast<BreakerState>(reader.GetU8()),
+                                       .consecutive_exhaustions = reader.GetInt(),
+                                       .cooldown_remaining = reader.GetInt()};
   }
   if (!reader.ok()) return common::Internal("controller state truncated or beyond the int range");
-  for (const auto& [ocs_id, entry] : health) {
+  for (const auto& [ocs_id, entry] : state.health) {
     if (entry.state > BreakerState::kHalfOpen) {
       return common::Internal("controller state carries unknown breaker state " +
                               std::to_string(static_cast<int>(entry.state)));
     }
   }
-  next_txn_ = next_txn;
-  next_nonce_ = next_nonce;
-  health_ = std::move(health);
+  return state;
+}
+
+void FabricController::RestoreState(SavedState state) {
+  next_txn_ = state.next_txn;
+  next_nonce_ = state.next_nonce;
+  health_ = std::move(state.health);
   UpdateUnhealthyGauge();
+}
+
+common::Status FabricController::ImportState(WireReader& reader) {
+  auto state = DecodeState(reader);
+  if (!state.ok()) return state.error();
+  RestoreState(std::move(state).value());
   return common::Status::Ok();
 }
 

@@ -220,8 +220,26 @@ class FabricController {
   /// health — into `writer`. Options, the agent registry, and telemetry
   /// handles are reconstructed from code/config, not persisted.
   void ExportState(WireWriter& writer) const;
-  /// Inverse of ExportState against a fresh controller with the same agents
-  /// registered. Fails cleanly on truncated or malformed bytes.
+
+  /// Per-agent circuit-breaker health.
+  struct AgentHealth {
+    BreakerState state = BreakerState::kClosed;
+    int consecutive_exhaustions = 0;
+    int cooldown_remaining = 0;
+  };
+  /// ExportState's fields, decoded and checked but not yet applied.
+  struct SavedState {
+    std::uint64_t next_txn = 1;
+    std::uint64_t next_nonce = 1;
+    std::map<int, AgentHealth> health;
+  };
+  /// Reads one ExportState section. Changes nothing; fails cleanly on
+  /// truncated or malformed bytes.
+  static common::Result<SavedState> DecodeState(WireReader& reader);
+  /// Takes a decoded state, against a fresh controller with the same agents
+  /// registered.
+  void RestoreState(SavedState state);
+  /// DecodeState then RestoreState.
   common::Status ImportState(WireReader& reader);
 
   /// Starts recording transaction spans (one per ApplyTopology, one child
@@ -230,11 +248,6 @@ class FabricController {
   void AttachTelemetry(telemetry::Hub* hub);
 
  private:
-  struct AgentHealth {
-    BreakerState state = BreakerState::kClosed;
-    int consecutive_exhaustions = 0;
-    int cooldown_remaining = 0;
-  };
   struct Planned {
     int ocs_id = -1;
     OcsAgent* agent = nullptr;

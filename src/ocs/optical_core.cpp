@@ -8,13 +8,32 @@ namespace lightwave::ocs {
 
 using common::Decibel;
 
+namespace {
+
+// Stream keys. Ports (< 136) and physical mirrors (< 176) each fit a byte,
+// so a path key stays below 2^32; a spare key sets bit 32 and cannot
+// collide with one.
+static_assert(kUsedMirrors <= 256 && kFabricatedMirrors <= 256);
+
+std::uint64_t PathKey(int north, int south, int mirror_a, int mirror_b) {
+  return static_cast<std::uint64_t>(north) | static_cast<std::uint64_t>(south) << 8 |
+         static_cast<std::uint64_t>(mirror_a) << 16 | static_cast<std::uint64_t>(mirror_b) << 24;
+}
+
+std::uint64_t SpareKey(int array_index, int physical_mirror) {
+  return std::uint64_t{1} << 32 | static_cast<std::uint64_t>(array_index) << 8 |
+         static_cast<std::uint64_t>(physical_mirror);
+}
+
+}  // namespace
+
 OpticalCore::OpticalCore(common::Rng rng, int ports)
-    : rng_(rng),
-      ports_(ports),
-      collimator_north_(rng_, ports),
-      collimator_south_(rng_, ports),
-      array_a_(rng_),
-      array_b_(rng_) {
+    : ports_(ports),
+      collimator_north_(rng, ports),
+      collimator_south_(rng, ports),
+      array_a_(rng),
+      array_b_(rng),
+      seed_(rng.NextU64()) {
   assert(ports > 0 && ports <= kUsedMirrors);
 }
 
@@ -34,19 +53,21 @@ std::optional<CorePathMetrics> OpticalCore::EstablishPath(int north, int south) 
   assert(north >= 0 && north < ports_ && south >= 0 && south < ports_);
   // Verify both logical mirrors are alive (their mapped physical mirror is
   // functional; MemsArray remaps onto spares on failure).
-  const auto alive = [](const MemsArray& a, int logical) {
-    return a.mirror(a.PhysicalMirror(logical)).functional;
-  };
-  if (!alive(array_a_, north) || !alive(array_b_, south)) return std::nullopt;
+  const int mirror_a = array_a_.PhysicalMirror(north);
+  const int mirror_b = array_b_.PhysicalMirror(south);
+  if (!array_a_.mirror(mirror_a).functional || !array_b_.mirror(mirror_b).functional) {
+    return std::nullopt;
+  }
 
+  common::Rng rng = common::Rng::Stream(seed_, PathKey(north, south, mirror_a, mirror_b));
   double ax = 0.0, ay = 0.0, bx = 0.0, by = 0.0;
   TargetAngles(north, south, &ax, &ay);
   TargetAngles(south, north, &bx, &by);
-  array_a_.Actuate(rng_, north, ax, ay);
-  array_b_.Actuate(rng_, south, bx, by);
+  array_a_.Actuate(rng, north, ax, ay);
+  array_b_.Actuate(rng, south, bx, by);
 
-  const AlignmentResult ra = alignment_.Align(rng_, array_a_, north);
-  const AlignmentResult rb = alignment_.Align(rng_, array_b_, south);
+  const AlignmentResult ra = alignment_.Align(rng, array_a_, north);
+  const AlignmentResult rb = alignment_.Align(rng, array_b_, south);
 
   CorePathMetrics metrics = MeasurePath(north, south);
   metrics.alignment_time_ms = std::max(ra.elapsed_ms, rb.elapsed_ms);
@@ -72,7 +93,8 @@ CorePathMetrics OpticalCore::MeasurePath(int north, int south) const {
 
 bool OpticalCore::FailMirror(int array_index, int physical_mirror) {
   MemsArray& array = array_index == 0 ? array_a_ : array_b_;
-  return array.FailMirror(rng_, physical_mirror);
+  common::Rng rng = common::Rng::Stream(seed_, SpareKey(array_index, physical_mirror));
+  return array.FailMirror(rng, physical_mirror);
 }
 
 }  // namespace lightwave::ocs

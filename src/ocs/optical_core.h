@@ -4,8 +4,15 @@
 // mirror S on array B; both are steered and then closed-loop aligned using
 // the camera path. The core is broadband and reciprocal: the same path
 // carries both directions of a bidi link.
+//
+// A circuit's physics is a function of its path alone: EstablishPath draws
+// the actuation and alignment noise from a stream keyed on the two
+// collimator ports and the two physical mirrors, so the same path re-draws
+// the same loss and alignment time whatever was programmed before it, and a
+// spare mirror mapped in after a failure draws afresh.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -28,20 +35,26 @@ struct CorePathMetrics {
 
 class OpticalCore {
  public:
+  /// Fabricates the collimator arrays and mirror dies from `rng`, then takes
+  /// one more word from it as the seed of every circuit's stream.
   OpticalCore(common::Rng rng, int ports = kUsedMirrors);
 
   int port_count() const { return ports_; }
 
   /// Steers the two mirrors for the (north, south) pair and runs closed-loop
-  /// alignment. Returns nullopt if either mirror chain is dead (no spares).
+  /// alignment, drawing from Rng::Stream(seed, path key): the key packs the
+  /// two collimator ports and the physical mirror behind each, so the draws
+  /// depend on nothing else. Returns nullopt if either mirror chain is dead
+  /// (no spares).
   std::optional<CorePathMetrics> EstablishPath(int north, int south);
 
   /// Loss of an established path without re-aligning (telemetry readback).
   CorePathMetrics MeasurePath(int north, int south) const;
 
   /// Injects a mirror failure on one of the arrays (0 = north-side array A,
-  /// 1 = south-side array B). Returns false when the spare pool is empty and
-  /// the port becomes unusable.
+  /// 1 = south-side array B). The substituted spare's open-loop error draws
+  /// from a stream keyed on (array, physical mirror). Returns false when the
+  /// spare pool is empty and the port becomes unusable.
   bool FailMirror(int array_index, int physical_mirror);
 
   const MemsArray& array_a() const { return array_a_; }
@@ -57,13 +70,14 @@ class OpticalCore {
   /// over the 2D grid.
   static void TargetAngles(int from, int to, double* x, double* y);
 
-  common::Rng rng_;
   int ports_;
   CollimatorArray collimator_north_;
   CollimatorArray collimator_south_;
   MemsArray array_a_;
   MemsArray array_b_;
   AlignmentController alignment_;
+  /// Seed of the per-path and per-spare streams; drawn after fabrication.
+  std::uint64_t seed_;
 };
 
 }  // namespace lightwave::ocs

@@ -113,8 +113,8 @@ Connection PalomarSwitch::Establish(int north, int south) {
   north_to_south_[Slot(north)] = south;
   south_to_north_[Slot(south)] = north;
   active_[Slot(north)] = conn;
+  alignment_ms_[Slot(north)] = metrics->alignment_time_ms;
   ++connection_count_;
-  last_alignment_ms_ = metrics->alignment_time_ms;
   ++telemetry_.connects;
   if (connect_counter_ != nullptr) connect_counter_->Inc();
   if (insertion_loss_hist_ != nullptr) {
@@ -137,7 +137,7 @@ Result<Connection> PalomarSwitch::Connect(int north, int south) {
     return common::AlreadyExists("port already connected");
   }
   const Connection conn = Establish(north, south);
-  telemetry_.cumulative_switch_ms += last_alignment_ms_ + kCommandOverheadMs;
+  telemetry_.cumulative_switch_ms += alignment_ms_[Slot(north)] + kCommandOverheadMs;
   MaybeValidate("Connect");
   return conn;
 }
@@ -151,6 +151,7 @@ void PalomarSwitch::TearDown(int north) {
   south_to_north_[Slot(north_to_south_[Slot(north)])] = kNoPort;
   north_to_south_[Slot(north)] = kNoPort;
   active_[Slot(north)] = Connection{};
+  alignment_ms_[Slot(north)] = 0.0;
   --connection_count_;
   ++telemetry_.disconnects;
 }
@@ -165,7 +166,8 @@ Status PalomarSwitch::Disconnect(int north) {
   return Status::Ok();
 }
 
-Status PalomarSwitch::CheckPairs(const std::map<int, int>& pairs, bool ports_free) const {
+Status PalomarSwitch::CheckPairs(const std::map<int, int>& pairs,
+                                 const PortOverlay* free_under) const {
   std::bitset<kPalomarUsablePorts> south_seen;
   for (const auto& [north, south] : pairs) {
     if (!InUsableRange(north) || !InUsableRange(south)) {
@@ -178,10 +180,14 @@ Status PalomarSwitch::CheckPairs(const std::map<int, int>& pairs, bool ports_fre
     if (!PortUsable(true, north) || !PortUsable(false, south)) {
       return common::Unavailable("target references dead port");
     }
-    if (ports_free && (north_to_south_[Slot(north)] != kNoPort ||
-                       south_to_north_[Slot(south)] != kNoPort)) {
-      return common::AlreadyExists("target port already connected");
-    }
+    if (free_under == nullptr) continue;
+    const bool north_busy = free_under->north_taken.test(Slot(north)) ||
+                            (north_to_south_[Slot(north)] != kNoPort &&
+                             !free_under->north_freed.test(Slot(north)));
+    const bool south_busy = free_under->south_taken.test(Slot(south)) ||
+                            (south_to_north_[Slot(south)] != kNoPort &&
+                             !free_under->south_freed.test(Slot(south)));
+    if (north_busy || south_busy) return common::AlreadyExists("target port already connected");
   }
   return Status::Ok();
 }
@@ -198,7 +204,7 @@ double PalomarSwitch::FinishTransaction(double max_alignment_ms, const char* bou
 
 Result<ReconfigureReport> PalomarSwitch::Reconfigure(const std::map<int, int>& target) {
   // Validate first: bijective, in-range, usable. No state change on failure.
-  if (auto invalid = CheckPairs(target, /*ports_free=*/false); !invalid.ok()) {
+  if (auto invalid = CheckPairs(target, /*free_under=*/nullptr); !invalid.ok()) {
     NoteRejected();
     return invalid.error();
   }
@@ -225,15 +231,16 @@ Result<ReconfigureReport> PalomarSwitch::Reconfigure(const std::map<int, int>& t
   for (const auto& [north, south] : target) {
     if (north_to_south_[Slot(north)] != kNoPort) continue;  // undisturbed
     report.established.push_back(Establish(north, south));
-    max_alignment_ms = std::max(max_alignment_ms, last_alignment_ms_);
+    max_alignment_ms = std::max(max_alignment_ms, alignment_ms_[Slot(north)]);
   }
 
   report.duration_ms = FinishTransaction(max_alignment_ms, "Reconfigure");
   return report;
 }
 
-Status PalomarSwitch::CheckConnectDelta(const std::map<int, int>& delta) const {
-  return CheckPairs(delta, /*ports_free=*/true);
+Status PalomarSwitch::CheckConnectDelta(const std::map<int, int>& delta,
+                                        const PortOverlay& staged) const {
+  return CheckPairs(delta, &staged);
 }
 
 Result<double> PalomarSwitch::ConnectDelta(const std::map<int, int>& delta) {
@@ -241,12 +248,10 @@ Result<double> PalomarSwitch::ConnectDelta(const std::map<int, int>& delta) {
     NoteRejected();
     return invalid.error();
   }
-  // Ascending north: the order in which Reconfigure's target walk reaches
-  // new circuits, so the optical core's RNG draws are the same.
   double max_alignment_ms = 0.0;
   for (const auto& [north, south] : delta) {
     Establish(north, south);
-    max_alignment_ms = std::max(max_alignment_ms, last_alignment_ms_);
+    max_alignment_ms = std::max(max_alignment_ms, alignment_ms_[Slot(north)]);
   }
   return FinishTransaction(max_alignment_ms, "ConnectDelta");
 }
@@ -267,6 +272,10 @@ Result<double> PalomarSwitch::DisconnectDelta(const std::map<int, int>& delta) {
 std::optional<Connection> PalomarSwitch::ConnectionOn(int north) const {
   if (!InUsableRange(north) || north_to_south_[Slot(north)] == kNoPort) return std::nullopt;
   return active_[Slot(north)];
+}
+
+double PalomarSwitch::CircuitAlignmentMs(int north) const {
+  return InUsableRange(north) ? alignment_ms_[Slot(north)] : 0.0;
 }
 
 std::vector<Connection> PalomarSwitch::Connections() const {

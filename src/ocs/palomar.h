@@ -7,9 +7,16 @@
 // transactions (ConnectDelta / DisconnectDelta) touch only the ports they
 // name, so on the slice install/remove path every other circuit is
 // undisturbed by construction and a transaction costs O(changed ports).
+// A circuit's loss and alignment time depend only on its path (see
+// ocs/optical_core.h), so the order in which circuits are established, and
+// whether a transaction is a delta or a full target, never changes them.
+// Counters and cumulative switch time count the transactions that ran: a
+// caller that stages deltas and programs them later (tpu::Superpod) counts
+// what it programmed.
 #pragma once
 
 #include <array>
+#include <bitset>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -52,6 +59,16 @@ struct ReconfigureReport {
   double duration_ms = 0.0;
 };
 
+/// Ports whose state a caller has staged but not yet programmed: a taken
+/// port counts as connected and a freed one as free, whatever the port
+/// tables say. CheckConnectDelta validates against the tables under it.
+struct PortOverlay {
+  std::bitset<kPalomarUsablePorts> north_taken;
+  std::bitset<kPalomarUsablePorts> south_taken;
+  std::bitset<kPalomarUsablePorts> north_freed;
+  std::bitset<kPalomarUsablePorts> south_freed;
+};
+
 struct SwitchTelemetry {
   std::uint64_t connects = 0;
   std::uint64_t disconnects = 0;
@@ -81,15 +98,18 @@ class PalomarSwitch {
   common::Result<ReconfigureReport> Reconfigure(const std::map<int, int>& target);
 
   /// Adds the circuits in `delta` (north -> south) in one transaction that
-  /// touches only those ports. State, telemetry and alignment RNG draws are
-  /// exactly those of Reconfigure(CurrentMapping() plus delta): circuits are
-  /// established in ascending north order. Fails with no state change when a
-  /// port is out of range, dead or already connected, or a south repeats.
-  /// Returns the transaction duration (command overhead + slowest alignment).
+  /// touches only those ports. State and telemetry are exactly those of
+  /// Reconfigure(CurrentMapping() plus delta). Fails with no state change
+  /// when a port is out of range, dead or already connected, or a south
+  /// repeats. Returns the transaction duration (command overhead + slowest
+  /// alignment).
   common::Result<double> ConnectDelta(const std::map<int, int>& delta);
-  /// ConnectDelta's validation alone: no state change, no rejection counted.
-  /// A delta it passes, ConnectDelta applies in full.
-  common::Status CheckConnectDelta(const std::map<int, int>& delta) const;
+  /// ConnectDelta's validation alone, against the port tables under
+  /// `staged`: no state change, no rejection counted. A delta it passes with
+  /// an empty overlay, ConnectDelta applies in full; with a caller's staged
+  /// overlay, it applies once those staged deltas have been programmed.
+  common::Status CheckConnectDelta(const std::map<int, int>& delta,
+                                   const PortOverlay& staged = {}) const;
 
   /// Tears down the circuits in `delta` in one transaction, exactly as
   /// Reconfigure(CurrentMapping() minus delta) would: a pair that is not a
@@ -99,6 +119,9 @@ class PalomarSwitch {
 
   /// Current connection on a north port.
   std::optional<Connection> ConnectionOn(int north) const;
+  /// Alignment time of the live circuit on `north` when it was established
+  /// (0 when the port has none).
+  double CircuitAlignmentMs(int north) const;
   std::vector<Connection> Connections() const;
   int ConnectionCount() const { return connection_count_; }
   /// The complete current cross-connect map (logical north -> south), built
@@ -168,9 +191,10 @@ class PalomarSwitch {
   /// Removes the live circuit on `north` from the port tables.
   void TearDown(int north);
   /// Validation shared by Reconfigure targets and ConnectDelta deltas: every
-  /// port in range and alive, no south used twice, and with `ports_free` no
-  /// port already connected. Changes no state.
-  common::Status CheckPairs(const std::map<int, int>& pairs, bool ports_free) const;
+  /// port in range and alive, no south used twice, and with `free_under`
+  /// no port connected under that overlay. Changes no state.
+  common::Status CheckPairs(const std::map<int, int>& pairs,
+                            const PortOverlay* free_under) const;
   /// Closes a successful transaction: one reconfiguration lasting the
   /// command overhead plus `max_alignment_ms`, its telemetry, and the
   /// boundary validation. Returns the duration.
@@ -187,6 +211,7 @@ class PalomarSwitch {
   std::array<int, kPalomarUsablePorts> north_to_south_;
   std::array<int, kPalomarUsablePorts> south_to_north_;
   std::array<Connection, kPalomarUsablePorts> active_;  // indexed by north
+  std::array<double, kPalomarUsablePorts> alignment_ms_{};  // indexed by north
   int connection_count_ = 0;
   std::vector<bool> north_usable_;      // indexed by physical port
   std::vector<bool> south_usable_;      // indexed by physical port
@@ -195,7 +220,6 @@ class PalomarSwitch {
   std::vector<int> north_spares_;       // free physical spare positions
   std::vector<int> south_spares_;
   SwitchTelemetry telemetry_;
-  double last_alignment_ms_ = 0.0;
   telemetry::Counter* reconfig_counter_ = nullptr;
   telemetry::Counter* connect_counter_ = nullptr;
   telemetry::Counter* rejected_counter_ = nullptr;

@@ -37,6 +37,9 @@ Result<journal::RecoveryStats> FleetService::Recover() {
   LW_CHECK(!recovered_) << "Recover must run exactly once, before serving";
   recovered_ = true;
   replaying_ = true;
+  // Snapshot import and WAL replay stage their installs and removals; the
+  // pod programs once, at the end, only the slices that survive the log.
+  tpu::Superpod::Batch programming(pod_);
   auto recovery = journal::Replay(
       snapshot_storage_, wal_,
       [this](const journal::Snapshot& snapshot) {
@@ -136,6 +139,8 @@ Result<std::uint64_t> FleetService::JournalBatch(const std::vector<SliceCommand>
 
 std::size_t FleetService::ApplyJournaled(const std::vector<SliceCommand>& batch,
                                          std::uint64_t first_seq) {
+  // One commit for the whole batch, however the loop below ends.
+  tpu::Superpod::Batch programming(pod_);
   std::size_t applied = 0;
   for (const SliceCommand& cmd : batch) {
     // A crash on either stage stops the apply, kMidApply firing inside
@@ -416,19 +421,30 @@ Status FleetService::DeserializeState(const std::vector<std::uint8_t>& bytes) {
       return common::Internal("service decided-txn table carries an unknown decision");
     }
   }
-  if (Status imported = scheduler_.ImportState(reader); !imported.ok()) return imported;
+  // Every section decodes into plain values, and the trailing-byte check
+  // runs, before anything is assigned or installed.
+  auto scheduler_state = scheduler_.DecodeState(reader);
+  if (!scheduler_state.ok()) return scheduler_state.error();
+  std::optional<ctrl::FabricController::SavedState> controller_state;
   if (reader.GetU8() != 0) {
     if (controller_ == nullptr) {
       return common::FailedPrecondition(
           "snapshot carries controller state but no controller is bound");
     }
-    if (Status imported = controller_->ImportState(reader); !imported.ok()) {
-      return imported;
-    }
+    auto decoded = ctrl::FabricController::DecodeState(reader);
+    if (!decoded.ok()) return decoded.error();
+    controller_state = std::move(decoded).value();
   }
   if (!reader.ok() || !reader.AtEnd()) {
     return common::Internal("service state truncated or overlong");
   }
+  // The scheduler validates its whole slice set against the pod before it
+  // installs one, so this is the last step that can fail.
+  if (Status restored = scheduler_.RestoreState(std::move(scheduler_state).value());
+      !restored.ok()) {
+    return restored;
+  }
+  if (controller_state.has_value()) controller_->RestoreState(std::move(*controller_state));
   committed_next_ = std::move(frontiers);
   live_jobs_ = std::move(jobs);
   prepared_ = std::move(prepared);

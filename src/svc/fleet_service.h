@@ -113,8 +113,11 @@ class FleetService {
                FleetServiceOptions options = {});
 
   /// Rebuilds state = snapshot + WAL suffix. Call exactly once, before
-  /// serving (a fresh deployment recovers to the empty state). Returns what
-  /// replay found; fails on corrupt snapshot/command bytes.
+  /// serving (a fresh deployment recovers to the empty state). The pod is
+  /// programmed once, after import and replay, with only the slices that
+  /// survive them. Returns what replay found; fails on corrupt
+  /// snapshot/command bytes, and a snapshot that fails to decode or to fit
+  /// the pod changes nothing.
   common::Result<journal::RecoveryStats> Recover();
 
   // --- journal stage ---------------------------------------------------------
@@ -145,9 +148,11 @@ class FleetService {
   // --- apply stage -----------------------------------------------------------
 
   /// Applies a journaled batch, advancing the per-tenant committed
-  /// frontiers and (when first_seq != 0) applied_seq. Takes the periodic
-  /// snapshot when the interval elapses. Returns commands applied before
-  /// any crash; applies nothing once crashed().
+  /// frontiers and (when first_seq != 0) applied_seq, and programs the
+  /// pod's switches once for the whole batch (a tpu::Superpod::Batch), also
+  /// when a crash stops it. Takes the periodic snapshot when the interval
+  /// elapses. Returns commands applied before any crash; applies nothing
+  /// once crashed().
   std::size_t ApplyJournaled(const std::vector<SliceCommand>& batch,
                              std::uint64_t first_seq);
 

@@ -15,13 +15,16 @@ using common::Status;
 
 namespace {
 
-/// Circuits an install must program before its switches fan out over the
-/// thread pool. Below this the fan-out does not pay on the serve path: a
-/// 6-OCS pod's 1- to 4-cube installs (6 to 24 circuits) arrive between long
-/// runs of other work, so each one wakes an idle pool, and fanning them out
-/// cost the flood benchmark throughput. Every install on a 48-OCS pod (at
-/// least 48 circuits) fans out.
-constexpr std::size_t kMinParallelCircuits = 48;
+/// Circuits a commit must establish before its switches fan out over the
+/// thread pool; below it the commit programs them on the calling thread.
+/// Counted per commit, so a batch of small installs fans out as one.
+/// BM_SliceInstall puts the break-even at about four circuits per OCS on a
+/// 48-OCS pod (see EXPERIMENTS.md, "Program circuits at commit").
+constexpr std::size_t kMinParallelCircuits = 192;
+
+constexpr int kNoCircuit = -1;
+
+std::size_t Slot(int port) { return static_cast<std::size_t>(port); }
 
 }  // namespace
 
@@ -38,14 +41,16 @@ Superpod::Superpod(std::uint64_t seed, int cubes, int ocs_per_dim)
         rng.NextU64(), "ocs-" + std::to_string(i)));
   }
   ocs_up_.assign(static_cast<std::size_t>(ocs_total), true);
+  staged_.resize(static_cast<std::size_t>(ocs_total));
+  for (Staged& staged : staged_) staged.connect.fill(kNoCircuit);
 }
 
 Result<SliceId> Superpod::InstallSlice(const SliceTopology& topology) {
   return InstallSliceWithId(next_slice_id_, topology);
 }
 
-Result<SliceId> Superpod::InstallSliceWithId(SliceId slice_id,
-                                             const SliceTopology& topology) {
+Result<Superpod::OcsCircuits> Superpod::ValidateInstall(SliceId slice_id,
+                                                        const SliceTopology& topology) const {
   if (slices_.contains(slice_id)) {
     return common::AlreadyExists("slice id " + std::to_string(slice_id) + " taken");
   }
@@ -60,46 +65,50 @@ Result<SliceId> Superpod::InstallSliceWithId(SliceId slice_id,
       return common::AlreadyExists("cube " + std::to_string(id) + " owned by a slice");
     }
   }
-
-  auto wanted = topology.OcsConnections(plan_);
-  // Check every switch before programming any, so a failed install leaves
-  // the fabric untouched.
+  OcsCircuits wanted = topology.OcsConnections(plan_);
+  // Every switch is checked under the deltas staged on it, so a commit
+  // programs every delta it holds in full.
   for (const auto& [ocs_id, conns] : wanted) {
-    if (!ocs_up_[static_cast<std::size_t>(ocs_id)]) {
+    const auto slot = static_cast<std::size_t>(ocs_id);
+    if (!ocs_up_[slot]) {
       return common::Unavailable("ocs " + std::to_string(ocs_id) + " is down");
     }
-    if (auto invalid = ocs(ocs_id).CheckConnectDelta(conns); !invalid.ok()) {
+    if (auto invalid = ocs(ocs_id).CheckConnectDelta(conns, staged_[slot].overlay);
+        !invalid.ok()) {
       return common::Error{invalid.error().code,
                            "ocs " + std::to_string(ocs_id) + ": " + invalid.error().message};
     }
   }
+  return wanted;
+}
+
+Status Superpod::CheckInstall(SliceId id, const SliceTopology& topology) const {
+  auto wanted = ValidateInstall(id, topology);
+  if (!wanted.ok()) return wanted.error();
+  return Status::Ok();
+}
+
+Result<SliceId> Superpod::InstallSliceWithId(SliceId slice_id,
+                                             const SliceTopology& topology) {
+  auto wanted = ValidateInstall(slice_id, topology);
+  if (!wanted.ok()) return wanted.error();
   // Each switch gains only the slice's circuits, so every running slice is
   // undisturbed by construction. Single-cube slices have self-loop-only
   // rings; they still program the wraparound so the cube sees a closed
-  // 4x4x4 torus. The switches are programmed in parallel, as the install
-  // time (the slowest switch) already assumes: each owns its optical core's
-  // RNG and its telemetry series, so every output is the serial loop's. An
-  // install below kMinParallelCircuits runs as one chunk on this thread.
-  std::vector<std::pair<int, const std::map<int, int>*>> programs;
-  std::size_t circuits = 0;
-  programs.reserve(wanted.size());
-  for (const auto& [ocs_id, conns] : wanted) {
-    programs.emplace_back(ocs_id, &conns);
-    circuits += conns.size();
+  // 4x4x4 torus.
+  for (const auto& [ocs_id, conns] : wanted.value()) {
+    Staged& staged = StageOn(ocs_id);
+    for (const auto& [north, south] : conns) {
+      staged.connect[Slot(north)] = south;
+      if (!staged.listed.test(Slot(north))) {
+        staged.listed.set(Slot(north));
+        staged.norths.push_back(north);
+      }
+      staged.overlay.north_taken.set(Slot(north));
+      staged.overlay.south_taken.set(Slot(south));
+    }
   }
-  std::vector<double> durations(programs.size());
-  common::parallel::ParallelFor(
-      programs.size(), circuits >= kMinParallelCircuits ? 1 : programs.size(),
-      [&](std::uint64_t begin, std::uint64_t end, std::uint64_t /*chunk*/) {
-        for (std::uint64_t i = begin; i < end; ++i) {
-          const auto& [ocs_id, conns] = programs[i];
-          auto duration = ocs(ocs_id).ConnectDelta(*conns);
-          LW_CHECK_OK(duration) << "ocs " << ocs_id << " rejected a checked delta";
-          durations[i] = duration.value();
-        }
-      });
-  double install_ms = 0.0;
-  for (double duration : durations) install_ms = std::max(install_ms, duration);
+  staged_installs_.push_back(slice_id);
 
   if (slice_id >= next_slice_id_) next_slice_id_ = slice_id + 1;
   for (int cube_id : topology.cube_ids()) {
@@ -108,9 +117,10 @@ Result<SliceId> Superpod::InstallSliceWithId(SliceId slice_id,
   slices_.emplace(slice_id, InstalledSlice{
                                 .id = slice_id,
                                 .topology = topology,
-                                .connections = std::move(wanted),
-                                .install_time_ms = install_ms,
+                                .connections = std::move(wanted).value(),
+                                .install_time_ms = 0.0,
                             });
+  MaybeCommit();
   return slice_id;
 }
 
@@ -121,17 +131,107 @@ void Superpod::SetNextSliceId(SliceId next) {
 Status Superpod::RemoveSlice(SliceId id) {
   auto it = slices_.find(id);
   if (it == slices_.end()) return common::NotFound("no such slice");
-  for (const auto& [ocs_id, conns] : it->second.connections) {
+  for (auto& [ocs_id, conns] : it->second.connections) {
     // A down switch keeps its circuits until RepairOcs re-targets it.
     if (!ocs_up_[static_cast<std::size_t>(ocs_id)]) continue;
-    auto removed = ocs(ocs_id).DisconnectDelta(conns);
-    if (!removed.ok()) return removed.error();
+    Staged& staged = staged_[static_cast<std::size_t>(ocs_id)];
+    const ocs::PalomarSwitch& sw = ocs(ocs_id);
+    // Keep in `conns` only the slice's live circuits; the slice's record
+    // goes below, so they move to the teardown as they are.
+    for (auto circuit = conns.begin(); circuit != conns.end();) {
+      const auto [north, south] = *circuit;
+      if (staged.connect[Slot(north)] == south) {
+        // Staged by this slice and never programmed: nothing to tear down.
+        staged.connect[Slot(north)] = kNoCircuit;
+        staged.overlay.north_taken.reset(Slot(north));
+        staged.overlay.south_taken.reset(Slot(south));
+        circuit = conns.erase(circuit);
+      } else if (auto live = sw.ConnectionOn(north); live.has_value() && live->south == south) {
+        staged.overlay.north_freed.set(Slot(north));
+        staged.overlay.south_freed.set(Slot(south));
+        ++circuit;
+      } else {
+        circuit = conns.erase(circuit);
+      }
+    }
+    if (conns.empty()) continue;
+    std::map<int, int>& teardown = StageOn(ocs_id).disconnect;
+    if (teardown.empty()) {
+      teardown.swap(conns);
+    } else {
+      teardown.merge(conns);
+    }
   }
   for (int cube_id : it->second.topology.cube_ids()) {
     cube_owner_[static_cast<std::size_t>(cube_id)].reset();
   }
   slices_.erase(it);
+  std::erase(staged_installs_, id);
+  MaybeCommit();
   return Status::Ok();
+}
+
+Superpod::Staged& Superpod::StageOn(int ocs_id) {
+  Staged& staged = staged_[static_cast<std::size_t>(ocs_id)];
+  if (staged.norths.empty() && staged.disconnect.empty()) staged_ocs_.push_back(ocs_id);
+  return staged;
+}
+
+void Superpod::Commit() {
+  if (staged_ocs_.empty() && staged_installs_.empty()) return;
+  std::size_t circuits = 0;
+  for (int ocs_id : staged_ocs_) {
+    circuits += staged_[static_cast<std::size_t>(ocs_id)].overlay.north_taken.count();
+  }
+  const auto program = [this](std::uint64_t begin, std::uint64_t end, std::uint64_t /*chunk*/) {
+    for (std::uint64_t i = begin; i < end; ++i) {
+      const int ocs_id = staged_ocs_[i];
+      Staged& staged = staged_[static_cast<std::size_t>(ocs_id)];
+      std::sort(staged.norths.begin(), staged.norths.end());
+      std::map<int, int> connect;
+      for (int north : staged.norths) {
+        int& south = staged.connect[Slot(north)];
+        if (south != kNoCircuit) connect.emplace_hint(connect.end(), north, south);
+        south = kNoCircuit;
+      }
+      staged.norths.clear();
+      staged.listed.reset();
+      staged.overlay = {};
+      if (!staged.disconnect.empty()) {
+        LW_CHECK_OK(ocs(ocs_id).DisconnectDelta(staged.disconnect))
+            << "ocs " << ocs_id << " rejected a staged teardown";
+        staged.disconnect.clear();
+      }
+      if (!connect.empty()) {
+        LW_CHECK_OK(ocs(ocs_id).ConnectDelta(connect))
+            << "ocs " << ocs_id << " rejected a checked delta";
+      }
+    }
+  };
+  // One chunk per switch, as the hardware's switches act concurrently: each
+  // owns its optical core and its telemetry series, and a circuit's draws
+  // depend only on its path, so every output is the serial loop's. Below
+  // kMinParallelCircuits the commit programs its switches on this thread.
+  if (circuits >= kMinParallelCircuits) {
+    common::parallel::ParallelFor(staged_ocs_.size(), 1, program);
+  } else {
+    program(0, staged_ocs_.size(), 0);
+  }
+  staged_ocs_.clear();
+  // A slice's install time is the transaction overhead plus its own slowest
+  // circuit, as if its circuits had been a transaction of their own.
+  for (SliceId id : staged_installs_) {
+    InstalledSlice& slice = slices_.at(id);
+    double slowest_ms = 0.0;
+    for (const auto& [ocs_id, conns] : slice.connections) {
+      for (const auto& [north, south] : conns) {
+        slowest_ms = std::max(slowest_ms, ocs(ocs_id).CircuitAlignmentMs(north));
+      }
+    }
+    slice.install_time_ms =
+        slice.connections.empty() ? 0.0 : ocs::PalomarSwitch::kCommandOverheadMs + slowest_ms;
+  }
+  staged_installs_.clear();
 }
 
 std::optional<SliceId> Superpod::SliceOwningCube(int cube_id) const {
@@ -152,11 +252,13 @@ std::vector<int> Superpod::FreeHealthyCubes() const {
 
 void Superpod::FailOcs(int ocs_id) {
   assert(ocs_id >= 0 && ocs_id < ocs_count());
+  Commit();
   ocs_up_[static_cast<std::size_t>(ocs_id)] = false;
 }
 
 void Superpod::RepairOcs(int ocs_id) {
   assert(ocs_id >= 0 && ocs_id < ocs_count());
+  Commit();
   ocs_up_[static_cast<std::size_t>(ocs_id)] = true;
   // Mirror state is volatile: the switch comes back with exactly the
   // circuits the running slices own on it. Circuits of slices removed while

@@ -1,11 +1,22 @@
 // The TPU v4 superpod (Fig. 14): 64 electrically-wired 4x4x4 cubes joined by
-// a lightwave fabric of 48 Palomar OCSes. Slices are installed and removed
-// as per-OCS delta transactions that touch only the slice's own ports, so
-// installing or removing one slice never blips another (§4.2.4). An install
-// of 48 or more circuits programs its OCSes in parallel on the process-wide
-// thread pool.
+// a lightwave fabric of 48 Palomar OCSes. An install validates the slice
+// completely against the pod (cubes, switches, and ports under the deltas
+// already staged); installs and removals stage per-OCS deltas that touch
+// only the slice's own ports, so installing or removing one slice never
+// blips another (§4.2.4). A commit programs what is staged: each OCS with work gets one
+// DisconnectDelta then one ConnectDelta, the OCSes in parallel on the
+// process-wide thread pool once the commit establishes enough circuits to
+// pay for it. A circuit installed and removed before one commit is never
+// programmed. Outside a Batch scope every install and removal commits as it
+// returns; svc::FleetService opens a Batch per applied command batch and one
+// around recovery, so recovery programs only the slices that survive the log.
+// A circuit's physics depends only on its path (ocs/optical_core.h), so each
+// commit leaves the same circuits and losses as programming one command at a
+// time; switch counters and TotalReconfigMs count what was programmed.
 #pragma once
 
+#include <array>
+#include <bitset>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -28,6 +39,8 @@ struct InstalledSlice {
   SliceTopology topology;
   /// The connections the slice owns, per OCS (north -> south).
   std::map<int, std::map<int, int>> connections;
+  /// Command overhead plus the slowest of its circuits' alignments; set
+  /// when the slice is programmed.
   double install_time_ms = 0.0;
 };
 
@@ -47,9 +60,11 @@ class Superpod {
     return *switches_[static_cast<std::size_t>(id)];
   }
 
-  /// Installs a slice. Fails (leaving the fabric untouched) when a cube is
-  /// out of range, unhealthy, or already owned by a running slice, or when
-  /// an OCS is down or would reject the slice's circuits.
+  /// Installs a slice. Fails (leaving the pod untouched) when a cube is out
+  /// of range, unhealthy, or already owned by a slice, or when an OCS is
+  /// down or would reject the slice's circuits, counting the circuits staged
+  /// but not yet programmed. Its install_time_ms (command overhead plus its
+  /// slowest circuit's alignment) is set when it is programmed.
   common::Result<SliceId> InstallSlice(const SliceTopology& topology);
 
   /// Installs a slice under a caller-chosen id (recovery replay reinstalls
@@ -58,6 +73,9 @@ class Superpod {
   /// kAlreadyExists when the id is taken. The id counter advances past `id`
   /// so future InstallSlice calls never collide.
   common::Result<SliceId> InstallSliceWithId(SliceId id, const SliceTopology& topology);
+  /// InstallSliceWithId's checks alone, with no state change: a slice it
+  /// passes installs.
+  common::Status CheckInstall(SliceId id, const SliceTopology& topology) const;
 
   SliceId next_slice_id() const { return next_slice_id_; }
   /// Recovery hook: advances the slice-id counter (never rewinds), so a
@@ -65,7 +83,26 @@ class Superpod {
   /// released before the crash.
   void SetNextSliceId(SliceId next);
 
+  /// Removes a slice. Circuits staged for it and not yet programmed are
+  /// dropped; its programmed circuits on up OCSes are staged for teardown.
   common::Status RemoveSlice(SliceId id);
+
+  /// Defers programming: installs and removals made while a Batch lives
+  /// stage their deltas, and the outermost scope commits them as it closes,
+  /// early returns included. Scopes nest; the pod must not be shared across
+  /// threads while one is open.
+  class Batch {
+   public:
+    explicit Batch(Superpod& pod) : pod_(pod) { ++pod_.batch_depth_; }
+    ~Batch() {
+      if (--pod_.batch_depth_ == 0) pod_.Commit();
+    }
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+   private:
+    Superpod& pod_;
+  };
 
   const std::map<SliceId, InstalledSlice>& slices() const { return slices_; }
   std::optional<SliceId> SliceOwningCube(int cube_id) const;
@@ -74,6 +111,8 @@ class Superpod {
   std::vector<int> FreeHealthyCubes() const;
 
   /// --- failure injection ---------------------------------------------------
+  /// Both commit what is staged first: a switch that goes down keeps the
+  /// circuits it was programmed with.
   void FailOcs(int ocs_id);
   /// Brings the OCS back up, programmed with exactly the circuits the
   /// running slices own on it.
@@ -84,7 +123,8 @@ class Superpod {
   /// the fabric (§4.2.2: "no reconfiguration between cubes is used").
   bool SliceDegraded(SliceId id) const;
 
-  /// Wall-clock spent reconfiguring switches since construction.
+  /// Wall-clock spent reconfiguring switches since construction (committed
+  /// transactions only).
   double TotalReconfigMs() const;
 
   /// Test-only corruption hooks for the slice-accounting validator's
@@ -102,6 +142,35 @@ class Superpod {
   }
 
  private:
+  using OcsCircuits = std::map<int, std::map<int, int>>;
+
+  /// One OCS's deltas staged since the last commit.
+  struct Staged {
+    /// New circuits as a flat table over north ports (kNoCircuit where
+    /// none), and the north ports written to it, each once.
+    std::array<int, ocs::kPalomarUsablePorts> connect;
+    std::vector<int> norths;
+    std::bitset<ocs::kPalomarUsablePorts> listed;
+    /// Live circuits to tear down, taken over from the removed slices.
+    std::map<int, int> disconnect;
+    /// connect's ports taken, disconnect's freed: what the next commit
+    /// changes, which the next install is checked under.
+    ocs::PortOverlay overlay;
+  };
+
+  /// Every check of an install; returns the slice's circuits per OCS.
+  common::Result<OcsCircuits> ValidateInstall(SliceId id, const SliceTopology& topology) const;
+  /// The staging area of `ocs_id`, listing the OCS for the next commit.
+  Staged& StageOn(int ocs_id);
+  /// Programs everything staged (see the header comment); a no-op when
+  /// nothing is. Validation happened at stage time, so a rejected delta is
+  /// an invariant break and LW_CHECKs.
+  void Commit();
+  /// Commits unless a Batch is open.
+  void MaybeCommit() {
+    if (batch_depth_ == 0) Commit();
+  }
+
   WiringPlan plan_;
   std::vector<Cube> cubes_;
   std::vector<std::unique_ptr<ocs::PalomarSwitch>> switches_;
@@ -110,6 +179,12 @@ class Superpod {
   /// The slice owning each cube, indexed by cube id.
   std::vector<std::optional<SliceId>> cube_owner_;
   SliceId next_slice_id_ = 1;
+  std::vector<Staged> staged_;  // indexed by OCS id
+  /// OCSes with staged circuits, and the live slices installed, since the
+  /// last commit (their install times are set there).
+  std::vector<int> staged_ocs_;
+  std::vector<SliceId> staged_installs_;
+  int batch_depth_ = 0;
 };
 
 }  // namespace lightwave::tpu

@@ -137,15 +137,23 @@ TEST(Scheduler, ImportStateRejectsEntriesBeyondThePod) {
   EXPECT_EQ(writer.buffer(), valid);
 }
 
+std::vector<std::uint8_t> ExportOf(const SliceScheduler& scheduler) {
+  ctrl::WireWriter writer;
+  scheduler.ExportState(writer);
+  return writer.Take();
+}
+
+/// Circuits programmed on the pod's switches.
+int Circuits(const tpu::Superpod& pod) {
+  int count = 0;
+  for (int i = 0; i < pod.ocs_count(); ++i) count += pod.ocs(i).ConnectionCount();
+  return count;
+}
+
 TEST(Scheduler, FailedImportLeavesThePodUntouched) {
   // ImportState decodes the whole state before it installs a slice, so an
   // export cut at any length fails with no slice, no circuit and no stats
   // change on the pod it was imported into.
-  const auto export_of = [](const SliceScheduler& scheduler) {
-    ctrl::WireWriter writer;
-    scheduler.ExportState(writer);
-    return writer.Take();
-  };
   std::vector<std::uint8_t> exported;
   {
     tpu::Superpod pod(6, 8, 2);
@@ -153,26 +161,21 @@ TEST(Scheduler, FailedImportLeavesThePodUntouched) {
     for (int slice = 0; slice < 3; ++slice) {
       ASSERT_TRUE(scheduler.Allocate(SliceShape{1, 1, 2}).ok());
     }
-    exported = export_of(scheduler);
+    exported = ExportOf(scheduler);
   }
-  const auto circuits = [](const tpu::Superpod& pod) {
-    int count = 0;
-    for (int i = 0; i < pod.ocs_count(); ++i) count += pod.ocs(i).ConnectionCount();
-    return count;
-  };
   for (std::size_t len = 0; len < exported.size(); ++len) {
     const std::vector<std::uint8_t> cut(exported.begin(),
                                         exported.begin() + static_cast<long>(len));
     tpu::Superpod pod(6, 8, 2);
     SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
-    const std::vector<std::uint8_t> untouched = export_of(scheduler);
+    const std::vector<std::uint8_t> untouched = ExportOf(scheduler);
     ctrl::WireReader reader(cut);
     const common::Status imported = scheduler.ImportState(reader);
     ASSERT_FALSE(imported.ok()) << len;
     EXPECT_EQ(imported.error().code, common::Error::Code::kInternal) << len;
     EXPECT_TRUE(pod.slices().empty()) << len;
-    EXPECT_EQ(circuits(pod), 0) << len;
-    EXPECT_EQ(export_of(scheduler), untouched) << len;
+    EXPECT_EQ(Circuits(pod), 0) << len;
+    EXPECT_EQ(ExportOf(scheduler), untouched) << len;
   }
   // Whole, the same bytes install all three slices.
   tpu::Superpod pod(6, 8, 2);
@@ -180,8 +183,68 @@ TEST(Scheduler, FailedImportLeavesThePodUntouched) {
   ctrl::WireReader reader(exported);
   ASSERT_TRUE(scheduler.ImportState(reader).ok());
   EXPECT_EQ(pod.slices().size(), 3u);
-  EXPECT_GT(circuits(pod), 0);
-  EXPECT_EQ(export_of(scheduler), exported);
+  EXPECT_GT(Circuits(pod), 0);
+  EXPECT_EQ(ExportOf(scheduler), exported);
+}
+
+/// A scheduler state laid out as ExportState writes it (three requests,
+/// all accepted; next id 9), holding one 1x1xN slice per (id, cubes) entry.
+std::vector<std::uint8_t> SlicesState(
+    const std::vector<std::pair<std::uint64_t, std::vector<int>>>& slices) {
+  ctrl::WireWriter writer;
+  for (const std::uint64_t stat : {3, 3, 0, 0}) writer.PutVarint(stat);
+  writer.PutVarint(slices.size());
+  for (const auto& [id, cubes] : slices) {
+    writer.PutU64(id);
+    writer.PutInt(1);
+    writer.PutInt(1);
+    writer.PutInt(static_cast<int>(cubes.size()));
+    writer.PutVarint(cubes.size());
+    for (const int cube : cubes) writer.PutInt(cube);
+  }
+  writer.PutU64(9);
+  return writer.Take();
+}
+
+TEST(Scheduler, ImportValidatesTheWholeSliceSet) {
+  // Each state decodes whole and its first slice fits the pod on its own;
+  // the set does not. ImportState validates the set before it stages any
+  // install, so the pod keeps no slice and no circuit and the scheduler
+  // its stats.
+  struct Case {
+    const char* name;
+    std::vector<std::pair<std::uint64_t, std::vector<int>>> slices;
+    int unhealthy_cube;
+    int down_ocs;
+  };
+  const Case cases[] = {
+      {"shared cube", {{1, {0, 1}}, {2, {1, 2}}}, -1, -1},
+      {"unhealthy cube", {{1, {0, 1}}, {2, {2, 3}}}, 3, -1},
+      {"down ocs", {{1, {0, 1}}, {2, {2, 3}}}, -1, 4},
+      {"repeated id", {{1, {0, 1}}, {1, {2, 3}}}, -1, -1},
+  };
+  for (const Case& c : cases) {
+    tpu::Superpod pod(7, 8, 2);
+    if (c.unhealthy_cube >= 0) pod.cube(c.unhealthy_cube).SetHostHealth(0, false);
+    if (c.down_ocs >= 0) pod.FailOcs(c.down_ocs);
+    SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
+    const std::vector<std::uint8_t> untouched = ExportOf(scheduler);
+    const std::vector<std::uint8_t> state = SlicesState(c.slices);
+    ctrl::WireReader reader(state);
+    EXPECT_FALSE(scheduler.ImportState(reader).ok()) << c.name;
+    EXPECT_TRUE(pod.slices().empty()) << c.name;
+    EXPECT_EQ(Circuits(pod), 0) << c.name;
+    EXPECT_EQ(ExportOf(scheduler), untouched) << c.name;
+  }
+  // Two slices on disjoint cubes of a healthy pod import whole.
+  tpu::Superpod pod(7, 8, 2);
+  SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
+  const std::vector<std::uint8_t> state = SlicesState({{1, {0, 1}}, {2, {2, 3}}});
+  ctrl::WireReader reader(state);
+  ASSERT_TRUE(scheduler.ImportState(reader).ok());
+  EXPECT_EQ(pod.slices().size(), 2u);
+  EXPECT_EQ(Circuits(pod), 4 * pod.ocs_count());
+  EXPECT_EQ(ExportOf(scheduler), state);
 }
 
 TEST(Scheduler, ContiguousRequiresAlignedBox) {

@@ -5,8 +5,9 @@
 // shard boundaries, circuit-breaker-driven re-hashing, cross-shard
 // two-phase commit with in-doubt resolution, exporter visibility of the
 // fleet metrics, a pipelined shard stress run that must be clean under
-// TSan, and three pipelined shards installing slices over the one thread
-// pool at once.
+// TSan, three pipelined shards installing slices over the one thread pool
+// at once, and a recovered pod matching the served pod circuit for circuit
+// and loss for loss.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include "core/scheduler.h"
 #include "ctrl/controller.h"
 #include "ctrl/fault_injector.h"
+#include "ctrl/wire.h"
 #include "fleet/admission.h"
 #include "fleet/router.h"
 #include "fleet/shard.h"
@@ -1024,9 +1026,67 @@ TEST(FleetPipeline, PipelinedCrashMatrixRecoversByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// A recovered pod is the pod that crashed: circuit for circuit, loss for
+// loss, install time for install time.
+
+/// Every switch's circuits with both losses, then every slice's id, cubes
+/// and install time.
+std::vector<std::uint8_t> PodPhysics(const tpu::Superpod& pod) {
+  ctrl::WireWriter writer;
+  for (int i = 0; i < pod.ocs_count(); ++i) {
+    for (const ocs::Connection& conn : pod.ocs(i).Connections()) {
+      writer.PutInt(i);
+      writer.PutInt(conn.north);
+      writer.PutInt(conn.south);
+      writer.PutDouble(conn.insertion_loss.value());
+      writer.PutDouble(conn.return_loss.value());
+    }
+  }
+  for (const auto& [id, slice] : pod.slices()) {
+    writer.PutU64(id);
+    for (int cube : slice.topology.cube_ids()) writer.PutInt(cube);
+    writer.PutDouble(slice.install_time_ms);
+  }
+  return writer.Take();
+}
+
+TEST(FleetRecovery, RecoveredPodMatchesServedPodCircuitForCircuit) {
+  // A pipelined shard serves the stream on the production pod, committing
+  // each applied batch from its apply thread, and dies; a successor
+  // recovers onto a fresh pod from the same seed, programming once after
+  // replay. With snapshots off it replays the whole log; with them on it
+  // imports the last snapshot's slices, then replays the suffix. Either
+  // way the recovered pod holds the served pod's circuits with their
+  // losses, and each slice its install time.
+  for (const std::uint64_t snapshot_interval : {0u, 16u}) {
+    SCOPED_TRACE("snapshot interval " + std::to_string(snapshot_interval));
+    fleet::ShardOptions options = PipelinedOptions();
+    options.service.snapshot_interval = snapshot_interval;
+    ShardHarness h(0, options, kPodSeed, tpu::kCubesPerPod, tpu::kOcsPerDim);
+    ASSERT_TRUE(h.shard->Recover().ok());
+    h.shard->Start();
+    OfferRange(*h.shard, 0, kCommands);
+    h.shard->Drain();
+    h.shard->Stop();
+    ASSERT_EQ(h.shard->service().stats().processed, kCommands);
+    ASSERT_FALSE(h.pod->slices().empty());
+    const std::vector<std::uint8_t> state = h.shard->service().SerializeState();
+    const std::vector<std::uint8_t> physics = PodPhysics(*h.pod);
+
+    h.Reincarnate(0, options);
+    auto recovery = h.shard->Recover();
+    ASSERT_TRUE(recovery.ok()) << recovery.error().message;
+    EXPECT_EQ(recovery.value().snapshot_loaded, snapshot_interval != 0);
+    EXPECT_EQ(h.shard->service().SerializeState(), state);
+    EXPECT_EQ(PodPhysics(*h.pod), physics);
+    EXPECT_TRUE(h.shard->service().scheduler().ValidateInvariants().ok());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Parallel slice installs from concurrent pipelines: each started shard's
-// apply thread fans every install out over the one process-wide pool, so
-// three shards put three apply threads into it at once.
+// apply thread commits every applied batch over the one process-wide pool,
+// so three shards put three apply threads into it at once.
 
 TEST(FleetPipeline, PipelinedShardsInstallInParallelByteIdentical) {
   constexpr std::uint32_t kShards = 3;
@@ -1037,9 +1097,9 @@ TEST(FleetPipeline, PipelinedShardsInstallInParallelByteIdentical) {
   for (std::uint32_t s = 0; s < kShards; ++s) {
     streams.emplace_back(kStreamSeed + s, kCommands, config);
   }
-  // A shard on a full 64-cube pod, whose 48 OCSes every install fans out
-  // to, with its whole stream pre-offered, as the pipelined crash matrix
-  // does.
+  // A shard on a full 64-cube pod, whose 48 OCSes every batch's commit
+  // fans out to, with its whole stream pre-offered, as the pipelined crash
+  // matrix does.
   const auto make_shard = [&](std::uint32_t s) {
     auto h = std::make_unique<ShardHarness>(s, PipelinedOptions(), kPodSeed + s,
                                             tpu::kCubesPerPod, tpu::kOcsPerDim);
@@ -1051,7 +1111,7 @@ TEST(FleetPipeline, PipelinedShardsInstallInParallelByteIdentical) {
   };
   const int configured = common::parallel::Threads();
 
-  // Oracle: each stream through a sync shard, every install serial.
+  // Oracle: each stream through a sync shard, every commit serial.
   common::parallel::SetThreads(1);
   std::vector<std::vector<std::uint8_t>> expected;
   std::vector<std::uint64_t> admitted;

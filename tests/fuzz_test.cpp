@@ -464,14 +464,27 @@ TEST(Fuzz, SchedulerImportStateNeverCrashes) {
   // FleetService::DeserializeState, and the CRC catches only accidental
   // damage. Every bit flip, truncation and huge varint of a real export
   // must import or fail with a Status, never abort; an accepted state must
-  // pass the scheduler's audit.
+  // pass the scheduler's audit, and a failed one must leave the pod empty
+  // (no slice, no circuit) and the scheduler's export as it was.
   const auto import_into_fresh_pod = [](const std::vector<std::uint8_t>& bytes) {
     tpu::Superpod pod(9, 8, 2);
     core::SliceScheduler scheduler(pod, core::AllocationPolicy::kReconfigurable);
+    const auto export_of = [&scheduler] {
+      ctrl::WireWriter writer;
+      scheduler.ExportState(writer);
+      return writer.Take();
+    };
+    const std::vector<std::uint8_t> untouched = export_of();
     ctrl::WireReader reader(bytes);
     const bool imported = scheduler.ImportState(reader).ok();
     if (imported) {
       EXPECT_TRUE(scheduler.ValidateInvariants().ok());
+    } else {
+      EXPECT_TRUE(pod.slices().empty());
+      int circuits = 0;
+      for (int i = 0; i < pod.ocs_count(); ++i) circuits += pod.ocs(i).ConnectionCount();
+      EXPECT_EQ(circuits, 0);
+      EXPECT_EQ(export_of(), untouched);
     }
     return imported;
   };

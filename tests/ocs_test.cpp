@@ -245,6 +245,26 @@ TEST(OpticalCore, MeasurePathStableAfterEstablish) {
   EXPECT_NEAR(measured.insertion_loss.value(), established->insertion_loss.value(), 1e-9);
 }
 
+TEST(OpticalCore, PathDrawsDependOnlyOnThePath) {
+  // Two cores from one seed: a path established after others, established
+  // again, or established first, draws the same loss and alignment time.
+  OpticalCore busy(common::Rng(12)), fresh(common::Rng(12));
+  ASSERT_TRUE(busy.EstablishPath(1, 2).has_value());
+  ASSERT_TRUE(busy.EstablishPath(3, 4).has_value());
+  const auto after_others = busy.EstablishPath(5, 6);
+  const auto again = busy.EstablishPath(5, 6);
+  const auto first = fresh.EstablishPath(5, 6);
+  ASSERT_TRUE(after_others.has_value() && again.has_value() && first.has_value());
+  EXPECT_EQ(after_others->insertion_loss.value(), first->insertion_loss.value());
+  EXPECT_EQ(again->insertion_loss.value(), first->insertion_loss.value());
+  EXPECT_EQ(after_others->alignment_time_ms, first->alignment_time_ms);
+  // A spare mirror behind the north port is a new path: it draws afresh.
+  ASSERT_TRUE(fresh.FailMirror(0, fresh.array_a().PhysicalMirror(5)));
+  const auto on_spare = fresh.EstablishPath(5, 6);
+  ASSERT_TRUE(on_spare.has_value());
+  EXPECT_NE(on_spare->insertion_loss.value(), first->insertion_loss.value());
+}
+
 // --- chassis ---------------------------------------------------------------------
 
 TEST(Chassis, SteadyStateAvailabilityMeetsSpec) {
@@ -603,6 +623,30 @@ TEST(PalomarDelta, InvalidDeltaRejectedWithoutStateChange) {
   ASSERT_TRUE(ocs.ConnectDelta({{2, 12}}).ok());
   ASSERT_TRUE(ocs.DisconnectDelta({{0, 10}}).ok());
   EXPECT_EQ(ocs.CurrentMapping(), (std::map<int, int>{{1, 11}, {2, 12}}));
+}
+
+TEST(PalomarDelta, CheckCountsStagedPorts) {
+  // Under a caller's overlay a taken port is busy and a freed one free,
+  // whatever the port tables hold; the check changes and counts nothing.
+  PalomarSwitch ocs(34);
+  ASSERT_TRUE(ocs.ConnectDelta({{0, 10}}).ok());
+  PortOverlay staged;
+  EXPECT_FALSE(ocs.CheckConnectDelta({{0, 11}}, staged).ok());
+  EXPECT_FALSE(ocs.CheckConnectDelta({{1, 10}}, staged).ok());
+  staged.north_freed.set(0);
+  staged.south_freed.set(10);
+  EXPECT_TRUE(ocs.CheckConnectDelta({{0, 11}}, staged).ok());
+  EXPECT_TRUE(ocs.CheckConnectDelta({{1, 10}}, staged).ok());
+  staged.north_taken.set(2);
+  staged.south_taken.set(12);
+  EXPECT_FALSE(ocs.CheckConnectDelta({{2, 13}}, staged).ok());
+  EXPECT_FALSE(ocs.CheckConnectDelta({{3, 12}}, staged).ok());
+  EXPECT_TRUE(ocs.CheckConnectDelta({{3, 13}}, staged).ok());
+  // Without an overlay the port tables decide.
+  EXPECT_FALSE(ocs.CheckConnectDelta({{0, 11}}).ok());
+  EXPECT_TRUE(ocs.CheckConnectDelta({{2, 13}}).ok());
+  EXPECT_EQ(ocs.CurrentMapping(), (std::map<int, int>{{0, 10}}));
+  EXPECT_EQ(ocs.telemetry().rejected_commands, 0u);
 }
 
 // --- technology ------------------------------------------------------------------

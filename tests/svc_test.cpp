@@ -555,19 +555,22 @@ TEST(FleetService, DuplicateAndGapSubmissions) {
   EXPECT_EQ(shard->service().applied_seq(), 1u);
 }
 
+/// A controller over one agent per switch in `switches`, agent i as OCS i.
+std::unique_ptr<ctrl::FabricController> MakeController(
+    ctrl::MessageBus& bus, std::vector<ocs::PalomarSwitch*> switches,
+    std::vector<std::unique_ptr<ctrl::OcsAgent>>& agents) {
+  auto controller = std::make_unique<ctrl::FabricController>(bus, 1);
+  for (std::size_t i = 0; i < switches.size(); ++i) {
+    agents.push_back(std::make_unique<ctrl::OcsAgent>(*switches[i]));
+    controller->Register(static_cast<int>(i), agents.back().get());
+  }
+  return controller;
+}
+
 TEST(FleetService, ControllerStateRidesTheSnapshot) {
   // Build a controller with non-trivial health state (a tripped breaker),
   // bind it to the service, crash, and check the successor's controller
   // recovered the same breaker/counter state through the snapshot.
-  auto make_world = [](ctrl::MessageBus& bus, std::vector<ocs::PalomarSwitch*> switches,
-                       std::vector<std::unique_ptr<ctrl::OcsAgent>>& agents) {
-    auto controller = std::make_unique<ctrl::FabricController>(bus, 1);
-    for (std::size_t i = 0; i < switches.size(); ++i) {
-      agents.push_back(std::make_unique<ctrl::OcsAgent>(*switches[i]));
-      controller->Register(static_cast<int>(i), agents.back().get());
-    }
-    return controller;
-  };
 
   journal::MemStorage wal_storage;
   journal::MemStorage snapshot_storage;
@@ -576,7 +579,7 @@ TEST(FleetService, ControllerStateRidesTheSnapshot) {
     auto pod = FreshPod();
     ctrl::MessageBus bus(3);
     std::vector<std::unique_ptr<ctrl::OcsAgent>> agents;
-    auto controller = make_world(bus, {&pod->ocs(0), &pod->ocs(1)}, agents);
+    auto controller = MakeController(bus, {&pod->ocs(0), &pod->ocs(1)}, agents);
     // Trip agent 1's breaker by partitioning the bus mid-run.
     bus.PartitionAfter(0);
     for (int i = 0; i < 4; ++i) {
@@ -599,7 +602,7 @@ TEST(FleetService, ControllerStateRidesTheSnapshot) {
   auto pod = FreshPod();
   ctrl::MessageBus bus(3);
   std::vector<std::unique_ptr<ctrl::OcsAgent>> agents;
-  auto controller = make_world(bus, {&pod->ocs(0), &pod->ocs(1)}, agents);
+  auto controller = MakeController(bus, {&pod->ocs(0), &pod->ocs(1)}, agents);
   auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
   shard->service().BindController(controller.get());
   auto recovery = shard->Recover();
@@ -609,6 +612,86 @@ TEST(FleetService, ControllerStateRidesTheSnapshot) {
   ctrl::WireWriter writer;
   controller->ExportState(writer);
   EXPECT_EQ(writer.buffer(), exported_before);
+}
+
+/// A fresh pod, controller and shard recovering from a snapshot that holds
+/// `state` (nothing recovered when `state` is empty).
+struct ControlledRecovery {
+  std::unique_ptr<tpu::Superpod> pod = FreshPod();
+  ctrl::MessageBus bus{3};
+  std::vector<std::unique_ptr<ctrl::OcsAgent>> agents;
+  std::unique_ptr<ctrl::FabricController> controller =
+      MakeController(bus, {&pod->ocs(0), &pod->ocs(1)}, agents);
+  journal::MemStorage wal_storage;
+  journal::MemStorage snapshot_storage;
+  std::unique_ptr<fleet::Shard> shard;
+  common::Status recovered;
+
+  explicit ControlledRecovery(const std::vector<std::uint8_t>& state) {
+    if (!state.empty()) {
+      EXPECT_TRUE(journal::SnapshotWriter::Write(snapshot_storage, 8, state).ok());
+    }
+    shard = MakeShard(*pod, wal_storage, snapshot_storage);
+    shard->service().BindController(controller.get());
+    auto recovery = shard->Recover();
+    if (!recovery.ok()) recovered = recovery.error();
+  }
+
+  int Circuits() const {
+    int count = 0;
+    for (int i = 0; i < pod->ocs_count(); ++i) count += pod->ocs(i).ConnectionCount();
+    return count;
+  }
+};
+
+TEST(FleetService, FailedStateImportLeavesThePodEmpty) {
+  // Every section of a snapshot state decodes into plain values, and the
+  // trailing-byte check runs, before the pod is touched: a controller
+  // section cut at any length, or one byte appended, fails Recover with no
+  // slice and no circuit on the pod and the state of a fresh service.
+  std::vector<std::uint8_t> state;
+  std::size_t controller_bytes = 0;
+  {
+    auto pod = FreshPod();
+    ctrl::MessageBus bus(3);
+    std::vector<std::unique_ptr<ctrl::OcsAgent>> agents;
+    auto controller = MakeController(bus, {&pod->ocs(0), &pod->ocs(1)}, agents);
+    journal::MemStorage wal_storage;
+    journal::MemStorage snapshot_storage;
+    auto shard = MakeShard(*pod, wal_storage, snapshot_storage);
+    shard->service().BindController(controller.get());
+    ASSERT_TRUE(shard->Recover().ok());
+    for (std::uint64_t i = 0; i < 8; ++i) ASSERT_EQ(ServeOne(*shard, i), 1u);
+    ASSERT_FALSE(pod->slices().empty());
+    state = shard->service().SerializeState();
+    ctrl::WireWriter writer;
+    controller->ExportState(writer);
+    controller_bytes = writer.buffer().size();
+  }
+  const std::vector<std::uint8_t> fresh_state =
+      ControlledRecovery({}).shard->service().SerializeState();
+
+  std::vector<std::vector<std::uint8_t>> damaged;
+  for (std::size_t len = state.size() - controller_bytes; len < state.size(); ++len) {
+    damaged.emplace_back(state.begin(), state.begin() + static_cast<long>(len));
+  }
+  damaged.push_back(state);
+  damaged.back().push_back(0);
+  for (const std::vector<std::uint8_t>& bytes : damaged) {
+    SCOPED_TRACE("state of " + std::to_string(bytes.size()) + " of " +
+                 std::to_string(state.size()) + " bytes");
+    ControlledRecovery recovery(bytes);
+    EXPECT_FALSE(recovery.recovered.ok());
+    EXPECT_TRUE(recovery.pod->slices().empty());
+    EXPECT_EQ(recovery.Circuits(), 0);
+    EXPECT_EQ(recovery.shard->service().SerializeState(), fresh_state);
+  }
+  // Whole, the same state recovers every slice.
+  ControlledRecovery whole(state);
+  ASSERT_TRUE(whole.recovered.ok()) << whole.recovered.error().message;
+  EXPECT_FALSE(whole.pod->slices().empty());
+  EXPECT_GT(whole.Circuits(), 0);
+  EXPECT_EQ(whole.shard->service().SerializeState(), state);
 }
 
 TEST(FleetService, CrashPointVisitAccounting) {

@@ -497,7 +497,7 @@ ChurnCounters CountChurn(const Superpod& pod) {
 /// Seeded allocate/release churn on the production pod. A twin pod with the
 /// same seed runs the same steps through serial full-target Reconfigure;
 /// the delta path must reproduce it exactly, alignment RNG draws included,
-/// however many pool threads program an install's switches. The pins hold
+/// however many pool threads program a commit's switches. The pins hold
 /// the twin's values, so a change to the draws must move both together.
 void ExpectPinnedChurn() {
   Superpod pod(4242);
@@ -540,11 +540,11 @@ void ExpectPinnedChurn() {
 
   EXPECT_EQ(installs, 1349);
   EXPECT_EQ(live.size(), 13u);
-  EXPECT_EQ(SwitchDigest(pod), 0xb38eebdf03eaabe0ull);
+  EXPECT_EQ(SwitchDigest(pod), 0x154fb2495cde14acull);
   EXPECT_EQ(counters.reconfigurations, 128880u);
   EXPECT_EQ(counters.connects, 368592u);
   EXPECT_EQ(counters.disconnects, 366048u);
-  EXPECT_EQ(pod.TotalReconfigMs(), 426446.39999999694);
+  EXPECT_EQ(pod.TotalReconfigMs(), 426699.59999999683);
 }
 
 TEST(SuperpodTest, ChurnMatchesFullTargetReconfigureByteForByte) {
@@ -555,6 +555,108 @@ TEST(SuperpodTest, ChurnMatchesFullTargetReconfigureByteForByte) {
     ExpectPinnedChurn();
   }
   common::parallel::SetThreads(configured);
+}
+
+TEST(SuperpodTest, ImportedSliceMatchesTheLiveHistory) {
+  // Pod A installs slice 1 on cubes {0, 1}, removes it, then installs slice
+  // 2 on {2, 3}; pod B, from the same seed, installs only slice 2 under the
+  // same id, as a snapshot import does. A circuit's physics depends only on
+  // its path, so both hold the same circuits with the same losses.
+  Superpod live(4243);
+  auto first = live.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(live.RemoveSlice(first.value()).ok());
+  auto second = live.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 2));
+  ASSERT_TRUE(second.ok());
+
+  Superpod imported(4243);
+  ASSERT_TRUE(imported.InstallSliceWithId(second.value(), MakeSlice(SliceShape{1, 1, 2}, 2)).ok());
+  EXPECT_EQ(SwitchDigest(imported), SwitchDigest(live));
+  EXPECT_EQ(imported.slices().at(second.value()).install_time_ms,
+            live.slices().at(second.value()).install_time_ms);
+}
+
+/// A slice table row: what a pod records for one installed slice.
+struct SliceRow {
+  SliceId id = 0;
+  std::vector<int> cubes;
+  std::map<int, std::map<int, int>> connections;
+  double install_time_ms = 0.0;
+  bool operator==(const SliceRow&) const = default;
+};
+
+std::vector<SliceRow> SliceTable(const Superpod& pod) {
+  std::vector<SliceRow> rows;
+  for (const auto& [id, slice] : pod.slices()) {
+    rows.push_back({id, slice.topology.cube_ids(), slice.connections, slice.install_time_ms});
+  }
+  return rows;
+}
+
+TEST(SuperpodTest, BatchCommitMatchesOneAtATime) {
+  // The same seeded installs and removals on two production pods: one
+  // commits each as it returns, the other stages eight at a time in a Batch
+  // scope. The batched pod's switches do not move until its scope closes;
+  // then both pods hold the same circuits, losses, slices and install
+  // times. Ports a staged removal frees are open to a staged install, and
+  // the batched pod programs no more than the other.
+  Superpod each(4244), batched(4244);
+  common::Rng rng(78);
+  std::vector<SliceId> live;
+  const SliceShape menu[] = {{1, 1, 1}, {1, 1, 2}, {1, 2, 2}, {2, 2, 2}, {1, 2, 4}};
+  for (int scope = 0; scope < 40; ++scope) {
+    const std::uint64_t digest_before = SwitchDigest(batched);
+    {
+      Superpod::Batch batch(batched);
+      for (int step = 0; step < 8; ++step) {
+        if (!live.empty() && rng.Bernoulli(0.45)) {
+          const auto pick = rng.UniformInt(live.size());
+          ASSERT_TRUE(each.RemoveSlice(live[pick]).ok());
+          ASSERT_TRUE(batched.RemoveSlice(live[pick]).ok());
+          live[pick] = live.back();
+          live.pop_back();
+          continue;
+        }
+        const SliceShape shape = menu[rng.UniformInt(std::size(menu))];
+        std::vector<int> free = each.FreeHealthyCubes();
+        ASSERT_EQ(batched.FreeHealthyCubes(), free);
+        if (static_cast<int>(free.size()) < shape.CubeCount()) continue;
+        std::vector<int> cubes;
+        for (int k = 0; k < shape.CubeCount(); ++k) {
+          const auto at = rng.UniformInt(free.size());
+          cubes.push_back(free[at]);
+          free[at] = free.back();
+          free.pop_back();
+        }
+        auto topology = SliceTopology::Create(shape, std::move(cubes));
+        ASSERT_TRUE(topology.ok());
+        auto one = each.InstallSlice(topology.value());
+        auto staged = batched.InstallSlice(topology.value());
+        ASSERT_TRUE(one.ok() && staged.ok()) << scope << "/" << step;
+        ASSERT_EQ(staged.value(), one.value());
+        live.push_back(one.value());
+      }
+      EXPECT_EQ(SwitchDigest(batched), digest_before) << scope;
+    }
+    ASSERT_EQ(SwitchDigest(batched), SwitchDigest(each)) << scope;
+    ASSERT_TRUE(SliceTable(batched) == SliceTable(each)) << scope;
+  }
+  EXPECT_LE(CountChurn(batched).connects, CountChurn(each).connects);
+  EXPECT_LT(CountChurn(batched).reconfigurations, CountChurn(each).reconfigurations);
+
+  // A slice installed and removed inside one scope is never programmed.
+  const ChurnCounters before = CountChurn(batched);
+  const std::uint64_t digest = SwitchDigest(batched);
+  {
+    Superpod::Batch batch(batched);
+    const std::vector<int> free = batched.FreeHealthyCubes();
+    ASSERT_FALSE(free.empty());
+    auto id = batched.InstallSlice(SliceTopology::Create({1, 1, 1}, {free[0]}).value());
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(batched.RemoveSlice(id.value()).ok());
+  }
+  EXPECT_TRUE(CountChurn(batched) == before);
+  EXPECT_EQ(SwitchDigest(batched), digest);
 }
 
 TEST(SuperpodTest, Cwdm8PodVariantUses24Switches) {
