@@ -54,9 +54,10 @@ void SliceScheduler::UpdateBusyGauge() {
 std::optional<std::vector<int>> SliceScheduler::PickCubes(const SliceShape& shape) const {
   const int want = shape.CubeCount();
   if (policy_ == AllocationPolicy::kReconfigurable) {
-    const auto free = pod_.FreeHealthyCubes();
+    std::vector<int> free = pod_.FreeHealthyCubes();
     if (static_cast<int>(free.size()) < want) return std::nullopt;
-    return std::vector<int>(free.begin(), free.begin() + want);
+    free.resize(static_cast<std::size_t>(want));
+    return free;
   }
 
   // Contiguous policy: the pod's cubes live on a fixed side x side x side
@@ -171,16 +172,16 @@ Result<SliceId> SliceScheduler::RepairSlice(SliceId id) {
     return common::ResourceExhausted("not enough healthy spare cubes");
   }
 
-  // Remove, patch the assignment, reinstall. Other slices stay untouched
-  // thanks to the switches' undisturbed reconfiguration.
-  auto removed = pod_.RemoveSlice(id);
-  if (!removed.ok()) return removed.error();
+  // Patch the assignment and swap the slice for it: the pod checks the
+  // replacement before it removes anything, so a repair that cannot install
+  // leaves the slice running. Other slices stay untouched thanks to the
+  // switches' undisturbed reconfiguration.
   for (std::size_t i = 0; i < dead_positions.size(); ++i) {
     cubes[dead_positions[i]] = spares[i];
   }
   auto topology = SliceTopology::Create(shape, std::move(cubes));
   if (!topology.ok()) return topology.error();
-  auto installed = pod_.InstallSlice(topology.value());
+  auto installed = pod_.ReplaceSlice(id, topology.value());
   if (!installed.ok()) return installed.error();
   ++stats_.repairs;
   if (repair_counter_ != nullptr) repair_counter_->Inc();

@@ -45,9 +45,10 @@ class SliceScheduler {
   common::Status Release(tpu::SliceId id);
 
   /// Replaces every unhealthy cube of a degraded slice with free healthy
-  /// cubes and reinstalls it (same shape, new id). Only the reconfigurable
-  /// policy can do this; the contiguous policy fails unless equivalent
-  /// contiguous space exists.
+  /// cubes and reinstalls it (same shape, new id) through
+  /// Superpod::ReplaceSlice, so a repair that fails leaves the slice as it
+  /// was. Only the reconfigurable policy can do this; the contiguous policy
+  /// fails.
   common::Result<tpu::SliceId> RepairSlice(tpu::SliceId id);
 
   /// Cubes currently owned by slices (for utilization accounting).

@@ -166,16 +166,21 @@ Status PalomarSwitch::Disconnect(int north) {
   return Status::Ok();
 }
 
-Status PalomarSwitch::CheckPairs(const std::map<int, int>& pairs,
-                                 const PortOverlay* free_under) const {
+template <typename Pairs>
+Status PalomarSwitch::CheckPairs(const Pairs& pairs, const PortOverlay* free_under) const {
+  std::bitset<kPalomarUsablePorts> north_seen;
   std::bitset<kPalomarUsablePorts> south_seen;
   for (const auto& [north, south] : pairs) {
     if (!InUsableRange(north) || !InUsableRange(south)) {
       return common::InvalidArgument("target references out-of-range port");
     }
+    if (north_seen.test(Slot(north))) {
+      return common::InvalidArgument("target is not bijective (north reused)");
+    }
     if (south_seen.test(Slot(south))) {
       return common::InvalidArgument("target is not bijective (south reused)");
     }
+    north_seen.set(Slot(north));
     south_seen.set(Slot(south));
     if (!PortUsable(true, north) || !PortUsable(false, south)) {
       return common::Unavailable("target references dead port");
@@ -238,12 +243,11 @@ Result<ReconfigureReport> PalomarSwitch::Reconfigure(const std::map<int, int>& t
   return report;
 }
 
-Status PalomarSwitch::CheckConnectDelta(const std::map<int, int>& delta,
-                                        const PortOverlay& staged) const {
+Status PalomarSwitch::CheckConnectDelta(PortPairs delta, const PortOverlay& staged) const {
   return CheckPairs(delta, &staged);
 }
 
-Result<double> PalomarSwitch::ConnectDelta(const std::map<int, int>& delta) {
+Result<double> PalomarSwitch::ConnectDelta(PortPairs delta) {
   if (auto invalid = CheckConnectDelta(delta); !invalid.ok()) {
     NoteRejected();
     return invalid.error();
@@ -256,7 +260,7 @@ Result<double> PalomarSwitch::ConnectDelta(const std::map<int, int>& delta) {
   return FinishTransaction(max_alignment_ms, "ConnectDelta");
 }
 
-Result<double> PalomarSwitch::DisconnectDelta(const std::map<int, int>& delta) {
+Result<double> PalomarSwitch::DisconnectDelta(PortPairs delta) {
   for (const auto& [north, south] : delta) {
     if (!InUsableRange(north) || !InUsableRange(south)) {
       NoteRejected();

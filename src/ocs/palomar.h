@@ -4,9 +4,11 @@
 // transactional: connections shared between the old and new configuration
 // are left untouched ("undisturbed"), which is what lets the scheduler place
 // new slices without interfering with running jobs (§4.2.4). The delta
-// transactions (ConnectDelta / DisconnectDelta) touch only the ports they
-// name, so on the slice install/remove path every other circuit is
-// undisturbed by construction and a transaction costs O(changed ports).
+// transactions (ConnectDelta / DisconnectDelta) take a flat span of
+// (north, south) pairs and touch only the ports they name, so on the slice
+// install/remove path every other circuit is undisturbed by construction
+// and a transaction costs O(changed ports); Reconfigure takes a full
+// std::map target for the control plane.
 // A circuit's loss and alignment time depend only on its path (see
 // ocs/optical_core.h), so the order in which circuits are established, and
 // whether a transaction is a delta or a full target, never changes them.
@@ -20,7 +22,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -58,6 +62,10 @@ struct ReconfigureReport {
   /// the max (not sum) of per-path alignment times plus command overhead.
   double duration_ms = 0.0;
 };
+
+/// Circuits as (north, south) port pairs, the unit of the delta
+/// transactions.
+using PortPairs = std::span<const std::pair<int, int>>;
 
 /// Ports whose state a caller has staged but not yet programmed: a taken
 /// port counts as connected and a freed one as free, whatever the port
@@ -97,25 +105,24 @@ class PalomarSwitch {
   /// once validated it always applies in full.
   common::Result<ReconfigureReport> Reconfigure(const std::map<int, int>& target);
 
-  /// Adds the circuits in `delta` (north -> south) in one transaction that
-  /// touches only those ports. State and telemetry are exactly those of
-  /// Reconfigure(CurrentMapping() plus delta). Fails with no state change
-  /// when a port is out of range, dead or already connected, or a south
-  /// repeats. Returns the transaction duration (command overhead + slowest
-  /// alignment).
-  common::Result<double> ConnectDelta(const std::map<int, int>& delta);
+  /// Adds the circuits in `delta` in one transaction that touches only
+  /// those ports, establishing them in the span's order. In north order,
+  /// state and telemetry are exactly those of Reconfigure(CurrentMapping()
+  /// plus delta). Fails with no state change when a port is out of range,
+  /// dead or already connected, or a north or a south repeats. Returns the
+  /// transaction duration (command overhead + slowest alignment).
+  common::Result<double> ConnectDelta(PortPairs delta);
   /// ConnectDelta's validation alone, against the port tables under
   /// `staged`: no state change, no rejection counted. A delta it passes with
   /// an empty overlay, ConnectDelta applies in full; with a caller's staged
   /// overlay, it applies once those staged deltas have been programmed.
-  common::Status CheckConnectDelta(const std::map<int, int>& delta,
-                                   const PortOverlay& staged = {}) const;
+  common::Status CheckConnectDelta(PortPairs delta, const PortOverlay& staged = {}) const;
 
   /// Tears down the circuits in `delta` in one transaction, exactly as
   /// Reconfigure(CurrentMapping() minus delta) would: a pair that is not a
   /// live circuit is left alone. Fails with no state change when a port is
   /// out of range. Returns the transaction duration.
-  common::Result<double> DisconnectDelta(const std::map<int, int>& delta);
+  common::Result<double> DisconnectDelta(PortPairs delta);
 
   /// Current connection on a north port.
   std::optional<Connection> ConnectionOn(int north) const;
@@ -190,11 +197,12 @@ class PalomarSwitch {
   int CircuitNorth(bool north_side, int port) const;
   /// Removes the live circuit on `north` from the port tables.
   void TearDown(int north);
-  /// Validation shared by Reconfigure targets and ConnectDelta deltas: every
-  /// port in range and alive, no south used twice, and with `free_under`
-  /// no port connected under that overlay. Changes no state.
-  common::Status CheckPairs(const std::map<int, int>& pairs,
-                            const PortOverlay* free_under) const;
+  /// Validation shared by Reconfigure targets and ConnectDelta deltas (a
+  /// std::map or a PortPairs span): every port in range and alive, no north
+  /// or south used twice, and with `free_under` no port connected under
+  /// that overlay. Reports the first failing pair; changes no state.
+  template <typename Pairs>
+  common::Status CheckPairs(const Pairs& pairs, const PortOverlay* free_under) const;
   /// Closes a successful transaction: one reconfiguration lasting the
   /// command overhead plus `max_alignment_ms`, its telemetry, and the
   /// boundary validation. Returns the duration.

@@ -65,9 +65,11 @@ common::Result<SliceTopology> SliceTopology::Create(SliceShape shape,
   if (static_cast<std::int64_t>(cube_ids.size()) != cubes) {
     return common::InvalidArgument("cube id count does not match shape");
   }
-  std::set<int> unique(cube_ids.begin(), cube_ids.end());
-  if (unique.size() != cube_ids.size()) {
-    return common::InvalidArgument("duplicate cube id in slice");
+  // Pairwise: a slice holds at most a pod's cubes, and nothing is allocated.
+  for (auto id = cube_ids.begin(); id != cube_ids.end(); ++id) {
+    if (std::find(cube_ids.begin(), id, *id) != id) {
+      return common::InvalidArgument("duplicate cube id in slice");
+    }
   }
   for (int id : cube_ids) {
     if (id < 0) return common::InvalidArgument("negative cube id");
@@ -80,45 +82,39 @@ int SliceTopology::CubeAt(int ia, int ib, int ic) const {
   return cube_ids_[static_cast<std::size_t>(ia + shape_.a * (ib + shape_.b * ic))];
 }
 
+std::span<const std::pair<int, int>> SliceTopology::RingCircuits(
+    Dim dim, std::span<std::pair<int, int>> out) const {
+  // Logical position p = ia + a * (ib + b * ic): along `dim` the ring has
+  // `len` cubes, `stride` positions apart.
+  int len = shape_.a, stride = 1;
+  if (dim == Dim::kY) {
+    len = shape_.b;
+    stride = shape_.a;
+  } else if (dim == Dim::kZ) {
+    len = shape_.c;
+    stride = shape_.a * shape_.b;
+  }
+  const std::size_t n = cube_ids_.size();
+  assert(out.size() >= n);
+  for (std::size_t p = 0; p < n; ++p) {
+    // cube p's +face (north port) connects to the next cube's -face (south
+    // port); the last cube of a ring wraps to its first.
+    const bool last = static_cast<int>(p) / stride % len == len - 1;
+    const std::size_t next = last ? p - static_cast<std::size_t>((len - 1) * stride)
+                                  : p + static_cast<std::size_t>(stride);
+    out[p] = {cube_ids_[p], cube_ids_[next]};
+  }
+  return out.first(n);
+}
+
 std::map<int, std::map<int, int>> SliceTopology::OcsConnections(const WiringPlan& plan) const {
   std::map<int, std::map<int, int>> connections;
-  // For each dimension, walk every line of cubes along it and emit the ring
-  // A+ -> B- for consecutive cubes (wrapping). Every face-position OCS of
-  // that dimension carries an identical cube-level ring.
-  auto emit_ring = [&](Dim dim, const std::vector<int>& ring) {
+  std::vector<std::pair<int, int>> ring(cube_ids_.size());
+  for (Dim dim : kAllDims) {
+    const auto circuits = RingCircuits(dim, ring);
+    const std::map<int, int> carried(circuits.begin(), circuits.end());
     for (int f = 0; f < plan.ocs_per_dim(); ++f) {
-      const int ocs = plan.OcsFor(dim, f);
-      auto& target = connections[ocs];
-      const int n = static_cast<int>(ring.size());
-      for (int k = 0; k < n; ++k) {
-        const int from = ring[static_cast<std::size_t>(k)];
-        const int to = ring[static_cast<std::size_t>((k + 1) % n)];
-        // cube `from`'s +face (north port `from`) connects to cube `to`'s
-        // -face (south port `to`); a 1-cube ring self-loops for wraparound.
-        target[from] = to;
-      }
-    }
-  };
-
-  for (int ib = 0; ib < shape_.b; ++ib) {
-    for (int ic = 0; ic < shape_.c; ++ic) {
-      std::vector<int> ring;
-      for (int ia = 0; ia < shape_.a; ++ia) ring.push_back(CubeAt(ia, ib, ic));
-      emit_ring(Dim::kX, ring);
-    }
-  }
-  for (int ia = 0; ia < shape_.a; ++ia) {
-    for (int ic = 0; ic < shape_.c; ++ic) {
-      std::vector<int> ring;
-      for (int ib = 0; ib < shape_.b; ++ib) ring.push_back(CubeAt(ia, ib, ic));
-      emit_ring(Dim::kY, ring);
-    }
-  }
-  for (int ia = 0; ia < shape_.a; ++ia) {
-    for (int ib = 0; ib < shape_.b; ++ib) {
-      std::vector<int> ring;
-      for (int ic = 0; ic < shape_.c; ++ic) ring.push_back(CubeAt(ia, ib, ic));
-      emit_ring(Dim::kZ, ring);
+      connections.emplace_hint(connections.end(), plan.OcsFor(dim, f), carried);
     }
   }
   return connections;

@@ -2,12 +2,17 @@
 // chips) composed by programming the lightwave fabric. The minimum increment
 // is one 4x4x4 cube; a full 4096-chip pod ranges from 4x4x256 to 16x16x16
 // chips. This module turns a shape plus a cube assignment into the exact
-// per-OCS north->south connection sets, and computes the topology metrics
-// (bisection bandwidth, diameter) the evaluation relies on.
+// north->south circuits of each OCS, and computes the topology metrics
+// (bisection bandwidth, diameter) the evaluation relies on. Appendix A wires
+// a cube's + and - faces of one dimension to the same OCS, so every OCS of a
+// dimension carries the same cube-level rings: a slice's circuits are three
+// ring lists of one (north, south) pair per cube.
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -49,10 +54,19 @@ class SliceTopology {
 
   int CubeAt(int ia, int ib, int ic) const;
 
-  /// The inter-cube connections this slice needs, per OCS (keyed by the
-  /// plan's OCS id; value maps north port -> south port). Every ring along
-  /// every dimension appears in all `ocs_per_dim` face-position OCSes of
-  /// that dimension.
+  /// The circuits every OCS of dimension `dim` carries for this slice, one
+  /// per cube in logical order: north = the cube, south = the next cube on
+  /// its ring along `dim`, wrapping (a length-1 ring self-loops, so the cube
+  /// still sees a closed 4x4x4 torus). Cube c owns north and south port c
+  /// (tpu/wiring.h), so the pairs are port pairs too. Walks the slice in
+  /// place into `out`, which must hold CubeCount() pairs, and returns the
+  /// part written; it allocates nothing.
+  std::span<const std::pair<int, int>> RingCircuits(Dim dim,
+                                                    std::span<std::pair<int, int>> out) const;
+
+  /// The same circuits per OCS (keyed by the plan's OCS id; value maps
+  /// north port -> south port): each OCS of a dimension carries that
+  /// dimension's RingCircuits.
   std::map<int, std::map<int, int>> OcsConnections(const WiringPlan& plan) const;
 
   /// Optical links crossing the worst-case bisection of the slice (the

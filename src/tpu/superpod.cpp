@@ -1,7 +1,6 @@
 #include "tpu/superpod.h"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 #include <utility>
 
@@ -24,13 +23,21 @@ constexpr std::size_t kMinParallelCircuits = 192;
 
 constexpr int kNoCircuit = -1;
 
+/// Room for one ring list: a slice on the pod has at most one cube per OCS
+/// port.
+using RingBuffer = std::array<std::pair<int, int>, ocs::kPalomarUsablePorts>;
+
 std::size_t Slot(int port) { return static_cast<std::size_t>(port); }
 
 }  // namespace
 
 Superpod::Superpod(std::uint64_t seed, int cubes, int ocs_per_dim)
     : plan_(cubes, ocs_per_dim), cube_owner_(static_cast<std::size_t>(cubes)) {
-  assert(cubes <= ocs::kPalomarUsablePorts);
+  // Cube c owns port c on every OCS (tpu/wiring.h), and the ring buffers
+  // hold one pair per port.
+  LW_CHECK(cubes <= ocs::kPalomarUsablePorts)
+      << "a pod of " << cubes << " cubes outgrows the " << ocs::kPalomarUsablePorts
+      << " ports of an OCS";
   common::Rng rng(seed);
   cubes_.reserve(static_cast<std::size_t>(cubes));
   for (int i = 0; i < cubes; ++i) cubes_.emplace_back(i);
@@ -49,8 +56,8 @@ Result<SliceId> Superpod::InstallSlice(const SliceTopology& topology) {
   return InstallSliceWithId(next_slice_id_, topology);
 }
 
-Result<Superpod::OcsCircuits> Superpod::ValidateInstall(SliceId slice_id,
-                                                        const SliceTopology& topology) const {
+Status Superpod::ValidateInstall(SliceId slice_id, const SliceTopology& topology,
+                                 const InstalledSlice* replacing) const {
   if (slices_.contains(slice_id)) {
     return common::AlreadyExists("slice id " + std::to_string(slice_id) + " taken");
   }
@@ -61,51 +68,75 @@ Result<Superpod::OcsCircuits> Superpod::ValidateInstall(SliceId slice_id,
     if (!cubes_[static_cast<std::size_t>(id)].Healthy()) {
       return common::FailedPrecondition("cube " + std::to_string(id) + " unhealthy");
     }
-    if (cube_owner_[static_cast<std::size_t>(id)].has_value()) {
+    const std::optional<SliceId>& owner = cube_owner_[static_cast<std::size_t>(id)];
+    if (owner.has_value() && (replacing == nullptr || *owner != replacing->id)) {
       return common::AlreadyExists("cube " + std::to_string(id) + " owned by a slice");
     }
   }
-  OcsCircuits wanted = topology.OcsConnections(plan_);
+  // The cubes are the pod's and distinct, so each ring list fits a buffer.
   // Every switch is checked under the deltas staged on it, so a commit
   // programs every delta it holds in full.
-  for (const auto& [ocs_id, conns] : wanted) {
-    const auto slot = static_cast<std::size_t>(ocs_id);
-    if (!ocs_up_[slot]) {
-      return common::Unavailable("ocs " + std::to_string(ocs_id) + " is down");
-    }
-    if (auto invalid = ocs(ocs_id).CheckConnectDelta(conns, staged_[slot].overlay);
-        !invalid.ok()) {
-      return common::Error{invalid.error().code,
-                           "ocs " + std::to_string(ocs_id) + ": " + invalid.error().message};
+  RingBuffer ring_buffer, replaced_buffer;
+  for (Dim dim : kAllDims) {
+    const ocs::PortPairs ring = topology.RingCircuits(dim, ring_buffer);
+    const ocs::PortPairs replaced = replacing == nullptr
+                                        ? ocs::PortPairs{}
+                                        : replacing->topology.RingCircuits(dim, replaced_buffer);
+    for (int face = 0; face < plan_.ocs_per_dim(); ++face) {
+      const int ocs_id = plan_.OcsFor(dim, face);
+      const auto slot = static_cast<std::size_t>(ocs_id);
+      if (!ocs_up_[slot]) {
+        return common::Unavailable("ocs " + std::to_string(ocs_id) + " is down");
+      }
+      ocs::PortOverlay overlay = staged_[slot].overlay;
+      for (const auto& [north, south] : replaced) (void)FreeCircuit(ocs_id, north, south, overlay);
+      if (auto invalid = ocs(ocs_id).CheckConnectDelta(ring, overlay); !invalid.ok()) {
+        return common::Error{invalid.error().code,
+                             "ocs " + std::to_string(ocs_id) + ": " + invalid.error().message};
+      }
     }
   }
-  return wanted;
+  return Status::Ok();
+}
+
+bool Superpod::FreeCircuit(int ocs_id, int north, int south, ocs::PortOverlay& overlay) const {
+  if (staged_[static_cast<std::size_t>(ocs_id)].connect[Slot(north)] == south) {
+    overlay.north_taken.reset(Slot(north));
+    overlay.south_taken.reset(Slot(south));
+    return false;
+  }
+  const auto live = ocs(ocs_id).ConnectionOn(north);
+  if (!live.has_value() || live->south != south) return false;
+  overlay.north_freed.set(Slot(north));
+  overlay.south_freed.set(Slot(south));
+  return true;
 }
 
 Status Superpod::CheckInstall(SliceId id, const SliceTopology& topology) const {
-  auto wanted = ValidateInstall(id, topology);
-  if (!wanted.ok()) return wanted.error();
-  return Status::Ok();
+  return ValidateInstall(id, topology);
 }
 
 Result<SliceId> Superpod::InstallSliceWithId(SliceId slice_id,
                                              const SliceTopology& topology) {
-  auto wanted = ValidateInstall(slice_id, topology);
-  if (!wanted.ok()) return wanted.error();
+  if (Status valid = ValidateInstall(slice_id, topology); !valid.ok()) return valid.error();
   // Each switch gains only the slice's circuits, so every running slice is
   // undisturbed by construction. Single-cube slices have self-loop-only
   // rings; they still program the wraparound so the cube sees a closed
   // 4x4x4 torus.
-  for (const auto& [ocs_id, conns] : wanted.value()) {
-    Staged& staged = StageOn(ocs_id);
-    for (const auto& [north, south] : conns) {
-      staged.connect[Slot(north)] = south;
-      if (!staged.listed.test(Slot(north))) {
-        staged.listed.set(Slot(north));
-        staged.norths.push_back(north);
+  RingBuffer buffer;
+  for (Dim dim : kAllDims) {
+    const ocs::PortPairs ring = topology.RingCircuits(dim, buffer);
+    for (int face = 0; face < plan_.ocs_per_dim(); ++face) {
+      Staged& staged = StageOn(plan_.OcsFor(dim, face));
+      for (const auto& [north, south] : ring) {
+        staged.connect[Slot(north)] = south;
+        if (!staged.listed.test(Slot(north))) {
+          staged.listed.set(Slot(north));
+          staged.norths.push_back(north);
+        }
+        staged.overlay.north_taken.set(Slot(north));
+        staged.overlay.south_taken.set(Slot(south));
       }
-      staged.overlay.north_taken.set(Slot(north));
-      staged.overlay.south_taken.set(Slot(south));
     }
   }
   staged_installs_.push_back(slice_id);
@@ -114,10 +145,11 @@ Result<SliceId> Superpod::InstallSliceWithId(SliceId slice_id,
   for (int cube_id : topology.cube_ids()) {
     cube_owner_[static_cast<std::size_t>(cube_id)] = slice_id;
   }
+  // The record's connections and install time are filled in at commit.
   slices_.emplace(slice_id, InstalledSlice{
                                 .id = slice_id,
                                 .topology = topology,
-                                .connections = std::move(wanted).value(),
+                                .connections = {},
                                 .install_time_ms = 0.0,
                             });
   MaybeCommit();
@@ -131,35 +163,22 @@ void Superpod::SetNextSliceId(SliceId next) {
 Status Superpod::RemoveSlice(SliceId id) {
   auto it = slices_.find(id);
   if (it == slices_.end()) return common::NotFound("no such slice");
-  for (auto& [ocs_id, conns] : it->second.connections) {
-    // A down switch keeps its circuits until RepairOcs re-targets it.
-    if (!ocs_up_[static_cast<std::size_t>(ocs_id)]) continue;
-    Staged& staged = staged_[static_cast<std::size_t>(ocs_id)];
-    const ocs::PalomarSwitch& sw = ocs(ocs_id);
-    // Keep in `conns` only the slice's live circuits; the slice's record
-    // goes below, so they move to the teardown as they are.
-    for (auto circuit = conns.begin(); circuit != conns.end();) {
-      const auto [north, south] = *circuit;
-      if (staged.connect[Slot(north)] == south) {
-        // Staged by this slice and never programmed: nothing to tear down.
-        staged.connect[Slot(north)] = kNoCircuit;
-        staged.overlay.north_taken.reset(Slot(north));
-        staged.overlay.south_taken.reset(Slot(south));
-        circuit = conns.erase(circuit);
-      } else if (auto live = sw.ConnectionOn(north); live.has_value() && live->south == south) {
-        staged.overlay.north_freed.set(Slot(north));
-        staged.overlay.south_freed.set(Slot(south));
-        ++circuit;
-      } else {
-        circuit = conns.erase(circuit);
+  RingBuffer buffer;
+  for (Dim dim : kAllDims) {
+    const ocs::PortPairs ring = it->second.topology.RingCircuits(dim, buffer);
+    for (int face = 0; face < plan_.ocs_per_dim(); ++face) {
+      const int ocs_id = plan_.OcsFor(dim, face);
+      // A down switch keeps its circuits until RepairOcs re-targets it.
+      if (!ocs_up_[static_cast<std::size_t>(ocs_id)]) continue;
+      Staged& staged = staged_[static_cast<std::size_t>(ocs_id)];
+      for (const auto& [north, south] : ring) {
+        if (FreeCircuit(ocs_id, north, south, staged.overlay)) {
+          StageOn(ocs_id).disconnect.emplace_back(north, south);
+        } else if (staged.connect[Slot(north)] == south) {
+          // Staged by this slice and never programmed: nothing to tear down.
+          staged.connect[Slot(north)] = kNoCircuit;
+        }
       }
-    }
-    if (conns.empty()) continue;
-    std::map<int, int>& teardown = StageOn(ocs_id).disconnect;
-    if (teardown.empty()) {
-      teardown.swap(conns);
-    } else {
-      teardown.merge(conns);
     }
   }
   for (int cube_id : it->second.topology.cube_ids()) {
@@ -169,6 +188,19 @@ Status Superpod::RemoveSlice(SliceId id) {
   std::erase(staged_installs_, id);
   MaybeCommit();
   return Status::Ok();
+}
+
+Result<SliceId> Superpod::ReplaceSlice(SliceId old_id, const SliceTopology& topology) {
+  auto it = slices_.find(old_id);
+  if (it == slices_.end()) return common::NotFound("no such slice");
+  if (Status valid = ValidateInstall(next_slice_id_, topology, &it->second); !valid.ok()) {
+    return valid.error();
+  }
+  Batch batch(*this);
+  LW_CHECK_OK(RemoveSlice(old_id)) << "replaced slice " << old_id;
+  auto installed = InstallSlice(topology);
+  LW_CHECK_OK(installed) << "replacement of slice " << old_id;
+  return installed;
 }
 
 Superpod::Staged& Superpod::StageOn(int ocs_id) {
@@ -187,11 +219,12 @@ void Superpod::Commit() {
     for (std::uint64_t i = begin; i < end; ++i) {
       const int ocs_id = staged_ocs_[i];
       Staged& staged = staged_[static_cast<std::size_t>(ocs_id)];
+      // Establish in north order, as a full-target Reconfigure does.
       std::sort(staged.norths.begin(), staged.norths.end());
-      std::map<int, int> connect;
+      staged.program.clear();
       for (int north : staged.norths) {
         int& south = staged.connect[Slot(north)];
-        if (south != kNoCircuit) connect.emplace_hint(connect.end(), north, south);
+        if (south != kNoCircuit) staged.program.emplace_back(north, south);
         south = kNoCircuit;
       }
       staged.norths.clear();
@@ -202,26 +235,29 @@ void Superpod::Commit() {
             << "ocs " << ocs_id << " rejected a staged teardown";
         staged.disconnect.clear();
       }
-      if (!connect.empty()) {
-        LW_CHECK_OK(ocs(ocs_id).ConnectDelta(connect))
+      if (!staged.program.empty()) {
+        LW_CHECK_OK(ocs(ocs_id).ConnectDelta(staged.program))
             << "ocs " << ocs_id << " rejected a checked delta";
       }
     }
   };
   // One chunk per switch, as the hardware's switches act concurrently: each
-  // owns its optical core and its telemetry series, and a circuit's draws
-  // depend only on its path, so every output is the serial loop's. Below
-  // kMinParallelCircuits the commit programs its switches on this thread.
+  // owns its optical core, its telemetry series and its staging lists, and
+  // a circuit's draws depend only on its path, so every output is the
+  // serial loop's. Below kMinParallelCircuits the commit programs its
+  // switches on this thread.
   if (circuits >= kMinParallelCircuits) {
     common::parallel::ParallelFor(staged_ocs_.size(), 1, program);
   } else {
     program(0, staged_ocs_.size(), 0);
   }
   staged_ocs_.clear();
-  // A slice's install time is the transaction overhead plus its own slowest
-  // circuit, as if its circuits had been a transaction of their own.
+  // The record of each slice programmed here. Its install time is the
+  // transaction overhead plus its own slowest circuit, as if its circuits
+  // had been a transaction of their own.
   for (SliceId id : staged_installs_) {
     InstalledSlice& slice = slices_.at(id);
+    slice.connections = slice.topology.OcsConnections(plan_);
     double slowest_ms = 0.0;
     for (const auto& [ocs_id, conns] : slice.connections) {
       for (const auto& [north, south] : conns) {
@@ -251,39 +287,42 @@ std::vector<int> Superpod::FreeHealthyCubes() const {
 }
 
 void Superpod::FailOcs(int ocs_id) {
-  assert(ocs_id >= 0 && ocs_id < ocs_count());
+  const bool known = ocs_id >= 0 && ocs_id < ocs_count();
+  LW_CHECK(known) << "FailOcs of ocs " << ocs_id << " on a pod of " << ocs_count();
+  if (!known) return;
   Commit();
   ocs_up_[static_cast<std::size_t>(ocs_id)] = false;
 }
 
 void Superpod::RepairOcs(int ocs_id) {
-  assert(ocs_id >= 0 && ocs_id < ocs_count());
+  const bool known = ocs_id >= 0 && ocs_id < ocs_count();
+  LW_CHECK(known) << "RepairOcs of ocs " << ocs_id << " on a pod of " << ocs_count();
+  if (!known) return;
   Commit();
   ocs_up_[static_cast<std::size_t>(ocs_id)] = true;
   // Mirror state is volatile: the switch comes back with exactly the
-  // circuits the running slices own on it. Circuits of slices removed while
-  // it was down are torn down here.
+  // circuits the running slices own on it, each one's ring list along the
+  // switch's dimension. Circuits of slices removed while it was down are
+  // torn down here.
+  const Dim dim = plan_.DimOfOcs(ocs_id);
+  RingBuffer buffer;
   std::map<int, int> target;
   for (const auto& [id, slice] : slices_) {
-    auto it = slice.connections.find(ocs_id);
-    if (it != slice.connections.end()) target.insert(it->second.begin(), it->second.end());
+    const ocs::PortPairs ring = slice.topology.RingCircuits(dim, buffer);
+    target.insert(ring.begin(), ring.end());
   }
   (void)ocs(ocs_id).Reconfigure(target);
 }
 
 bool Superpod::SliceDegraded(SliceId id) const {
   auto it = slices_.find(id);
-  assert(it != slices_.end());
-  const InstalledSlice& slice = it->second;
-  for (int cube_id : slice.topology.cube_ids()) {
+  LW_CHECK(it != slices_.end()) << "SliceDegraded of unknown slice " << id;
+  if (it == slices_.end()) return false;
+  const std::vector<int>& cube_ids = it->second.topology.cube_ids();
+  for (int cube_id : cube_ids) {
     if (!cubes_[static_cast<std::size_t>(cube_id)].Healthy()) return true;
   }
-  if (slice.topology.cube_ids().size() > 1) {
-    for (const auto& [ocs_id, conns] : slice.connections) {
-      if (!ocs_up_[static_cast<std::size_t>(ocs_id)]) return true;
-    }
-  }
-  return false;
+  return cube_ids.size() > 1 && std::find(ocs_up_.begin(), ocs_up_.end(), false) != ocs_up_.end();
 }
 
 double Superpod::TotalReconfigMs() const {

@@ -1,18 +1,23 @@
 // The TPU v4 superpod (Fig. 14): 64 electrically-wired 4x4x4 cubes joined by
-// a lightwave fabric of 48 Palomar OCSes. An install validates the slice
-// completely against the pod (cubes, switches, and ports under the deltas
-// already staged); installs and removals stage per-OCS deltas that touch
-// only the slice's own ports, so installing or removing one slice never
-// blips another (§4.2.4). A commit programs what is staged: each OCS with work gets one
-// DisconnectDelta then one ConnectDelta, the OCSes in parallel on the
-// process-wide thread pool once the commit establishes enough circuits to
-// pay for it. A circuit installed and removed before one commit is never
-// programmed. Outside a Batch scope every install and removal commits as it
-// returns; svc::FleetService opens a Batch per applied command batch and one
-// around recovery, so recovery programs only the slices that survive the log.
-// A circuit's physics depends only on its path (ocs/optical_core.h), so each
-// commit leaves the same circuits and losses as programming one command at a
-// time; switch counters and TotalReconfigMs count what was programmed.
+// a lightwave fabric of 48 Palomar OCSes. Every OCS of a dimension carries
+// the same cube-level rings (Appendix A), so the pod keeps, checks, stages
+// and tears down a slice's circuits as its three ring lists
+// (SliceTopology::RingCircuits), walked from the topology with no allocation.
+// An install validates the slice completely against the pod (cubes,
+// switches, and each switch's ring list under the deltas already staged);
+// installs and removals stage per-OCS deltas that touch only the slice's own
+// ports, so installing or removing one slice never blips another (§4.2.4).
+// A commit programs what is staged: each OCS with work gets one
+// DisconnectDelta then one ConnectDelta over flat lists, the OCSes in
+// parallel on the process-wide thread pool once the commit establishes
+// enough circuits to pay for it. A circuit installed and removed before one
+// commit is never programmed, and its slice's record is never filled in.
+// Outside a Batch scope every install and removal commits as it returns;
+// svc::FleetService opens a Batch per applied command batch and one around
+// recovery, so recovery programs only the slices that survive the log. A
+// circuit's physics depends only on its path (ocs/optical_core.h), so each
+// commit leaves the same circuits and losses as programming one command at
+// a time; switch counters and TotalReconfigMs count what was programmed.
 #pragma once
 
 #include <array>
@@ -21,7 +26,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -37,15 +42,19 @@ using SliceId = std::uint64_t;
 struct InstalledSlice {
   SliceId id = 0;
   SliceTopology topology;
-  /// The connections the slice owns, per OCS (north -> south).
+  /// The connections the slice owns, per OCS (north -> south): its
+  /// topology's OcsConnections. Set when the slice is programmed, empty
+  /// while it is staged; the pod itself works from the ring lists.
   std::map<int, std::map<int, int>> connections;
   /// Command overhead plus the slowest of its circuits' alignments; set
-  /// when the slice is programmed.
+  /// when the slice is programmed, 0 while it is staged.
   double install_time_ms = 0.0;
 };
 
 class Superpod {
  public:
+  /// LW_CHECKs that every cube has a port on an OCS (at most
+  /// ocs::kPalomarUsablePorts cubes).
   explicit Superpod(std::uint64_t seed, int cubes = kCubesPerPod,
                     int ocs_per_dim = kOcsPerDim);
 
@@ -87,6 +96,13 @@ class Superpod {
   /// dropped; its programmed circuits on up OCSes are staged for teardown.
   common::Status RemoveSlice(SliceId id);
 
+  /// Replaces slice `old_id` by a slice of `topology` under a fresh id, as
+  /// RemoveSlice then InstallSlice in one Batch would. The new slice is
+  /// checked against the pod as it would stand without the old one (its
+  /// cubes free, its circuits torn down) before anything changes, so a
+  /// replacement that cannot install fails with the pod untouched.
+  common::Result<SliceId> ReplaceSlice(SliceId old_id, const SliceTopology& topology);
+
   /// Defers programming: installs and removals made while a Batch lives
   /// stage their deltas, and the outermost scope commits them as it closes,
   /// early returns included. Scopes nest; the pod must not be shared across
@@ -112,15 +128,18 @@ class Superpod {
 
   /// --- failure injection ---------------------------------------------------
   /// Both commit what is staged first: a switch that goes down keeps the
-  /// circuits it was programmed with.
+  /// circuits it was programmed with. Both LW_CHECK that `ocs_id` is one of
+  /// the pod's and do nothing when it is not.
   void FailOcs(int ocs_id);
   /// Brings the OCS back up, programmed with exactly the circuits the
-  /// running slices own on it.
+  /// running slices own on it: each slice's ring list for its dimension.
   void RepairOcs(int ocs_id);
 
-  /// A slice is degraded when any owning cube is unhealthy or any OCS
-  /// carrying its connections is down. Single-cube slices never depend on
-  /// the fabric (§4.2.2: "no reconfiguration between cubes is used").
+  /// A slice is degraded when any owning cube is unhealthy or, for a
+  /// multi-cube slice, any OCS is down: every OCS carries a circuit of every
+  /// slice. Single-cube slices never depend on the fabric (§4.2.2: "no
+  /// reconfiguration between cubes is used"). LW_CHECKs that the slice
+  /// exists; an unknown id reads as not degraded.
   bool SliceDegraded(SliceId id) const;
 
   /// Wall-clock spent reconfiguring switches since construction (committed
@@ -142,8 +161,6 @@ class Superpod {
   }
 
  private:
-  using OcsCircuits = std::map<int, std::map<int, int>>;
-
   /// One OCS's deltas staged since the last commit.
   struct Staged {
     /// New circuits as a flat table over north ports (kNoCircuit where
@@ -151,20 +168,32 @@ class Superpod {
     std::array<int, ocs::kPalomarUsablePorts> connect;
     std::vector<int> norths;
     std::bitset<ocs::kPalomarUsablePorts> listed;
-    /// Live circuits to tear down, taken over from the removed slices.
-    std::map<int, int> disconnect;
+    /// Live circuits to tear down, from the removed slices' ring lists.
+    std::vector<std::pair<int, int>> disconnect;
     /// connect's ports taken, disconnect's freed: what the next commit
     /// changes, which the next install is checked under.
     ocs::PortOverlay overlay;
+    /// The commit's connect list, built in north order; kept so its
+    /// capacity is reused.
+    std::vector<std::pair<int, int>> program;
   };
 
-  /// Every check of an install; returns the slice's circuits per OCS.
-  common::Result<OcsCircuits> ValidateInstall(SliceId id, const SliceTopology& topology) const;
+  /// Every check of an install, the circuits as each switch's ring list
+  /// under its staged overlay. With `replacing`, the pod is taken as it
+  /// would stand once that slice is removed.
+  common::Status ValidateInstall(SliceId id, const SliceTopology& topology,
+                                 const InstalledSlice* replacing = nullptr) const;
+  /// Frees circuit north -> south of `ocs_id` in `overlay` as removing its
+  /// slice does: a circuit staged since the last commit leaves the taken
+  /// ports, a live one joins the freed ports. True when it is live, so the
+  /// removal tears it down.
+  bool FreeCircuit(int ocs_id, int north, int south, ocs::PortOverlay& overlay) const;
   /// The staging area of `ocs_id`, listing the OCS for the next commit.
   Staged& StageOn(int ocs_id);
-  /// Programs everything staged (see the header comment); a no-op when
-  /// nothing is. Validation happened at stage time, so a rejected delta is
-  /// an invariant break and LW_CHECKs.
+  /// Programs everything staged (see the header comment) and fills in the
+  /// records of the slices it installs; a no-op when nothing is staged.
+  /// Validation happened at stage time, so a rejected delta is an invariant
+  /// break and LW_CHECKs.
   void Commit();
   /// Commits unless a Batch is open.
   void MaybeCommit() {

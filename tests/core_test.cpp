@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -312,6 +314,57 @@ TEST(Scheduler, RepairFailsWithoutSpares) {
   ASSERT_TRUE(id.ok());
   pod.cube(0).SetHostHealth(0, false);
   EXPECT_FALSE(scheduler.RepairSlice(id.value()).ok());
+}
+
+/// Every switch's circuits with both losses, in OCS order.
+std::vector<std::vector<ocs::Connection>> SwitchCircuits(const tpu::Superpod& pod) {
+  std::vector<std::vector<ocs::Connection>> circuits;
+  for (int i = 0; i < pod.ocs_count(); ++i) circuits.push_back(pod.ocs(i).Connections());
+  return circuits;
+}
+
+TEST(Scheduler, FailedRepairLeavesTheSliceRunning) {
+  // A 1x1x2 slice on cubes {0, 1} loses a host of cube 1, and the repair's
+  // replacement {0, 2} cannot install: an OCS is down, or the spare cube 2
+  // has a dead port. The repair checks the replacement before it removes
+  // anything, so it fails with the slice, its cube owners and every circuit
+  // (both losses included) as they were.
+  struct Case {
+    const char* name;
+    std::function<void(tpu::Superpod&)> break_fabric;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"down ocs", [](tpu::Superpod& pod) { pod.FailOcs(3); }, "ocs 3 is down"},
+      {"dead spare port",
+       [](tpu::Superpod& pod) { pod.ocs(0).TestOnlyKillPortUnderConnection(true, 2); },
+       "ocs 0: target references dead port"},
+  };
+  for (const Case& c : cases) {
+    tpu::Superpod pod(8, 8, 2);
+    SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
+    auto id = scheduler.Allocate(SliceShape{1, 1, 2});
+    ASSERT_TRUE(id.ok()) << c.name;
+    ASSERT_EQ(pod.slices().at(id.value()).topology.cube_ids(), (std::vector<int>{0, 1}));
+    pod.cube(1).SetHostHealth(0, false);
+    c.break_fabric(pod);
+    const auto circuits = SwitchCircuits(pod);
+    auto repaired = scheduler.RepairSlice(id.value());
+    ASSERT_FALSE(repaired.ok()) << c.name;
+    EXPECT_EQ(repaired.error().message, c.error) << c.name;
+    EXPECT_EQ(pod.slices().size(), 1u) << c.name;
+    EXPECT_TRUE(pod.slices().contains(id.value()) &&
+                pod.slices().at(id.value()).topology.cube_ids() == (std::vector<int>{0, 1}))
+        << c.name;
+    for (int cube = 0; cube < pod.cube_count(); ++cube) {
+      EXPECT_EQ(pod.SliceOwningCube(cube),
+                cube < 2 ? std::optional<tpu::SliceId>(id.value()) : std::nullopt)
+          << c.name << " cube " << cube;
+    }
+    EXPECT_EQ(SwitchCircuits(pod), circuits) << c.name;
+    EXPECT_EQ(scheduler.BusyCubes(), 2) << c.name;
+    EXPECT_EQ(scheduler.stats().repairs, 0u) << c.name;
+  }
 }
 
 TEST(Scheduler, StaticPolicyCannotRepair) {

@@ -8,6 +8,8 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -600,32 +602,34 @@ TEST(Fuzz, PalomarInvariantsUnderRandomOps) {
         EXPECT_EQ(conn->south, model.at(n));
       }
     } else if (kind == 4) {
-      // Delta connect of a few random pairs: valid iff every port is free
-      // and alive and no south repeats; a rejection changes nothing, and a
-      // valid delta always applies (no mirror dies under a usable port).
-      std::map<int, int> delta;
-      std::set<int> souths;
+      // Delta connect of a few random pairs, in the order drawn: valid iff
+      // every port is free and alive and no south repeats; a rejection
+      // changes nothing, and a valid delta always applies (no mirror dies
+      // under a usable port).
+      std::vector<std::pair<int, int>> delta;
+      std::set<int> norths, souths;
       bool valid = true;
       const int size = 1 + static_cast<int>(rng.UniformInt(4));
       for (int i = 0; i < size; ++i) {
         const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
         const int s = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
-        if (delta.contains(n)) continue;
+        if (!norths.insert(n).second) continue;
         valid = valid && !model.contains(n) && south_free(s) && usable(n, s) &&
                 souths.insert(s).second;
-        delta[n] = s;
+        delta.emplace_back(n, s);
       }
       const auto result = ocs.ConnectDelta(delta);
       EXPECT_EQ(result.ok(), valid) << "op " << op;
       if (result.ok()) model.insert(delta.begin(), delta.end());
     } else if (kind == 5) {
       // Delta disconnect: live pairs go, anything else is left alone.
-      std::map<int, int> delta;
+      std::map<int, int> drawn;
       for (const auto& [mn, ms] : model) {
-        if (rng.Bernoulli(0.1)) delta[mn] = ms;
+        if (rng.Bernoulli(0.1)) drawn[mn] = ms;
       }
       const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
-      delta[n] = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
+      drawn[n] = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
+      const std::vector<std::pair<int, int>> delta(drawn.begin(), drawn.end());
       ASSERT_TRUE(ocs.DisconnectDelta(delta).ok()) << "op " << op;
       for (const auto& [dn, ds] : delta) {
         if (auto it = model.find(dn); it != model.end() && it->second == ds) model.erase(it);

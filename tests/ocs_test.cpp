@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -522,6 +523,9 @@ INSTANTIATE_TEST_SUITE_P(Shifts, PalomarPermutationSweep, ::testing::Values(0, 1
 
 // --- palomar delta transactions ------------------------------------------------
 
+/// A delta as the span API takes it: (north, south) pairs.
+using Pairs = std::vector<std::pair<int, int>>;
+
 void ExpectSameTelemetry(const SwitchTelemetry& a, const SwitchTelemetry& b) {
   EXPECT_EQ(a.connects, b.connects);
   EXPECT_EQ(a.disconnects, b.disconnects);
@@ -555,7 +559,8 @@ TEST(PalomarDelta, MatchesFullTargetReconfigure) {
         souths.insert(south);
       }
       target.insert(delta.begin(), delta.end());
-      const auto added = by_delta.ConnectDelta(delta);
+      // In north order, as Reconfigure establishes them.
+      const auto added = by_delta.ConnectDelta(Pairs(delta.begin(), delta.end()));
       ASSERT_TRUE(added.ok()) << step << ": " << added.error().message;
       duration_ms = added.value();
     } else {
@@ -570,7 +575,7 @@ TEST(PalomarDelta, MatchesFullTargetReconfigure) {
           target.erase(it);
         }
       }
-      const auto removed = by_delta.DisconnectDelta(delta);
+      const auto removed = by_delta.DisconnectDelta(Pairs(delta.begin(), delta.end()));
       ASSERT_TRUE(removed.ok()) << step << ": " << removed.error().message;
       duration_ms = removed.value();
     }
@@ -588,17 +593,18 @@ TEST(PalomarDelta, MatchesFullTargetReconfigure) {
 
 TEST(PalomarDelta, InvalidDeltaRejectedWithoutStateChange) {
   PalomarSwitch ocs(33);
-  ASSERT_TRUE(ocs.ConnectDelta({{0, 10}, {1, 11}}).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{0, 10}, {1, 11}}).ok());
   bool usable = true;
   for (int i = 0; i < 60 && usable; ++i) usable = ocs.InjectMirrorFailure(true, 5);
   ASSERT_FALSE(ocs.PortUsable(true, 5));
 
-  const std::map<int, int> invalid_connects[] = {
+  const Pairs invalid_connects[] = {
       {{2, 12}, {kPalomarUsablePorts, 13}},  // north out of range
       {{2, -1}},                             // south out of range
       {{0, 12}},                             // north busy
       {{2, 10}},                             // south busy
       {{2, 12}, {3, 12}},                    // south repeated
+      {{2, 12}, {2, 13}},                    // north repeated
       {{2, 12}, {5, 14}},                    // north port dead
   };
   const auto expect_rejected = [&ocs](const auto& attempt) {
@@ -615,13 +621,13 @@ TEST(PalomarDelta, InvalidDeltaRejectedWithoutStateChange) {
     EXPECT_FALSE(ocs.CheckConnectDelta(delta).ok());
     expect_rejected([&] { return ocs.ConnectDelta(delta); });
   }
-  expect_rejected([&] { return ocs.DisconnectDelta({{0, 10}, {1, kPalomarUsablePorts}}); });
-  expect_rejected([&] { return ocs.DisconnectDelta({{-1, 10}}); });
+  expect_rejected([&] { return ocs.DisconnectDelta(Pairs{{0, 10}, {1, kPalomarUsablePorts}}); });
+  expect_rejected([&] { return ocs.DisconnectDelta(Pairs{{-1, 10}}); });
 
   // The same switch still takes a valid delta.
-  EXPECT_TRUE(ocs.CheckConnectDelta({{2, 12}}).ok());
-  ASSERT_TRUE(ocs.ConnectDelta({{2, 12}}).ok());
-  ASSERT_TRUE(ocs.DisconnectDelta({{0, 10}}).ok());
+  EXPECT_TRUE(ocs.CheckConnectDelta(Pairs{{2, 12}}).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{2, 12}}).ok());
+  ASSERT_TRUE(ocs.DisconnectDelta(Pairs{{0, 10}}).ok());
   EXPECT_EQ(ocs.CurrentMapping(), (std::map<int, int>{{1, 11}, {2, 12}}));
 }
 
@@ -629,22 +635,22 @@ TEST(PalomarDelta, CheckCountsStagedPorts) {
   // Under a caller's overlay a taken port is busy and a freed one free,
   // whatever the port tables hold; the check changes and counts nothing.
   PalomarSwitch ocs(34);
-  ASSERT_TRUE(ocs.ConnectDelta({{0, 10}}).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{0, 10}}).ok());
   PortOverlay staged;
-  EXPECT_FALSE(ocs.CheckConnectDelta({{0, 11}}, staged).ok());
-  EXPECT_FALSE(ocs.CheckConnectDelta({{1, 10}}, staged).ok());
+  EXPECT_FALSE(ocs.CheckConnectDelta(Pairs{{0, 11}}, staged).ok());
+  EXPECT_FALSE(ocs.CheckConnectDelta(Pairs{{1, 10}}, staged).ok());
   staged.north_freed.set(0);
   staged.south_freed.set(10);
-  EXPECT_TRUE(ocs.CheckConnectDelta({{0, 11}}, staged).ok());
-  EXPECT_TRUE(ocs.CheckConnectDelta({{1, 10}}, staged).ok());
+  EXPECT_TRUE(ocs.CheckConnectDelta(Pairs{{0, 11}}, staged).ok());
+  EXPECT_TRUE(ocs.CheckConnectDelta(Pairs{{1, 10}}, staged).ok());
   staged.north_taken.set(2);
   staged.south_taken.set(12);
-  EXPECT_FALSE(ocs.CheckConnectDelta({{2, 13}}, staged).ok());
-  EXPECT_FALSE(ocs.CheckConnectDelta({{3, 12}}, staged).ok());
-  EXPECT_TRUE(ocs.CheckConnectDelta({{3, 13}}, staged).ok());
+  EXPECT_FALSE(ocs.CheckConnectDelta(Pairs{{2, 13}}, staged).ok());
+  EXPECT_FALSE(ocs.CheckConnectDelta(Pairs{{3, 12}}, staged).ok());
+  EXPECT_TRUE(ocs.CheckConnectDelta(Pairs{{3, 13}}, staged).ok());
   // Without an overlay the port tables decide.
-  EXPECT_FALSE(ocs.CheckConnectDelta({{0, 11}}).ok());
-  EXPECT_TRUE(ocs.CheckConnectDelta({{2, 13}}).ok());
+  EXPECT_FALSE(ocs.CheckConnectDelta(Pairs{{0, 11}}).ok());
+  EXPECT_TRUE(ocs.CheckConnectDelta(Pairs{{2, 13}}).ok());
   EXPECT_EQ(ocs.CurrentMapping(), (std::map<int, int>{{0, 10}}));
   EXPECT_EQ(ocs.telemetry().rejected_commands, 0u);
 }

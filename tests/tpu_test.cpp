@@ -3,14 +3,17 @@
 // bisection math, and the superpod install/remove/failure flows.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <iterator>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "tpu/cube.h"
@@ -257,6 +260,58 @@ TEST(Slice, ConnectionsAreBijectivePerOcs) {
     for (const auto& [n, s] : target) EXPECT_TRUE(souths.insert(s).second);
     EXPECT_EQ(souths.size(), target.size());
     EXPECT_EQ(target.size(), 64u);  // every cube participates in every ring
+  }
+}
+
+TEST(Slice, OcsConnectionsCarryTheRingLists) {
+  // For every shape of 1-16 cubes on a random cube assignment, each
+  // dimension's ring list holds one circuit per cube, north = the cube at a
+  // logical position and south = the cube one step further along the
+  // dimension (wrapping), and every OCS of that dimension carries exactly
+  // that list, on the 48-OCS plan and on the 24-OCS CWDM8 plan alike.
+  common::Rng rng(79);
+  std::array<std::pair<int, int>, ocs::kPalomarUsablePorts> buffer;
+  for (const int ocs_per_dim : {kOcsPerDim, kOcsPerDim / 2}) {
+    const WiringPlan plan(kCubesPerPod, ocs_per_dim);
+    for (int cubes = 1; cubes <= 16; ++cubes) {
+      for (const SliceShape& shape : EnumerateShapes(cubes)) {
+        SCOPED_TRACE(shape.ToCubeString() + " on " + std::to_string(plan.ocs_count()) +
+                     " OCSes");
+        std::vector<int> pool;
+        for (int id = 0; id < kCubesPerPod; ++id) pool.push_back(id);
+        std::vector<int> ids;
+        for (int k = 0; k < cubes; ++k) {
+          const auto at = rng.UniformInt(pool.size());
+          ids.push_back(pool[at]);
+          pool[at] = pool.back();
+          pool.pop_back();
+        }
+        const SliceTopology slice = SliceTopology::Create(shape, ids).value();
+        const auto conns = slice.OcsConnections(plan);
+        ASSERT_EQ(conns.size(), static_cast<std::size_t>(plan.ocs_count()));
+        const int len[3] = {shape.a, shape.b, shape.c};
+        for (Dim dim : kAllDims) {
+          const int d = static_cast<int>(dim);
+          std::vector<std::pair<int, int>> expected;
+          for (int ic = 0; ic < shape.c; ++ic) {
+            for (int ib = 0; ib < shape.b; ++ib) {
+              for (int ia = 0; ia < shape.a; ++ia) {
+                int next[3] = {ia, ib, ic};
+                next[d] = (next[d] + 1) % len[d];
+                expected.emplace_back(slice.CubeAt(ia, ib, ic),
+                                      slice.CubeAt(next[0], next[1], next[2]));
+              }
+            }
+          }
+          const auto ring = slice.RingCircuits(dim, buffer);
+          ASSERT_EQ(decltype(expected)(ring.begin(), ring.end()), expected) << ToString(dim);
+          const std::map<int, int> carried(ring.begin(), ring.end());
+          for (int face = 0; face < ocs_per_dim; ++face) {
+            EXPECT_EQ(conns.at(plan.OcsFor(dim, face)), carried) << ToString(dim) << face;
+          }
+        }
+      }
+    }
   }
 }
 
@@ -657,6 +712,75 @@ TEST(SuperpodTest, BatchCommitMatchesOneAtATime) {
   }
   EXPECT_TRUE(CountChurn(batched) == before);
   EXPECT_EQ(SwitchDigest(batched), digest);
+}
+
+TEST(SuperpodTest, BatchCommitFillsTheSliceRecordAtCommit) {
+  // A slice's record gets its connections and install time when it is
+  // programmed. Inside a Batch the staged slices have neither; once the
+  // scope closes both equal those of a pod that commits each call as it
+  // returns, and a slice removed inside the scope never had them.
+  Superpod each(4245), batched(4245);
+  const SliceTopology kept[] = {MakeSlice(SliceShape{2, 2, 2}, 0),
+                                MakeSlice(SliceShape{1, 2, 4}, 8)};
+  const SliceTopology dropped = MakeSlice(SliceShape{1, 1, 2}, 20);
+  for (const SliceTopology& topology : kept) ASSERT_TRUE(each.InstallSlice(topology).ok());
+  auto gone = each.InstallSlice(dropped);
+  ASSERT_TRUE(gone.ok());
+  ASSERT_TRUE(each.RemoveSlice(gone.value()).ok());
+  {
+    Superpod::Batch batch(batched);
+    for (const SliceTopology& topology : kept) ASSERT_TRUE(batched.InstallSlice(topology).ok());
+    auto staged = batched.InstallSlice(dropped);
+    ASSERT_TRUE(staged.ok());
+    for (const auto& [id, slice] : batched.slices()) {
+      EXPECT_TRUE(slice.connections.empty()) << id;
+      EXPECT_EQ(slice.install_time_ms, 0.0) << id;
+      EXPECT_FALSE(batched.SliceDegraded(id)) << id;
+    }
+    ASSERT_TRUE(batched.RemoveSlice(staged.value()).ok());
+  }
+  ASSERT_EQ(batched.slices().size(), 2u);
+  EXPECT_TRUE(SliceTable(batched) == SliceTable(each));
+  EXPECT_EQ(SwitchDigest(batched), SwitchDigest(each));
+  for (const auto& [id, slice] : batched.slices()) {
+    EXPECT_EQ(slice.connections, slice.topology.OcsConnections(batched.plan())) << id;
+    EXPECT_GT(slice.install_time_ms, ocs::PalomarSwitch::kCommandOverheadMs) << id;
+  }
+}
+
+TEST(SuperpodTest, OutOfRangeArgumentsTripChecks) {
+  // A Release build compiles assert out, so these guards are LW_CHECKs:
+  // each reports through the handler and, when the handler returns, leaves
+  // the pod as it was.
+  std::vector<std::string> failures;
+  common::ScopedCheckHandler handler([&failures](const common::CheckFailure& failure) {
+    failures.push_back(common::FormatCheckFailure(failure));
+  });
+  Superpod pod(111, 8, 2);
+  auto id = pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0));
+  ASSERT_TRUE(id.ok());
+  const std::uint64_t digest = SwitchDigest(pod);
+  EXPECT_FALSE(pod.SliceDegraded(id.value() + 1));
+  pod.FailOcs(-1);
+  pod.FailOcs(pod.ocs_count());
+  pod.RepairOcs(-1);
+  pod.RepairOcs(pod.ocs_count());
+  ASSERT_EQ(failures.size(), 5u);
+  EXPECT_NE(failures[0].find("SliceDegraded of unknown slice 2"), std::string::npos)
+      << failures[0];
+  EXPECT_NE(failures[1].find("FailOcs of ocs -1"), std::string::npos) << failures[1];
+  EXPECT_NE(failures[2].find("FailOcs of ocs 6"), std::string::npos) << failures[2];
+  EXPECT_NE(failures[3].find("RepairOcs of ocs -1"), std::string::npos) << failures[3];
+  EXPECT_NE(failures[4].find("RepairOcs of ocs 6"), std::string::npos) << failures[4];
+  EXPECT_FALSE(pod.SliceDegraded(id.value()));
+  EXPECT_EQ(SwitchDigest(pod), digest);
+  EXPECT_TRUE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 2)).ok());
+  EXPECT_EQ(failures.size(), 5u);
+  // A pod with more cubes than an OCS has ports cannot be wired.
+  const Superpod oversized(112, ocs::kPalomarUsablePorts + 1, 1);
+  ASSERT_EQ(failures.size(), 6u);
+  EXPECT_NE(failures[5].find("a pod of 129 cubes outgrows the 128 ports"), std::string::npos)
+      << failures[5];
 }
 
 TEST(SuperpodTest, Cwdm8PodVariantUses24Switches) {
