@@ -121,15 +121,15 @@ static void BM_PalomarReconfigure(benchmark::State& state) {
 }
 BENCHMARK(BM_PalomarReconfigure);
 
-// One 2-D mirror noise draw: a circuit's alignment physics takes about 21
-// of them.
-static void BM_GaussianPair(benchmark::State& state) {
+// One normal draw: a circuit's alignment physics takes about 42 of them,
+// two per 2-D mirror noise draw.
+static void BM_Gaussian(benchmark::State& state) {
   common::Rng rng(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rng.GaussianPair());
+    benchmark::DoNotOptimize(rng.Gaussian());
   }
 }
-BENCHMARK(BM_GaussianPair);
+BENCHMARK(BM_Gaussian);
 
 // One circuit's optical physics: open-loop actuation of both mirrors, then
 // each mirror's closed alignment loop. Every circuit a switch programs runs

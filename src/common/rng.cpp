@@ -1,20 +1,16 @@
 #include "common/rng.h"
 
 #include <cmath>
-#include <numbers>
 
 namespace lightwave::common {
-namespace {
 
-std::uint64_t SplitMix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
+std::uint64_t SplitMix64(std::uint64_t& state) {
+  state += 0x9E3779B97F4A7C15ull;
+  std::uint64_t z = state;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
-
-}  // namespace
 
 namespace detail {
 
@@ -51,25 +47,6 @@ std::uint64_t Rng::UniformInt(std::uint64_t n) {
   }
 }
 
-double Rng::Gaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
-  double u1 = 0.0;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 0.0);
-  const double u2 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
-  cached_gaussian_ = r * std::sin(theta);
-  has_cached_gaussian_ = true;
-  return r * std::cos(theta);
-}
-
-double Rng::Gaussian(double mean, double stddev) { return mean + stddev * Gaussian(); }
-
 double Rng::ZigguratEdge(std::size_t layer, double u) {
   if (layer == 0) {
     // Marsaglia's tail sampler: R + t with t ~ Exp(R) has the normal's
@@ -88,7 +65,7 @@ double Rng::ZigguratEdge(std::size_t layer, double u) {
   const double x = u * zig.x[layer];
   const double height = zig.f[layer + 1] + NextDouble() * (zig.f[layer] - zig.f[layer + 1]);
   if (height < std::exp(-0.5 * x * x)) return x;
-  return ZigguratNormal();
+  return Gaussian();
 }
 
 double Rng::Exponential(double rate) {
@@ -100,8 +77,6 @@ double Rng::Exponential(double rate) {
 }
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
-
-Rng Rng::Fork() { return Rng(NextU64()); }
 
 Rng Rng::Stream(std::uint64_t seed, std::uint64_t stream) {
   // Two splitmix rounds over the (seed, stream) pair decorrelate adjacent

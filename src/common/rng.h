@@ -6,9 +6,14 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 
 namespace lightwave::common {
+
+/// One splitmix64 step (Vigna): advances `state` by the golden-ratio gamma
+/// and returns a full-avalanche mix of it. It seeds Rng and Rng::Stream and
+/// hashes the fleet router's ring points; the constants are fixed, so every
+/// use is stable across runs and processes.
+std::uint64_t SplitMix64(std::uint64_t& state);
 
 namespace detail {
 
@@ -68,19 +73,12 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t UniformInt(std::uint64_t n);
 
-  /// Standard normal via Box-Muller (cached second variate). Serves the
-  /// scalar callers: collimator fabrication, the phy Monte-Carlo and
-  /// equalizer, camera pixel noise and the fabric survey's population draw.
-  double Gaussian();
-
-  /// Normal with given mean / standard deviation.
-  double Gaussian(double mean, double stddev);
-
-  /// Two independent standard normals, x drawn before y, each by the
-  /// Ziggurat (detail::ZigguratTables). It neither reads nor fills
-  /// Gaussian()'s cache. Serves every 2-D mirror noise draw on an optical
-  /// core: open-loop actuation, a spare's re-draw, and the alignment loop's
-  /// measurement and actuation noise.
+  /// Standard normal by the Ziggurat (detail::ZigguratTables), the one
+  /// normal sampler: the phy Monte-Carlo and equalizer, collimator
+  /// fabrication, camera pixel noise and the fabric survey draw one at a
+  /// time, and each 2-D mirror-noise draw on an optical core is two calls,
+  /// x then y. No variate is cached, so a copied generator carries only its
+  /// four state words.
   ///
   /// Each attempt reads one NextU64() word w: the layer is its low 7 bits
   /// and the signed uniform u = 2 (w >> 11) 2^-53 - 1 in [-1, 1) its top 53
@@ -89,20 +87,23 @@ class Rng {
   /// else the base layer goes to Marsaglia's tail sampler beyond R, and any
   /// other layer takes the exact wedge test (one NextDouble(), one exp). A
   /// rejected attempt (1.2% of them) starts a new one.
-  std::pair<double, double> GaussianPair() {
-    const double x = ZigguratNormal();
-    return {x, ZigguratNormal()};
+  double Gaussian() {
+    const detail::ZigguratTables& zig = detail::Ziggurat();
+    const std::uint64_t w = NextU64();
+    const auto layer = static_cast<std::size_t>(w & 0x7F);
+    const double u = 2.0 * (static_cast<double>(w >> 11) * 0x1.0p-53) - 1.0;
+    if (std::abs(u) < zig.ratio[layer]) return u * zig.x[layer];
+    return ZigguratEdge(layer, u);
   }
+
+  /// Normal with given mean / standard deviation.
+  double Gaussian(double mean, double stddev) { return mean + stddev * Gaussian(); }
 
   /// Exponential with given rate (events per unit time). Requires rate > 0.
   double Exponential(double rate);
 
   /// True with probability p.
   bool Bernoulli(double p);
-
-  /// Derives an independent child generator; used to give each simulated
-  /// device its own stream without correlation.
-  Rng Fork();
 
   /// Counter-based stream derivation for the parallel runtime: the state
   /// depends only on (seed, stream), so chunk `c` of a parallel region can
@@ -115,23 +116,11 @@ class Rng {
  private:
   static std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-  /// One Ziggurat normal: the rectangle test inline, the rest out of line.
-  double ZigguratNormal() {
-    const detail::ZigguratTables& zig = detail::Ziggurat();
-    const std::uint64_t w = NextU64();
-    const auto layer = static_cast<std::size_t>(w & 0x7F);
-    const double u = 2.0 * (static_cast<double>(w >> 11) * 0x1.0p-53) - 1.0;
-    if (std::abs(u) < zig.ratio[layer]) return u * zig.x[layer];
-    return ZigguratEdge(layer, u);
-  }
-
   /// The attempt (layer, u) missed its layer's rectangle: the tail or the
   /// wedge test, then fresh attempts until one is accepted.
   double ZigguratEdge(std::size_t layer, double u);
 
   std::array<std::uint64_t, 4> state_{};
-  double cached_gaussian_ = 0.0;
-  bool has_cached_gaussian_ = false;
 };
 
 }  // namespace lightwave::common

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "ctrl/controller.h"
 
 namespace lightwave::fleet {
@@ -13,14 +14,9 @@ using common::Status;
 
 namespace {
 
-/// SplitMix64 finalizer: the ring's point hash. Fixed constants, so ring
-/// geometry is stable across runs and processes.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+/// The ring's point hash: one SplitMix64 step from `key`, so ring geometry
+/// is stable across runs and processes.
+std::uint64_t Mix64(std::uint64_t key) { return common::SplitMix64(key); }
 
 constexpr std::uint64_t kTenantSalt = 0x5bf0'3635'0c18'9d4full;
 

@@ -23,9 +23,8 @@ AlignmentResult AlignmentController::Align(common::Rng& rng, MemsArray& array,
                                                      &measured_x, &measured_y)) {
       const double noise_std =
           config_.use_camera ? config_.acquisition_noise_std : config_.measurement_noise_std;
-      const auto [nx, ny] = rng.GaussianPair();
-      measured_x = true_x + noise_std * nx;
-      measured_y = true_y + noise_std * ny;
+      measured_x = rng.Gaussian(true_x, noise_std);
+      measured_y = rng.Gaussian(true_y, noise_std);
     }
     if (measured_x * measured_x + measured_y * measured_y < threshold_sq) {
       result.converged = true;
@@ -33,9 +32,8 @@ AlignmentResult AlignmentController::Align(common::Rng& rng, MemsArray& array,
     }
     // HV update removes `gain` of the measured error (plus actuation noise
     // well below the open-loop figure).
-    const auto [nx, ny] = rng.GaussianPair();
-    m.actual_x -= config_.gain * measured_x + kActuationNoiseStd * nx;
-    m.actual_y -= config_.gain * measured_y + kActuationNoiseStd * ny;
+    m.actual_x -= rng.Gaussian(config_.gain * measured_x, kActuationNoiseStd);
+    m.actual_y -= rng.Gaussian(config_.gain * measured_y, kActuationNoiseStd);
   }
   result.residual_error = array.PointingError(logical);
   if (!result.converged) {

@@ -35,9 +35,8 @@ void MemsArray::Actuate(common::Rng& rng, int logical, double x, double y) {
   assert(m.functional);
   m.target_x = x;
   m.target_y = y;
-  const auto [nx, ny] = rng.GaussianPair();
-  m.actual_x = x + kOpenLoopErrorStd * nx;
-  m.actual_y = y + kOpenLoopErrorStd * ny;
+  m.actual_x = rng.Gaussian(x, kOpenLoopErrorStd);
+  m.actual_y = rng.Gaussian(y, kOpenLoopErrorStd);
 }
 
 bool MemsArray::FailMirror(common::Rng& rng, int physical) {
@@ -53,9 +52,8 @@ bool MemsArray::FailMirror(common::Rng& rng, int physical) {
       spare_pool_.pop_back();
       // The substituted mirror starts unaligned.
       MirrorState& sub = mirrors_[static_cast<std::size_t>(phys)];
-      const auto [nx, ny] = rng.GaussianPair();
-      sub.actual_x = sub.target_x + kOpenLoopErrorStd * nx;
-      sub.actual_y = sub.target_y + kOpenLoopErrorStd * ny;
+      sub.actual_x = rng.Gaussian(sub.target_x, kOpenLoopErrorStd);
+      sub.actual_y = rng.Gaussian(sub.target_y, kOpenLoopErrorStd);
       return true;
     }
   }

@@ -7,7 +7,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
@@ -75,6 +75,10 @@ TEST(Units, SumInterferersEmptyIsFloor) {
 
 // --- rng ---------------------------------------------------------------------
 
+// A generator is its four xoshiro256++ state words and nothing else, so a
+// copy continues exactly where the original would.
+static_assert(sizeof(Rng) == 4 * sizeof(std::uint64_t));
+
 TEST(Rng, DeterministicForSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.NextU64(), b.NextU64());
@@ -128,65 +132,42 @@ double KsDistanceToNormal(std::vector<double> sample) {
 }
 
 TEST(Rng, GaussianMoments) {
+  // Scalar draws: each standard normal and uncorrelated with the next.
   Rng rng(13);
-  double sum = 0.0, sum_sq = 0.0;
-  const int n = 200000;
+  const int n = 1000000;
+  std::vector<double> xs(n);
+  for (double& x : xs) x = rng.Gaussian();
+  const double mean = std::accumulate(xs.begin(), xs.end(), 0.0) / n;
+  double var = 0.0, lag1 = 0.0;
   for (int i = 0; i < n; ++i) {
-    const double x = rng.Gaussian();
-    sum += x;
-    sum_sq += x * x;
+    var += (xs[i] - mean) * (xs[i] - mean);
+    if (i + 1 < n) lag1 += (xs[i] - mean) * (xs[i + 1] - mean);
   }
-  EXPECT_NEAR(sum / n, 0.0, 0.02);
-  EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
-
-  // The Ziggurat pair: each coordinate standard normal, the two
-  // uncorrelated.
-  Rng pair_rng(14);
-  const int pairs = 1000000;
-  std::vector<double> xs(pairs), ys(pairs);
-  for (int i = 0; i < pairs; ++i) std::tie(xs[i], ys[i]) = pair_rng.GaussianPair();
-  const auto mean = [](const std::vector<double>& v) {
-    return std::accumulate(v.begin(), v.end(), 0.0) / static_cast<double>(v.size());
-  };
-  const double mean_x = mean(xs), mean_y = mean(ys);
-  double var_x = 0.0, var_y = 0.0, cov = 0.0;
-  for (int i = 0; i < pairs; ++i) {
-    var_x += (xs[i] - mean_x) * (xs[i] - mean_x);
-    var_y += (ys[i] - mean_y) * (ys[i] - mean_y);
-    cov += (xs[i] - mean_x) * (ys[i] - mean_y);
-  }
-  EXPECT_LT(std::abs(mean_x), 0.005);
-  EXPECT_LT(std::abs(mean_y), 0.005);
-  EXPECT_LT(std::abs(var_x / pairs - 1.0), 0.01);
-  EXPECT_LT(std::abs(var_y / pairs - 1.0), 0.01);
-  EXPECT_LT(std::abs(cov / std::sqrt(var_x * var_y)), 0.005);
+  EXPECT_LT(std::abs(mean), 0.005);
+  EXPECT_LT(std::abs(var / n - 1.0), 0.01);
+  EXPECT_LT(std::abs(lag1 / var), 0.005);
   EXPECT_LT(KsDistanceToNormal(std::move(xs)), 0.003);
-  EXPECT_LT(KsDistanceToNormal(std::move(ys)), 0.003);
 }
 
-TEST(Rng, GaussianPairTails) {
+TEST(Rng, GaussianTails) {
   // The KS bound above is blind to the tail: only 2 Phi(-R) = 5.8e-4 of the
   // mass lies beyond the Ziggurat's R, where its tail sampler works, next to
   // its outermost wedges. Count the draws beyond R and beyond 4 against
   // their Poisson expectations, and check the whole shape by chi-square over
   // 64 equiprobable bins (63 degrees of freedom: 120 is about 5 sigma).
-  constexpr int kPairs = 5000000;
+  constexpr int kDraws = 10000000;
   constexpr double kR = detail::ZigguratTables::kR;
   Rng rng(15);
   std::array<std::int64_t, 64> bins{};
   std::int64_t beyond_r = 0, beyond_4 = 0;
-  const auto tally = [&](double x) {
+  for (int i = 0; i < kDraws; ++i) {
+    const double x = rng.Gaussian();
     beyond_r += std::abs(x) > kR ? 1 : 0;
     beyond_4 += std::abs(x) > 4.0 ? 1 : 0;
     const double cdf = 0.5 * std::erfc(-x / std::sqrt(2.0));
     ++bins[static_cast<std::size_t>(std::min(63, static_cast<int>(cdf * 64.0)))];
-  };
-  for (int i = 0; i < kPairs; ++i) {
-    const auto [x, y] = rng.GaussianPair();
-    tally(x);
-    tally(y);
   }
-  const double n = 2.0 * kPairs;
+  const double n = kDraws;
   for (const auto& [count, cut] : {std::pair{beyond_r, kR}, std::pair{beyond_4, 4.0}}) {
     const double expected = n * std::erfc(cut / std::sqrt(2.0));  // 2 Phi(-cut) N
     const double z = (static_cast<double>(count) - expected) / std::sqrt(expected);
@@ -202,10 +183,16 @@ TEST(Rng, GaussianPairTails) {
 
 TEST(Rng, GaussianWithParams) {
   Rng rng(17);
-  double sum = 0.0;
+  double sum = 0.0, sum_sq = 0.0;
   const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.Gaussian(5.0, 2.0);
-  EXPECT_NEAR(sum / n, 5.0, 0.05);
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.Gaussian(5.0, 2.0);
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, 5.0, 0.05);
+  EXPECT_NEAR(std::sqrt(sum_sq / n - mean * mean), 2.0, 0.03);
 }
 
 TEST(Rng, ExponentialMean) {
@@ -222,15 +209,6 @@ TEST(Rng, BernoulliFrequency) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) hits += rng.Bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng parent(31);
-  Rng child = parent.Fork();
-  // The child and a continued parent should not track each other.
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += parent.NextU64() == child.NextU64() ? 1 : 0;
-  EXPECT_LT(same, 2);
 }
 
 // --- histogram / samples --------------------------------------------------------

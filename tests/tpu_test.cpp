@@ -595,11 +595,11 @@ void ExpectPinnedChurn() {
 
   EXPECT_EQ(installs, 1349);
   EXPECT_EQ(live.size(), 13u);
-  EXPECT_EQ(SwitchDigest(pod), 0x154fb2495cde14acull);
+  EXPECT_EQ(SwitchDigest(pod), 0x7c626c5fccaf3828ull);
   EXPECT_EQ(counters.reconfigurations, 128880u);
   EXPECT_EQ(counters.connects, 368592u);
   EXPECT_EQ(counters.disconnects, 366048u);
-  EXPECT_EQ(pod.TotalReconfigMs(), 426699.59999999683);
+  EXPECT_EQ(pod.TotalReconfigMs(), 426441.99999999697);
 }
 
 TEST(SuperpodTest, ChurnMatchesFullTargetReconfigureByteForByte) {
