@@ -6,9 +6,10 @@
 // and kPeriodic (fsync at most once per interval) must stay under the
 // existing 15% overhead gate — the point of group commit is that the fsync
 // amortizes over a production batch until the fabric allocation work, not
-// the durability, dominates. kEveryAppend at batch=1 is the reference point
-// for what group commit buys (every command pays a full fsync); it is
-// reported, not gated — its cost is the device's, not the journal's.
+// the durability, dominates. kGroupCommit at batch=1 (per_command) is the
+// reference point for what group commit buys (every command pays a full
+// fsync); it is reported, not gated — its cost is the device's, not the
+// journal's.
 // scripts/check_bench_regression.py --svc re-checks the per-policy overhead
 // from the aggregated BENCH_svc.json in CI.
 //
@@ -64,9 +65,9 @@ constexpr int kParallelThreads = 8;
 constexpr std::size_t kBatch = 256;
 constexpr int kRepeats = 3;
 constexpr std::uint64_t kServeCommands = 20000;
-// Every-append pays one fsync per command; a shorter stream keeps the
+// Batch 1 pays one fsync per command; a shorter stream keeps the
 // report-only case from dominating the bench's wall clock.
-constexpr std::uint64_t kEveryAppendCommands = 2000;
+constexpr std::uint64_t kPerCommandCommands = 2000;
 constexpr std::uint64_t kSnapshotInterval = 4096;
 // Part 2 fleet: per-shard logs long enough that recovery replays real work.
 constexpr int kFleetShards = 8;
@@ -104,14 +105,14 @@ svc::RequestStreamConfig StreamConfig(std::uint32_t tenants) {
   return config;
 }
 
-enum class ServeMode { kOff, kGroupCommit, kPeriodic, kEveryAppend };
+enum class ServeMode { kOff, kGroupCommit, kPeriodic, kPerCommand };
 
 const char* ToString(ServeMode mode) {
   switch (mode) {
     case ServeMode::kOff: return "off";
     case ServeMode::kGroupCommit: return "group_commit";
     case ServeMode::kPeriodic: return "periodic";
-    case ServeMode::kEveryAppend: return "every_append";
+    case ServeMode::kPerCommand: return "per_command";
   }
   return "unknown";
 }
@@ -127,21 +128,19 @@ struct ServeResult {
 ServeResult RunServe(const TempDir& tmp, ServeMode mode, int repeat) {
   ServeResult result;
   const std::uint64_t commands =
-      mode == ServeMode::kEveryAppend ? kEveryAppendCommands : kServeCommands;
-  const std::size_t batch = mode == ServeMode::kEveryAppend ? 1 : kBatch;
+      mode == ServeMode::kPerCommand ? kPerCommandCommands : kServeCommands;
+  const std::size_t batch = mode == ServeMode::kPerCommand ? 1 : kBatch;
 
   journal::FileStorageOptions file_options;
   switch (mode) {
     case ServeMode::kOff:
     case ServeMode::kGroupCommit:
+    case ServeMode::kPerCommand:
       file_options.policy = journal::SyncPolicy::kGroupCommit;
       break;
     case ServeMode::kPeriodic:
       file_options.policy = journal::SyncPolicy::kPeriodic;
       file_options.periodic_interval = std::chrono::milliseconds(5);
-      break;
-    case ServeMode::kEveryAppend:
-      file_options.policy = journal::SyncPolicy::kEveryAppend;
       break;
   }
   const std::string stem =
@@ -299,7 +298,7 @@ std::string PolicyParams(ServeMode mode, const ServeResult& r) {
                 static_cast<double>(r.commands) / r.seconds);
   return "policy=" + std::string(ToString(mode)) +
          " commands=" + std::to_string(r.commands) +
-         " batch=" + std::to_string(mode == ServeMode::kEveryAppend ? 1 : kBatch) +
+         " batch=" + std::to_string(mode == ServeMode::kPerCommand ? 1 : kBatch) +
          extra;
 }
 
@@ -315,7 +314,7 @@ int main(int argc, char** argv) {
 
   // --- Part 1: per-sync-policy journaling overhead over real files ---------
   const ServeMode modes[] = {ServeMode::kOff, ServeMode::kGroupCommit,
-                             ServeMode::kPeriodic, ServeMode::kEveryAppend};
+                             ServeMode::kPeriodic, ServeMode::kPerCommand};
   ServeResult best[4];
   std::printf("file-backed serve, %llu commands, batch %zu, best of %d (%s)\n",
               static_cast<unsigned long long>(kServeCommands), kBatch, kRepeats,
@@ -337,9 +336,9 @@ int main(int argc, char** argv) {
   for (int m = 0; m < 4; ++m) {
     const ServeResult& r = best[m];
     const double rps = static_cast<double>(r.commands) / r.seconds;
-    // every_append runs a different command count and batch size, so its
+    // per_command runs a different command count and batch size, so its
     // wall clock is not comparable to the baseline; report its rate only.
-    const bool comparable = modes[m] != ServeMode::kEveryAppend;
+    const bool comparable = modes[m] != ServeMode::kPerCommand;
     const double overhead_pct =
         comparable ? (r.seconds / off_seconds - 1.0) * 100.0 : 0.0;
     if (modes[m] == ServeMode::kGroupCommit) group_commit_overhead_pct = overhead_pct;

@@ -40,7 +40,7 @@ int main() {
   std::vector<std::unique_ptr<ctrl::OcsAgent>> agents;
   ctrl::MessageBus bus(8);
   bus.SetDropProbability(0.2);
-  ctrl::FabricController controller(bus, /*max_retries=*/25);
+  ctrl::FabricController controller(bus, ctrl::FabricControllerOptions{.max_retries = 25});
   for (int i = 0; i < ocs_count; ++i) {
     switches.push_back(std::make_unique<ocs::PalomarSwitch>(100 + i));
     agents.push_back(std::make_unique<ctrl::OcsAgent>(*switches.back()));

@@ -66,8 +66,16 @@ int main() {
                 100.0 * analysis.link_efficiency);
   }
 
+  // Spare re-patches re-align circuits outside any transaction, so the
+  // switches still count the reconfigurations the shift-1 sweep saw.
+  std::uint64_t reconfigs_now = 0;
+  for (int i = 0; i < fabric.pod().ocs_count(); ++i) {
+    reconfigs_now += fabric.pod().ocs(i).telemetry().reconfigurations;
+  }
+  const bool undisturbed =
+      !fabric.pod().SliceDegraded(slice.value()) && reconfigs_now == reconfigs;
   std::printf("\npod healthy; slice undisturbed throughout (reconfig count unchanged: "
               "%s)\n",
-              fabric.pod().SliceDegraded(slice.value()) ? "NO" : "yes");
-  return 0;
+              undisturbed ? "yes" : "NO");
+  return undisturbed ? 0 : 1;
 }

@@ -26,8 +26,9 @@ the same run, so machine speed divides out exactly):
 
 reads the `recovery` bench's cases and fails when the group-commit or
 periodic sync policy costs more than the tolerance over the same run's
-journaling-off case. every_append is printed for reference, never gated:
-one fsync per command prices the device, not the journal.
+journaling-off case. per_command (group commit at batch 1) is printed for
+reference, never gated: one fsync per command prices the device, not the
+journal.
 
 A third mode gates the LLM model outputs in the llm_backends bench. The
 ring-backend Table 2 column is a deterministic model output (the ring
@@ -117,9 +118,9 @@ def check_svc_overhead(report_path: Path, tolerance: float) -> int:
             failures.append((policy, overhead))
             flag = "  << OVER BUDGET"
         print(f"{policy:<14} {wall_ms:>9.2f} {overhead:>+8.1%}{flag}")
-    if "every_append" in cases:
+    if "per_command" in cases:
         # Different command count/batch: its wall_ms is not baseline-comparable.
-        print(f"{'every_append':<14} {cases['every_append']:>9.2f} {'(report)':>9}")
+        print(f"{'per_command':<14} {cases['per_command']:>9.2f} {'(report)':>9}")
 
     if failures:
         worst = max(failures, key=lambda f: f[1])

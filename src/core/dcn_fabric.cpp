@@ -20,7 +20,8 @@ DcnFabric::DcnFabric(std::uint64_t seed, int max_blocks, int ocs_count, double l
   assert(ocs_count >= 1 && link_gbps > 0.0);
   common::Rng rng(seed);
   bus_ = std::make_unique<ctrl::MessageBus>(rng.NextU64());
-  controller_ = std::make_unique<ctrl::FabricController>(*bus_, /*max_retries=*/10);
+  controller_ = std::make_unique<ctrl::FabricController>(
+      *bus_, ctrl::FabricControllerOptions{.max_retries = 10});
   for (int i = 0; i < ocs_count; ++i) {
     switches_.push_back(std::make_unique<ocs::PalomarSwitch>(
         rng.NextU64(), "dcn-ocs-" + std::to_string(i)));

@@ -268,14 +268,8 @@ common::Status SliceScheduler::RestoreState(SavedState state) {
   pod_.SetNextSliceId(state.next_slice_id);
   stats_ = state.stats;
   UpdateBusyGauge();
-  MaybeValidate("ImportState");
+  MaybeValidate("RestoreState");
   return Status::Ok();
-}
-
-common::Status SliceScheduler::ImportState(ctrl::WireReader& reader) {
-  auto state = DecodeState(reader);
-  if (!state.ok()) return state.error();
-  return RestoreState(std::move(state).value());
 }
 
 common::Status SliceScheduler::ValidateInvariants() const {

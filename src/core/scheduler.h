@@ -95,9 +95,6 @@ class SliceScheduler {
   /// every slice (one pod commit) and takes the stats and id counter, so a
   /// state that fails leaves the pod and the stats untouched.
   common::Status RestoreState(SavedState state);
-  /// DecodeState then RestoreState: the inverse of ExportState against a
-  /// scheduler over a fresh pod of the same geometry.
-  common::Status ImportState(ctrl::WireReader& reader);
 
   /// Structural audit of slice accounting: every installed slice's cube
   /// list matches its shape, no cube is owned by two slices

@@ -341,13 +341,6 @@ void FabricController::RestoreState(SavedState state) {
   UpdateUnhealthyGauge();
 }
 
-common::Status FabricController::ImportState(WireReader& reader) {
-  auto state = DecodeState(reader);
-  if (!state.ok()) return state.error();
-  RestoreState(std::move(state).value());
-  return common::Status::Ok();
-}
-
 FabricTransactionResult& FabricController::Fail(FabricTransactionResult& result,
                                                 std::string error) {
   result.ok = false;

@@ -187,14 +187,6 @@ class FabricController {
  public:
   explicit FabricController(MessageBus& bus, FabricControllerOptions options = {})
       : bus_(bus), options_(options), backoff_rng_(options.backoff_seed) {}
-  /// Convenience constructor preserving the original (bus, max_retries)
-  /// call sites.
-  FabricController(MessageBus& bus, int max_retries)
-      : FabricController(bus, [max_retries] {
-          FabricControllerOptions options;
-          options.max_retries = max_retries;
-          return options;
-        }()) {}
 
   void Register(int ocs_id, OcsAgent* agent);
 
@@ -239,8 +231,6 @@ class FabricController {
   /// Takes a decoded state, against a fresh controller with the same agents
   /// registered.
   void RestoreState(SavedState state);
-  /// DecodeState then RestoreState.
-  common::Status ImportState(WireReader& reader);
 
   /// Starts recording transaction spans (one per ApplyTopology, one child
   /// per OCS fan-out, one per rollback) and latency/retry/rollback metrics

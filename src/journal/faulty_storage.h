@@ -25,13 +25,12 @@ namespace lightwave::journal {
 class FaultyStorage final : public Storage {
  public:
   /// When the wrapper's durable frontier advances:
-  ///   kOnAppend  every append is instantly durable (kEveryAppend policy);
   ///   kOnSync    a Sync() call makes everything written durable (the
   ///              fsync-at-the-Wal-boundary of kGroupCommit);
   ///   kNever     syncs are ignored — models the open kPeriodic window,
   ///              where a crash can take back everything since the last
   ///              real fsync.
-  enum class SyncMode : std::uint8_t { kOnAppend, kOnSync, kNever };
+  enum class SyncMode : std::uint8_t { kOnSync, kNever };
 
   explicit FaultyStorage(Storage& base, SyncMode mode = SyncMode::kOnSync)
       : base_(base), mode_(mode), frontier_(base.size()) {}
@@ -42,7 +41,6 @@ class FaultyStorage final : public Storage {
     last_append_offset_ = base_.size();
     last_append_bytes_ = n;
     base_.Append(data, n);
-    if (mode_ == SyncMode::kOnAppend) frontier_ = base_.size();
   }
 
   void ReadAt(std::uint64_t offset, std::size_t n, std::uint8_t* out) const override {

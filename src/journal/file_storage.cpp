@@ -54,7 +54,6 @@ void FsyncParentDir(const std::string& path) {
 
 const char* ToString(SyncPolicy policy) {
   switch (policy) {
-    case SyncPolicy::kEveryAppend: return "every_append";
     case SyncPolicy::kGroupCommit: return "group_commit";
     case SyncPolicy::kPeriodic: return "periodic";
   }
@@ -104,7 +103,6 @@ void FileStorage::Append(const std::uint8_t* data, std::size_t n) {
   if (n == 0) return;
   PwriteAll(fd_, data, n, size_);
   size_ += n;
-  if (options_.policy == SyncPolicy::kEveryAppend) SyncNow();
 }
 
 void FileStorage::ReadAt(std::uint64_t offset, std::size_t n, std::uint8_t* out) const {

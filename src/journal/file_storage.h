@@ -4,15 +4,12 @@
 //
 // The sync policy decides when written bytes become durable:
 //
-//   kEveryAppend   fsync inside every Append — durable_size() == size()
-//                  at all times. One fsync per storage append; with
-//                  Wal::AppendBatch that is still one per batch, but a
-//                  batch-of-1 serve loop pays one fsync per command.
 //   kGroupCommit   Append only writes; the explicit Sync() the Wal issues
 //                  at each append boundary does ONE fsync per
-//                  Wal::Append/AppendBatch. A crash between the write and
-//                  the sync loses the tail — which the WAL tolerates by
-//                  design (an unacknowledged batch is resubmitted).
+//                  Wal::AppendBatch, so a batch-of-1 serve loop pays one
+//                  fsync per command. A crash between the write and the
+//                  sync loses the tail — which the WAL tolerates by design
+//                  (an unacknowledged batch is resubmitted).
 //   kPeriodic      Sync() fsyncs only when `periodic_interval` has elapsed
 //                  since the last fsync; the window between fsyncs is the
 //                  bound on acknowledged-but-lost work. The loosest policy,
@@ -43,7 +40,7 @@
 
 namespace lightwave::journal {
 
-enum class SyncPolicy : std::uint8_t { kEveryAppend, kGroupCommit, kPeriodic };
+enum class SyncPolicy : std::uint8_t { kGroupCommit, kPeriodic };
 
 /// Human-readable policy name for logs, bench output, and test messages.
 const char* ToString(SyncPolicy policy);

@@ -53,13 +53,17 @@ __attribute__((target("sse4.2"))) std::uint32_t Crc32cHw(std::uint32_t state,
 }
 #endif
 
-std::uint32_t Crc32cRaw(std::uint32_t state, const std::uint8_t* data, std::size_t size) {
+std::uint32_t Crc32cInit() { return 0xFFFFFFFFu; }
+
+std::uint32_t Crc32cExtend(std::uint32_t state, const std::uint8_t* data, std::size_t size) {
 #if defined(__x86_64__)
   static const bool have_sse42 = __builtin_cpu_supports("sse4.2");
   if (have_sse42) return Crc32cHw(state, data, size);
 #endif
   return Crc32cSw(state, data, size);
 }
+
+std::uint32_t Crc32cFinish(std::uint32_t state) { return state ^ 0xFFFFFFFFu; }
 
 // Record header: [length u32][crc32c u32]; the length counts the sequence
 // field plus the payload, so the smallest legal record body is 8 bytes.
@@ -79,15 +83,6 @@ std::uint64_t ReadU64(const std::uint8_t* p) {
 }
 
 }  // namespace
-
-std::uint32_t Crc32cInit() { return 0xFFFFFFFFu; }
-
-std::uint32_t Crc32cExtend(std::uint32_t state, const std::uint8_t* data,
-                           std::size_t size) {
-  return Crc32cRaw(state, data, size);
-}
-
-std::uint32_t Crc32cFinish(std::uint32_t state) { return state ^ 0xFFFFFFFFu; }
 
 std::uint32_t Crc32c(const std::uint8_t* data, std::size_t size) {
   return Crc32cFinish(Crc32cExtend(Crc32cInit(), data, size));
@@ -231,25 +226,6 @@ void Wal::FrameRecord(std::uint64_t seq, const std::vector<std::uint8_t>& payloa
   for (int i = 0; i < 4; ++i) {
     p[4 + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(crc >> (8 * i));
   }
-}
-
-common::Result<std::uint64_t> Wal::Append(const std::vector<std::uint8_t>& payload) {
-  const std::uint64_t length = kSeqBytes + payload.size();
-  if (length > kMaxRecordBytes) {
-    return common::InvalidArgument("journal record of " + std::to_string(payload.size()) +
-                                   " bytes exceeds the " +
-                                   std::to_string(kMaxRecordBytes) + "-byte record limit");
-  }
-  const std::uint64_t seq = next_seq_++;
-  std::vector<std::uint8_t> frame;
-  FrameRecord(seq, payload, &frame);
-  storage_.Append(frame.data(), frame.size());
-  storage_.Sync();
-  ++appended_records_;
-  appended_bytes_ += frame.size();
-  if (append_counter_ != nullptr) append_counter_->Inc();
-  if (bytes_counter_ != nullptr) bytes_counter_->Inc(frame.size());
-  return seq;
 }
 
 common::Result<std::uint64_t> Wal::AppendBatch(

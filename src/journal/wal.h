@@ -21,11 +21,11 @@
 // (bit rot, a misdirected write) — and recovery truncates the tail and
 // appends from there.
 //
-// Durability boundary: every Append/AppendBatch ends with a Storage::Sync()
-// — the commit point. Over FileStorage that is where the sync policy bites
-// (kGroupCommit = one fsync per batch right here; kEveryAppend already
-// synced inside the storage; kPeriodic may decline). Over MemStorage it is
-// a no-op.
+// Durability boundary: AppendBatch is the only append, and it ends with one
+// Storage::Sync() — the commit point of every record in the batch. Over
+// FileStorage that is where the sync policy bites (kGroupCommit = one fsync
+// per batch right here, so a batch of one pays one fsync per record;
+// kPeriodic may decline). Over MemStorage it is a no-op.
 //
 // Compaction: Compact() rewrites the log on the calling thread via
 // Storage::ReplaceContents — atomic over files (write-to-temp + rename), so
@@ -51,11 +51,6 @@ namespace lightwave::journal {
 /// the wire format's IEEE CRC32 so a journal record accidentally fed to the
 /// frame decoder (or vice versa) cannot pass both gates.
 std::uint32_t Crc32c(const std::uint8_t* data, std::size_t size);
-/// Incremental form: extends `crc` (state from a previous call) over more
-/// bytes. Start from Crc32cInit() and finish with Crc32cFinish().
-std::uint32_t Crc32cInit();
-std::uint32_t Crc32cExtend(std::uint32_t state, const std::uint8_t* data, std::size_t size);
-std::uint32_t Crc32cFinish(std::uint32_t state);
 
 struct WalRecord {
   std::uint64_t seq = 0;
@@ -112,20 +107,17 @@ class Wal {
   /// byte soup is safe input; the result's `tail` explains the first defect.
   static WalScan Scan(const Storage& storage);
 
-  /// Appends one record and returns its sequence number. The record is
-  /// synced (per the storage's policy) before this returns — the commit
-  /// boundary. Fails only on an oversized payload.
-  common::Result<std::uint64_t> Append(const std::vector<std::uint8_t>& payload);
-
-  /// Group commit: frames every payload as a consecutive record and hands
-  /// the whole batch to the storage in ONE Append followed by ONE Sync —
-  /// the device-call, fsync, and buffer-churn cost is paid once per batch
-  /// instead of once per record. Record framing is byte-identical to N
-  /// single Appends (Scan cannot tell them apart), so torn-tail repair and
-  /// replay are unchanged; a crash mid batch-append tears at most the
-  /// batch's own bytes. Returns the sequence number of the FIRST record;
-  /// the rest follow densely. An oversized payload fails the whole batch
-  /// before any byte reaches the storage.
+  /// Group commit, the log's only append: frames every payload as a
+  /// consecutive record and hands the whole batch to the storage in ONE
+  /// Append followed by ONE Sync (per the storage's policy) before it
+  /// returns — the commit boundary. The device-call, fsync, and
+  /// buffer-churn cost is paid once per batch instead of once per record.
+  /// Framing is per record, so N one-record batches leave exactly the bytes
+  /// of one N-record batch (Scan cannot tell them apart); a crash mid
+  /// batch-append tears at most the batch's own bytes. Returns the sequence
+  /// number of the FIRST record; the rest follow densely. An empty batch or
+  /// an oversized payload fails the whole batch before any byte reaches the
+  /// storage.
   common::Result<std::uint64_t> AppendBatch(
       const std::vector<std::vector<std::uint8_t>>& payloads);
 
@@ -160,8 +152,7 @@ class Wal {
   void AttachTelemetry(telemetry::Hub* hub);
 
  private:
-  /// Frames one record into `out` (shared by Append and AppendBatch so the
-  /// two paths cannot drift).
+  /// Frames one record onto the end of `out`.
   void FrameRecord(std::uint64_t seq, const std::vector<std::uint8_t>& payload,
                    std::vector<std::uint8_t>* out) const;
   /// Walks frames over `data[0, limit)` and returns the offset of the

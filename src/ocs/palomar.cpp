@@ -87,13 +87,7 @@ common::Status PalomarSwitch::RemapToSpare(bool north_side, int logical_port) {
   spares.pop_back();
 
   // Re-establish any connection that was riding the old path.
-  const int north_logical = CircuitNorth(north_side, logical_port);
-  if (north_logical != kNoPort) {
-    const int south = north_to_south_[Slot(north_logical)];
-    (void)Disconnect(north_logical);
-    auto reconnected = Connect(north_logical, south);
-    if (!reconnected.ok()) return reconnected.error();
-  }
+  if (const int north = CircuitNorth(north_side, logical_port); north != kNoPort) Realign(north);
   MaybeValidate("RemapToSpare");
   return common::Status::Ok();
 }
@@ -123,25 +117,6 @@ Connection PalomarSwitch::Establish(int north, int south) {
   return conn;
 }
 
-Result<Connection> PalomarSwitch::Connect(int north, int south) {
-  if (!InUsableRange(north) || !InUsableRange(south)) {
-    NoteRejected();
-    return common::InvalidArgument("port index out of usable range");
-  }
-  if (!PortUsable(true, north) || !PortUsable(false, south)) {
-    NoteRejected();
-    return common::Unavailable("port has a dead mirror chain");
-  }
-  if (north_to_south_[Slot(north)] != kNoPort || south_to_north_[Slot(south)] != kNoPort) {
-    NoteRejected();
-    return common::AlreadyExists("port already connected");
-  }
-  const Connection conn = Establish(north, south);
-  telemetry_.cumulative_switch_ms += alignment_ms_[Slot(north)] + kCommandOverheadMs;
-  MaybeValidate("Connect");
-  return conn;
-}
-
 int PalomarSwitch::CircuitNorth(bool north_side, int port) const {
   if (!north_side) return south_to_north_[Slot(port)];
   return north_to_south_[Slot(port)] != kNoPort ? port : kNoPort;
@@ -156,14 +131,11 @@ void PalomarSwitch::TearDown(int north) {
   ++telemetry_.disconnects;
 }
 
-Status PalomarSwitch::Disconnect(int north) {
-  if (!InUsableRange(north) || north_to_south_[Slot(north)] == kNoPort) {
-    NoteRejected();
-    return common::NotFound("no connection on north port");
-  }
+void PalomarSwitch::Realign(int north) {
+  const int south = north_to_south_[Slot(north)];
   TearDown(north);
-  MaybeValidate("Disconnect");
-  return Status::Ok();
+  Establish(north, south);
+  telemetry_.cumulative_switch_ms += alignment_ms_[Slot(north)] + kCommandOverheadMs;
 }
 
 template <typename Pairs>
@@ -312,17 +284,13 @@ bool PalomarSwitch::InjectMirrorFailure(bool north_side, int port) {
     (north_side ? north_usable_ : south_usable_)[static_cast<std::size_t>(port_phys)] =
         false;
     // Tear down any active connection through the dead port.
-    if (north_port != kNoPort) (void)Disconnect(north_port);
+    if (north_port != kNoPort) TearDown(north_port);
     MaybeValidate("InjectMirrorFailure");
     return false;
   }
   // Spare mirror mapped in; the path must be re-aligned. Re-establish any
   // active connection through this port.
-  if (north_port != kNoPort) {
-    const int south = north_to_south_[Slot(north_port)];
-    (void)Disconnect(north_port);
-    (void)Connect(north_port, south);
-  }
+  if (north_port != kNoPort) Realign(north_port);
   MaybeValidate("InjectMirrorFailure");
   return true;
 }

@@ -1,7 +1,7 @@
 // The Palomar OCS (§3.2): a non-blocking 136x136 optical crossbar with
 // bijective any-to-any north->south connectivity. 128 duplex ports serve the
-// fabric; 8 are spares for link testing and repairs. Reconfiguration is
-// transactional: connections shared between the old and new configuration
+// fabric; 8 are spares for link testing and repairs. Every write is a
+// transaction: connections shared between the old and new configuration
 // are left untouched ("undisturbed"), which is what lets the scheduler place
 // new slices without interfering with running jobs (§4.2.4). The delta
 // transactions (ConnectDelta / DisconnectDelta) take a flat span of
@@ -14,7 +14,10 @@
 // whether a transaction is a delta or a full target, never changes them.
 // Counters and cumulative switch time count the transactions that ran: a
 // caller that stages deltas and programs them later (tpu::Superpod) counts
-// what it programmed.
+// what it programmed. A spare re-patch (RemapToSpare, or a mirror failure a
+// spare mirror absorbs) is a repair, not a write: it re-aligns the port's
+// circuit outside any transaction (one disconnect, one connect, command
+// overhead plus the new alignment in switch time, no reconfiguration).
 #pragma once
 
 #include <array>
@@ -92,13 +95,6 @@ class PalomarSwitch {
   const std::string& name() const { return name_; }
   int port_count() const { return kPalomarPortCount; }
 
-  /// Establishes north<->south. Fails when either side is already connected
-  /// (the crossbar is bijective), out of range, or its mirror chain is dead.
-  common::Result<Connection> Connect(int north, int south);
-
-  /// Tears down the connection on `north`. Fails when none exists.
-  common::Status Disconnect(int north);
-
   /// Atomically moves to `target` (a set of north->south pairs). Preserves
   /// intersecting connections undisturbed. Fails (with no state change) when
   /// the target is not bijective or references dead/out-of-range ports;
@@ -137,7 +133,8 @@ class PalomarSwitch {
   std::map<int, int> CurrentMapping() const;
 
   /// Injects a mirror failure affecting the given port side. Returns true if
-  /// the port survived (a spare mirror was mapped in). A destroyed port
+  /// the port survived (a spare mirror was mapped in and the port's circuit,
+  /// if any, re-aligned through it). A destroyed port loses its circuit and
   /// rejects future connections (until remapped to a spare port).
   bool InjectMirrorFailure(bool north_side, int port);
 
@@ -197,6 +194,10 @@ class PalomarSwitch {
   int CircuitNorth(bool north_side, int port) const;
   /// Removes the live circuit on `north` from the port tables.
   void TearDown(int north);
+  /// The spare re-patch of the file comment: TearDown, then Establish the
+  /// live circuit on `north` through its current physical path. The caller
+  /// validates.
+  void Realign(int north);
   /// Validation shared by Reconfigure targets and ConnectDelta deltas (a
   /// std::map or a PortPairs span): every port in range and alive, no north
   /// or south used twice, and with `free_under` no port connected under

@@ -302,16 +302,20 @@ void Superpod::RepairOcs(int ocs_id) {
   ocs_up_[static_cast<std::size_t>(ocs_id)] = true;
   // Mirror state is volatile: the switch comes back with exactly the
   // circuits the running slices own on it, each one's ring list along the
-  // switch's dimension. Circuits of slices removed while it was down are
-  // torn down here.
+  // switch's dimension, less any circuit on a dead port (a mirror failure
+  // took it down and it stays down). Circuits of slices removed while it
+  // was down are torn down here. Running slices own disjoint cubes, so the
+  // target is bijective and every port in it usable: it cannot be rejected.
   const Dim dim = plan_.DimOfOcs(ocs_id);
+  ocs::PalomarSwitch& sw = ocs(ocs_id);
   RingBuffer buffer;
   std::map<int, int> target;
   for (const auto& [id, slice] : slices_) {
-    const ocs::PortPairs ring = slice.topology.RingCircuits(dim, buffer);
-    target.insert(ring.begin(), ring.end());
+    for (const auto& [north, south] : slice.topology.RingCircuits(dim, buffer)) {
+      if (sw.PortUsable(true, north) && sw.PortUsable(false, south)) target.emplace(north, south);
+    }
   }
-  (void)ocs(ocs_id).Reconfigure(target);
+  LW_CHECK_OK(sw.Reconfigure(target)) << "repair of ocs " << ocs_id;
 }
 
 bool Superpod::SliceDegraded(SliceId id) const {

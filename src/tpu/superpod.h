@@ -132,7 +132,9 @@ class Superpod {
   /// the pod's and do nothing when it is not.
   void FailOcs(int ocs_id);
   /// Brings the OCS back up, programmed with exactly the circuits the
-  /// running slices own on it: each slice's ring list for its dimension.
+  /// running slices own on it (each slice's ring list for its dimension)
+  /// whose two ports are usable; a circuit on a dead port stays down, and
+  /// every other circuit on the switch is torn down.
   void RepairOcs(int ocs_id);
 
   /// A slice is degraded when any owning cube is unhealthy or, for a

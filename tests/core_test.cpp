@@ -8,6 +8,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/fabric_manager.h"
@@ -119,9 +120,9 @@ TEST(Scheduler, ImportStateRejectsEntriesBeyondThePod) {
     tpu::Superpod pod(5, 8, 2);
     SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
     ctrl::WireReader reader(bytes);
-    const common::Status imported = scheduler.ImportState(reader);
-    ASSERT_FALSE(imported.ok()) << name;
-    EXPECT_EQ(imported.error().code, common::Error::Code::kInternal) << name;
+    const auto decoded = scheduler.DecodeState(reader);
+    ASSERT_FALSE(decoded.ok()) << name;
+    EXPECT_EQ(decoded.error().code, common::Error::Code::kInternal) << name;
     EXPECT_TRUE(pod.slices().empty()) << name;
     EXPECT_EQ(Reconfigurations(pod),
               std::vector<std::uint64_t>(static_cast<std::size_t>(pod.ocs_count()), 0))
@@ -132,7 +133,9 @@ TEST(Scheduler, ImportStateRejectsEntriesBeyondThePod) {
   tpu::Superpod pod(5, 8, 2);
   SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
   ctrl::WireReader reader(valid);
-  ASSERT_TRUE(scheduler.ImportState(reader).ok());
+  auto decoded = scheduler.DecodeState(reader);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(scheduler.RestoreState(std::move(decoded).value()).ok());
   EXPECT_EQ(scheduler.BusyCubes(), 2);
   ctrl::WireWriter writer;
   scheduler.ExportState(writer);
@@ -153,9 +156,9 @@ int Circuits(const tpu::Superpod& pod) {
 }
 
 TEST(Scheduler, FailedImportLeavesThePodUntouched) {
-  // ImportState decodes the whole state before it installs a slice, so an
-  // export cut at any length fails with no slice, no circuit and no stats
-  // change on the pod it was imported into.
+  // DecodeState reads the whole state before RestoreState installs a
+  // slice, so an export cut at any length fails to decode, with no slice,
+  // no circuit and no stats change on the pod it was imported into.
   std::vector<std::uint8_t> exported;
   {
     tpu::Superpod pod(6, 8, 2);
@@ -172,9 +175,9 @@ TEST(Scheduler, FailedImportLeavesThePodUntouched) {
     SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
     const std::vector<std::uint8_t> untouched = ExportOf(scheduler);
     ctrl::WireReader reader(cut);
-    const common::Status imported = scheduler.ImportState(reader);
-    ASSERT_FALSE(imported.ok()) << len;
-    EXPECT_EQ(imported.error().code, common::Error::Code::kInternal) << len;
+    const auto decoded = scheduler.DecodeState(reader);
+    ASSERT_FALSE(decoded.ok()) << len;
+    EXPECT_EQ(decoded.error().code, common::Error::Code::kInternal) << len;
     EXPECT_TRUE(pod.slices().empty()) << len;
     EXPECT_EQ(Circuits(pod), 0) << len;
     EXPECT_EQ(ExportOf(scheduler), untouched) << len;
@@ -183,7 +186,9 @@ TEST(Scheduler, FailedImportLeavesThePodUntouched) {
   tpu::Superpod pod(6, 8, 2);
   SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
   ctrl::WireReader reader(exported);
-  ASSERT_TRUE(scheduler.ImportState(reader).ok());
+  auto decoded = scheduler.DecodeState(reader);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(scheduler.RestoreState(std::move(decoded).value()).ok());
   EXPECT_EQ(pod.slices().size(), 3u);
   EXPECT_GT(Circuits(pod), 0);
   EXPECT_EQ(ExportOf(scheduler), exported);
@@ -210,7 +215,7 @@ std::vector<std::uint8_t> SlicesState(
 
 TEST(Scheduler, ImportValidatesTheWholeSliceSet) {
   // Each state decodes whole and its first slice fits the pod on its own;
-  // the set does not. ImportState validates the set before it stages any
+  // the set does not. RestoreState validates the set before it stages any
   // install, so the pod keeps no slice and no circuit and the scheduler
   // its stats.
   struct Case {
@@ -233,7 +238,9 @@ TEST(Scheduler, ImportValidatesTheWholeSliceSet) {
     const std::vector<std::uint8_t> untouched = ExportOf(scheduler);
     const std::vector<std::uint8_t> state = SlicesState(c.slices);
     ctrl::WireReader reader(state);
-    EXPECT_FALSE(scheduler.ImportState(reader).ok()) << c.name;
+    auto decoded = scheduler.DecodeState(reader);
+    ASSERT_TRUE(decoded.ok()) << c.name;
+    EXPECT_FALSE(scheduler.RestoreState(std::move(decoded).value()).ok()) << c.name;
     EXPECT_TRUE(pod.slices().empty()) << c.name;
     EXPECT_EQ(Circuits(pod), 0) << c.name;
     EXPECT_EQ(ExportOf(scheduler), untouched) << c.name;
@@ -243,7 +250,9 @@ TEST(Scheduler, ImportValidatesTheWholeSliceSet) {
   SliceScheduler scheduler(pod, AllocationPolicy::kReconfigurable);
   const std::vector<std::uint8_t> state = SlicesState({{1, {0, 1}}, {2, {2, 3}}});
   ctrl::WireReader reader(state);
-  ASSERT_TRUE(scheduler.ImportState(reader).ok());
+  auto decoded = scheduler.DecodeState(reader);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(scheduler.RestoreState(std::move(decoded).value()).ok());
   EXPECT_EQ(pod.slices().size(), 2u);
   EXPECT_EQ(Circuits(pod), 4 * pod.ocs_count());
   EXPECT_EQ(ExportOf(scheduler), state);

@@ -307,7 +307,7 @@ TEST(Agent, MirrorDeathHookLeavesOutOfRangePortsAlone) {
   // Reconfigure validates the target, so it must not reach a mirror through
   // a port the switch does not have.
   ocs::PalomarSwitch ocs(56);
-  ASSERT_TRUE(ocs.Connect(0, 1).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(std::vector<std::pair<int, int>>{{0, 1}}).ok());
   const auto circuits = ocs.Connections();
   FaultInjector injector(9, FaultProfile{.mirror_death_prob = 1.0});
   OcsAgent agent(ocs);
@@ -397,7 +397,7 @@ TEST(Agent, PortBeyondIntIsMalformed) {
 
 TEST(Agent, AnswersTelemetryAndSurvey) {
   ocs::PalomarSwitch ocs(54);
-  (void)ocs.Connect(0, 1);
+  (void)ocs.ConnectDelta(std::vector<std::pair<int, int>>{{0, 1}});
   OcsAgent agent(ocs);
   const auto telemetry =
       DecodeTelemetryReply(agent.Handle(Encode(TelemetryRequest{.nonce = 3})));
@@ -469,7 +469,7 @@ TEST(Controller, RetriesThroughLossyBus) {
   OcsAgent agent(ocs);
   MessageBus bus(5);
   bus.SetDropProbability(0.4);
-  FabricController controller(bus, /*max_retries=*/20);
+  FabricController controller(bus, FabricControllerOptions{.max_retries = 20});
   controller.Register(0, &agent);
   const auto result = controller.ApplyTopology({{0, {{0, 1}}}});
   ASSERT_TRUE(result.ok) << result.error;
@@ -696,7 +696,9 @@ TEST(Controller, ImportStateRejectsValuesBeyondInt) {
       ControllerState({{2, BreakerState::kOpen, 3, 4},
                        {kIntMax, BreakerState::kHalfOpen, kIntMax, kIntMax}});
   WireReader valid_reader(valid);
-  ASSERT_TRUE(controller.ImportState(valid_reader).ok());
+  auto decoded = FabricController::DecodeState(valid_reader);
+  ASSERT_TRUE(decoded.ok());
+  controller.RestoreState(std::move(decoded).value());
   ASSERT_EQ(exported(), valid);
   const std::vector<std::pair<const char*, std::vector<std::uint8_t>>> malformed = {
       {"ocs 2^31", ControllerState({{kTwo31, BreakerState::kOpen, 0, 1}})},
@@ -707,9 +709,9 @@ TEST(Controller, ImportStateRejectsValuesBeyondInt) {
   };
   for (const auto& [name, bytes] : malformed) {
     WireReader reader(bytes);
-    const common::Status imported = controller.ImportState(reader);
-    ASSERT_FALSE(imported.ok()) << name;
-    EXPECT_EQ(imported.error().code, common::Error::Code::kInternal) << name;
+    const auto rejected = FabricController::DecodeState(reader);
+    ASSERT_FALSE(rejected.ok()) << name;
+    EXPECT_EQ(rejected.error().code, common::Error::Code::kInternal) << name;
     EXPECT_EQ(controller.breaker_state(1), BreakerState::kClosed) << name;
     EXPECT_EQ(controller.breaker_state(2), BreakerState::kOpen) << name;
     EXPECT_EQ(exported(), valid) << name;
@@ -749,9 +751,10 @@ TEST(Controller, ExportImportRoundTripsEveryReachableState) {
   MessageBus fresh_bus(15);
   FabricController fresh(fresh_bus, options);
   WireReader reader(exported);
-  const common::Status imported = fresh.ImportState(reader);
+  auto imported = FabricController::DecodeState(reader);
   ASSERT_TRUE(imported.ok()) << imported.error().message;
   EXPECT_TRUE(reader.AtEnd());
+  fresh.RestoreState(std::move(imported).value());
   EXPECT_EQ(fresh.breaker_state(0), BreakerState::kHalfOpen);
   EXPECT_EQ(fresh.breaker_state(1), BreakerState::kOpen);
   WireWriter reexport;
@@ -761,7 +764,7 @@ TEST(Controller, ExportImportRoundTripsEveryReachableState) {
 
 TEST(Controller, CollectsTelemetryFromAll) {
   ocs::PalomarSwitch ocs_a(62), ocs_b(63);
-  (void)ocs_a.Connect(0, 1);
+  (void)ocs_a.ConnectDelta(std::vector<std::pair<int, int>>{{0, 1}});
   OcsAgent agent_a(ocs_a), agent_b(ocs_b);
   MessageBus bus(8);
   FabricController controller(bus);

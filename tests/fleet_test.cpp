@@ -555,7 +555,7 @@ TEST(FleetRouter, BreakerTripRehashesTenants) {
   // Shard 0's fabric controller (PR 4): a partitioned control bus trips the
   // circuit breaker on its OCS.
   ctrl::MessageBus bus(3);
-  ctrl::FabricController controller(bus, 1);
+  ctrl::FabricController controller(bus, ctrl::FabricControllerOptions{.max_retries = 1});
   ctrl::OcsAgent agent(a.pod->ocs(0));
   controller.Register(0, &agent);
 

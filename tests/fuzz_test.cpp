@@ -245,7 +245,7 @@ journal::MemStorage JournalWith(int records, std::uint64_t seed) {
   for (int i = 0; i < records; ++i) {
     std::vector<std::uint8_t> payload(rng.UniformInt(48) + 1);
     for (auto& b : payload) b = static_cast<std::uint8_t>(rng.UniformInt(256));
-    LW_CHECK(wal.Append(payload).ok());
+    LW_CHECK(wal.AppendBatch({payload}).ok());
   }
   return storage;
 }
@@ -271,7 +271,7 @@ TEST(Fuzz, JournalScanNeverCrashesOnRandomBytes) {
     // must leave only the bytes the scan vouched for.
     journal::Wal wal(storage);
     EXPECT_EQ(storage.size(), scan.valid_bytes);
-    EXPECT_TRUE(wal.Append({0x5A}).ok());
+    EXPECT_TRUE(wal.AppendBatch({{0x5A}}).ok());
   }
   EXPECT_EQ(accepted_records, 0);
 }
@@ -462,12 +462,12 @@ std::vector<std::uint8_t> EncodeStateFields(const std::vector<StateField>& field
 }
 
 TEST(Fuzz, SchedulerImportStateNeverCrashes) {
-  // Snapshot bytes reach SliceScheduler::ImportState through
-  // FleetService::DeserializeState, and the CRC catches only accidental
-  // damage. Every bit flip, truncation and huge varint of a real export
-  // must import or fail with a Status, never abort; an accepted state must
-  // pass the scheduler's audit, and a failed one must leave the pod empty
-  // (no slice, no circuit) and the scheduler's export as it was.
+  // Snapshot bytes reach SliceScheduler::DecodeState and RestoreState
+  // through FleetService::DeserializeState, and the CRC catches only
+  // accidental damage. Every bit flip, truncation and huge varint of a real
+  // export must import or fail with a Status, never abort; an accepted state
+  // must pass the scheduler's audit, and a failed one must leave the pod
+  // empty (no slice, no circuit) and the scheduler's export as it was.
   const auto import_into_fresh_pod = [](const std::vector<std::uint8_t>& bytes) {
     tpu::Superpod pod(9, 8, 2);
     core::SliceScheduler scheduler(pod, core::AllocationPolicy::kReconfigurable);
@@ -478,7 +478,9 @@ TEST(Fuzz, SchedulerImportStateNeverCrashes) {
     };
     const std::vector<std::uint8_t> untouched = export_of();
     ctrl::WireReader reader(bytes);
-    const bool imported = scheduler.ImportState(reader).ok();
+    auto decoded = scheduler.DecodeState(reader);
+    const bool imported =
+        decoded.ok() && scheduler.RestoreState(std::move(decoded).value()).ok();
     if (imported) {
       EXPECT_TRUE(scheduler.ValidateInvariants().ok());
     } else {
@@ -563,16 +565,22 @@ TEST(Fuzz, PalomarInvariantsUnderRandomOps) {
   for (int op = 0; op < 4000; ++op) {
     const int kind = static_cast<int>(rng.UniformInt(8));
     if (kind == 0) {
+      // One-pair delta connect: valid iff both ports are free and alive.
       const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
       const int s = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
-      const auto result = ocs.Connect(n, s);
+      const std::pair<int, int> pair{n, s};
+      const auto result = ocs.ConnectDelta({&pair, 1});
       EXPECT_EQ(result.ok(), !model.contains(n) && south_free(s) && usable(n, s))
           << "op " << op;
       if (result.ok()) model[n] = s;
     } else if (kind == 1) {
+      // One-pair delta disconnect of a random north's circuit; a free
+      // north's pair is not live and is left alone.
       const int n = static_cast<int>(rng.UniformInt(ocs::kPalomarUsablePorts));
-      const auto result = ocs.Disconnect(n);
-      EXPECT_EQ(result.ok(), model.contains(n)) << "op " << op;
+      const auto live = model.find(n);
+      const std::pair<int, int> pair{n, live != model.end() ? live->second : n};
+      ASSERT_TRUE(ocs.DisconnectDelta({&pair, 1}).ok()) << "op " << op;
+      EXPECT_FALSE(ocs.ConnectionOn(n).has_value()) << "op " << op;
       model.erase(n);
     } else if (kind == 2 && op % 97 == 0) {
       // Occasional full reconfiguration to a random partial permutation:

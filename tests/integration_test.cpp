@@ -128,7 +128,7 @@ TEST(Integration, TopologyEngineeringDrivesRealSwitches) {
   std::vector<std::unique_ptr<ctrl::OcsAgent>> agents;
   ctrl::MessageBus bus(6);
   bus.SetDropProbability(0.2);
-  ctrl::FabricController controller(bus, /*max_retries=*/20);
+  ctrl::FabricController controller(bus, ctrl::FabricControllerOptions{.max_retries = 20});
   for (int i = 0; i < ocs_count; ++i) {
     switches.push_back(std::make_unique<ocs::PalomarSwitch>(1000 + i));
     agents.push_back(std::make_unique<ctrl::OcsAgent>(*switches.back()));

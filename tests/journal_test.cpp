@@ -37,7 +37,7 @@ journal::MemStorage LogWith(int records) {
   journal::MemStorage storage;
   journal::Wal wal(storage);
   for (int i = 0; i < records; ++i) {
-    auto seq = wal.Append(Payload(i));
+    auto seq = wal.AppendBatch({Payload(i)});
     EXPECT_TRUE(seq.ok());
     EXPECT_EQ(seq.value(), static_cast<std::uint64_t>(i + 1));
   }
@@ -76,8 +76,8 @@ TEST(Wal, AppendScanRoundTrip) {
 
 TEST(Wal, AppendBatchFramesBytesIdenticallyToSingleAppends) {
   // Group commit is a pure amortization: N records through one AppendBatch
-  // must leave EXACTLY the bytes N single Appends leave, so Scan, torn-tail
-  // repair, and replay cannot tell the two apart.
+  // must leave EXACTLY the bytes N one-record batches leave, so Scan,
+  // torn-tail repair, and replay cannot tell the two apart.
   journal::MemStorage single = LogWith(10);
   journal::MemStorage batched;
   journal::Wal wal(batched);
@@ -115,7 +115,8 @@ TEST(Wal, AppendBatchRejectsWholeBatchOnOversizedPayload) {
 
 TEST(Wal, TornBatchTailRepairsLikeTornAppends) {
   // Tear a batched log mid-way through its last record; the constructor must
-  // truncate back to the last whole record, exactly as with single appends.
+  // truncate back to the last whole record, exactly as with one-record
+  // batches.
   journal::MemStorage storage;
   {
     journal::Wal wal(storage);
@@ -156,7 +157,7 @@ TEST(Wal, EveryTruncationOffsetScansCleanly) {
     journal::Wal wal(torn);
     EXPECT_EQ(torn.size(), wal.recovery_scan().valid_bytes);
     EXPECT_EQ(wal.tail_truncated_bytes(), cut - wal.recovery_scan().valid_bytes);
-    auto appended = wal.Append({0xAB});
+    auto appended = wal.AppendBatch({{0xAB}});
     ASSERT_TRUE(appended.ok());
     EXPECT_EQ(appended.value(), wal.recovery_scan().records.size() + 1);
     EXPECT_TRUE(journal::Wal::Scan(torn).tail.ok());
@@ -212,21 +213,21 @@ TEST(Wal, OversizedAppendRejected) {
   journal::MemStorage storage;
   journal::Wal wal(storage);
   std::vector<std::uint8_t> huge(journal::Wal::kMaxRecordBytes, 1);
-  auto appended = wal.Append(huge);  // + 8 seq bytes pushes it over the limit
+  auto appended = wal.AppendBatch({huge});  // + 8 seq bytes pushes it over the limit
   EXPECT_FALSE(appended.ok());
   EXPECT_EQ(storage.size(), 0u);
-  EXPECT_TRUE(wal.Append(std::vector<std::uint8_t>(100, 2)).ok());
+  EXPECT_TRUE(wal.AppendBatch({std::vector<std::uint8_t>(100, 2)}).ok());
 }
 
 TEST(Wal, FullCompactionKeepsSequenceCounterMonotone) {
   journal::MemStorage storage;
   journal::Wal wal(storage);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(wal.AppendBatch({Payload(i)}).ok());
   ASSERT_TRUE(wal.Compact(10).ok());
   EXPECT_EQ(storage.size(), 0u);
   // Exactly-once keying depends on this: post-compaction appends must NOT
   // reuse sequence numbers the snapshot already covers.
-  auto appended = wal.Append({0x01});
+  auto appended = wal.AppendBatch({{0x01}});
   ASSERT_TRUE(appended.ok());
   EXPECT_EQ(appended.value(), 11u);
   EXPECT_GT(wal.reclaimed_bytes(), 0u);
@@ -235,7 +236,7 @@ TEST(Wal, FullCompactionKeepsSequenceCounterMonotone) {
 TEST(Wal, PartialCompactionKeepsSuffix) {
   journal::MemStorage storage;
   journal::Wal wal(storage);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(wal.AppendBatch({Payload(i)}).ok());
   ASSERT_TRUE(wal.Compact(6).ok());
   const auto scan = journal::Wal::Scan(storage);
   ASSERT_TRUE(scan.tail.ok());
@@ -245,7 +246,7 @@ TEST(Wal, PartialCompactionKeepsSuffix) {
               static_cast<std::uint64_t>(7 + i));
     EXPECT_EQ(scan.records[static_cast<std::size_t>(i)].payload, Payload(6 + i));
   }
-  EXPECT_EQ(wal.Append({0x02}).value(), 11u);
+  EXPECT_EQ(wal.AppendBatch({{0x02}}).value(), 11u);
 }
 
 TEST(Wal, SetNextSeqNeverRewinds) {
@@ -255,7 +256,7 @@ TEST(Wal, SetNextSeqNeverRewinds) {
   EXPECT_EQ(wal.next_seq(), 100u);
   wal.SetNextSeq(5);
   EXPECT_EQ(wal.next_seq(), 100u);
-  EXPECT_EQ(wal.Append({0x03}).value(), 100u);
+  EXPECT_EQ(wal.AppendBatch({{0x03}}).value(), 100u);
 }
 
 TEST(Snapshot, RoundTrip) {
@@ -307,7 +308,7 @@ TEST(Replay, SkipsRecordsTheSnapshotCovers) {
   journal::MemStorage snapshot_storage;
   {
     journal::Wal wal(wal_storage);
-    for (int i = 0; i < 8; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
+    for (int i = 0; i < 8; ++i) ASSERT_TRUE(wal.AppendBatch({Payload(i)}).ok());
   }
   ASSERT_TRUE(journal::SnapshotWriter::Write(snapshot_storage, 5, {0xAA}).ok());
 
@@ -345,7 +346,7 @@ TEST(Replay, FastForwardsSeqPastCompactedLog) {
       [](const journal::WalRecord&) { return common::Status::Ok(); });
   ASSERT_TRUE(recovery.ok());
   EXPECT_EQ(wal.next_seq(), 21u);
-  EXPECT_EQ(wal.Append({0x04}).value(), 21u);
+  EXPECT_EQ(wal.AppendBatch({{0x04}}).value(), 21u);
 }
 
 TEST(Replay, ReportsTornTailAndRecordsMetrics) {
@@ -463,7 +464,7 @@ TEST(FileStorage, AppendReadAndReopenPersistence) {
     auto storage = journal::FileStorage::Open(path);
     ASSERT_TRUE(storage.ok());
     journal::Wal wal(*storage.value());
-    for (int i = 0; i < 8; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
+    for (int i = 0; i < 8; ++i) ASSERT_TRUE(wal.AppendBatch({Payload(i)}).ok());
   }
   // A fresh process: reopen and recover.
   auto reopened = journal::FileStorage::Open(path);
@@ -482,15 +483,6 @@ TEST(FileStorage, SyncPolicyGovernsTheDurableFrontier) {
   testutil::TempDir tmp;
   ASSERT_TRUE(tmp.ok());
   const std::uint8_t bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-
-  // kEveryAppend: durable the moment Append returns.
-  journal::FileStorageOptions every;
-  every.policy = journal::SyncPolicy::kEveryAppend;
-  auto ea = journal::FileStorage::Open(tmp.Path("every.log"), every);
-  ASSERT_TRUE(ea.ok());
-  ea.value()->Append(bytes, sizeof(bytes));
-  EXPECT_EQ(ea.value()->durable_size(), 8u);
-  EXPECT_GE(ea.value()->fsync_count(), 1u);
 
   // kGroupCommit: written != durable until the explicit Sync (the Wal's
   // append boundary), which costs exactly one fsync.
@@ -617,8 +609,8 @@ TEST(FaultyStorage, CrashDropsTheUnsyncedTail) {
   const std::uint64_t durable = base.size();
   journal::FaultyStorage faulty(base, journal::FaultyStorage::SyncMode::kNever);
   journal::Wal wal(faulty);
-  ASSERT_TRUE(wal.Append(Payload(3)).ok());
-  ASSERT_TRUE(wal.Append(Payload(4)).ok());
+  ASSERT_TRUE(wal.AppendBatch({Payload(3)}).ok());
+  ASSERT_TRUE(wal.AppendBatch({Payload(4)}).ok());
   EXPECT_EQ(faulty.durable_size(), durable) << "kNever must ignore the Wal's syncs";
   faulty.Crash();
   journal::Wal recovered(base);
@@ -628,19 +620,19 @@ TEST(FaultyStorage, CrashDropsTheUnsyncedTail) {
 }
 
 TEST(FaultyStorage, SyncModesAdvanceTheFrontierAsDocumented) {
-  journal::MemStorage base_on_append;
-  journal::FaultyStorage on_append(base_on_append,
-                                   journal::FaultyStorage::SyncMode::kOnAppend);
   const std::uint8_t bytes[4] = {7, 7, 7, 7};
-  on_append.Append(bytes, sizeof(bytes));
-  EXPECT_EQ(on_append.durable_size(), 4u);
-
   journal::MemStorage base_on_sync;
   journal::FaultyStorage on_sync(base_on_sync, journal::FaultyStorage::SyncMode::kOnSync);
   on_sync.Append(bytes, sizeof(bytes));
   EXPECT_EQ(on_sync.durable_size(), 0u);
   on_sync.Sync();
   EXPECT_EQ(on_sync.durable_size(), 4u);
+
+  journal::MemStorage base_never;
+  journal::FaultyStorage never(base_never, journal::FaultyStorage::SyncMode::kNever);
+  never.Append(bytes, sizeof(bytes));
+  never.Sync();
+  EXPECT_EQ(never.durable_size(), 0u);
 }
 
 TEST(FaultyStorage, TearAtEveryByteOfTheFinalAppend) {
@@ -657,7 +649,7 @@ TEST(FaultyStorage, TearAtEveryByteOfTheFinalAppend) {
       journal::MemStorage probe;
       journal::FaultyStorage faulty(probe, journal::FaultyStorage::SyncMode::kNever);
       journal::Wal wal(faulty);
-      for (int i = 0; i < 5; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
+      for (int i = 0; i < 5; ++i) ASSERT_TRUE(wal.AppendBatch({Payload(i)}).ok());
       final_frame = faulty.final_append_bytes();
     }
     ASSERT_GT(final_frame, 0u);
@@ -675,7 +667,7 @@ TEST(FaultyStorage, TearAtEveryByteOfTheFinalAppend) {
       journal::FaultyStorage faulty(*base, journal::FaultyStorage::SyncMode::kNever);
       {
         journal::Wal wal(faulty);
-        for (int i = 0; i < 5; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
+        for (int i = 0; i < 5; ++i) ASSERT_TRUE(wal.AppendBatch({Payload(i)}).ok());
       }
       faulty.CrashTearingFinalAppend(k);
       journal::Wal recovered(*base);
@@ -704,7 +696,7 @@ TEST(FaultyStorage, SyncedBytesNeverTearAway) {
   journal::FaultyStorage faulty(base, journal::FaultyStorage::SyncMode::kOnSync);
   {
     journal::Wal wal(faulty);
-    for (int i = 0; i < 4; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(wal.AppendBatch({Payload(i)}).ok());
   }
   faulty.CrashTearingFinalAppend(0);  // would drop the final append...
   journal::Wal recovered(base);
@@ -773,7 +765,7 @@ TEST(Wal, ZeroedHeaderAboveDurableFrontierIsTruncation) {
   journal::MemStorage mem;
   {
     journal::Wal wal(mem);
-    for (int i = 0; i < 2; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
+    for (int i = 0; i < 2; ++i) ASSERT_TRUE(wal.AppendBatch({Payload(i)}).ok());
   }
   journal::FaultyStorage faulty(mem);  // frontier pinned at the current size
   for (int i = 0; i < 8; ++i) mem.bytes().push_back(0);
@@ -911,7 +903,7 @@ TEST(Wal, PartialCompactionSurvivesReopenOnFiles) {
     auto storage = journal::FileStorage::Open(path);
     ASSERT_TRUE(storage.ok());
     journal::Wal wal(*storage.value());
-    for (int i = 0; i < 8; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
+    for (int i = 0; i < 8; ++i) ASSERT_TRUE(wal.AppendBatch({Payload(i)}).ok());
     ASSERT_TRUE(wal.Compact(4).ok());
     EXPECT_EQ(wal.next_seq(), 9u);
   }
@@ -937,7 +929,7 @@ TEST(Wal, CrashMidCompactionOldLogWins) {
     auto storage = journal::FileStorage::Open(path);
     ASSERT_TRUE(storage.ok());
     journal::Wal wal(*storage.value());
-    for (int i = 0; i < 6; ++i) ASSERT_TRUE(wal.Append(Payload(i)).ok());
+    for (int i = 0; i < 6; ++i) ASSERT_TRUE(wal.AppendBatch({Payload(i)}).ok());
   }
   {
     // The dead compaction's tmp: a plausible-looking but never-renamed file.

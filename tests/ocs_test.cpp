@@ -341,37 +341,49 @@ TEST(Chassis, PowerBudgetNear108W) {
 
 // --- palomar ---------------------------------------------------------------------
 
+/// A delta as the span API takes it: (north, south) pairs.
+using Pairs = std::vector<std::pair<int, int>>;
+
 TEST(Palomar, ConnectDisconnectRoundTrip) {
   PalomarSwitch ocs(12);
-  const auto conn = ocs.Connect(3, 100);
-  ASSERT_TRUE(conn.ok());
-  EXPECT_EQ(conn.value().north, 3);
-  EXPECT_EQ(conn.value().south, 100);
-  EXPECT_TRUE(ocs.ConnectionOn(3).has_value());
-  EXPECT_TRUE(ocs.Disconnect(3).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{3, 100}}).ok());
+  const auto conn = ocs.ConnectionOn(3);
+  ASSERT_TRUE(conn.has_value());
+  EXPECT_EQ(conn->north, 3);
+  EXPECT_EQ(conn->south, 100);
+  EXPECT_TRUE(ocs.DisconnectDelta(Pairs{{3, 100}}).ok());
   EXPECT_FALSE(ocs.ConnectionOn(3).has_value());
 }
 
 TEST(Palomar, RejectsDoubleConnect) {
   PalomarSwitch ocs(13);
-  ASSERT_TRUE(ocs.Connect(1, 2).ok());
-  EXPECT_FALSE(ocs.Connect(1, 3).ok());  // north busy
-  EXPECT_FALSE(ocs.Connect(4, 2).ok());  // south busy
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{1, 2}}).ok());
+  EXPECT_FALSE(ocs.ConnectDelta(Pairs{{1, 3}}).ok());  // north busy
+  EXPECT_FALSE(ocs.ConnectDelta(Pairs{{4, 2}}).ok());  // south busy
   EXPECT_EQ(ocs.telemetry().rejected_commands, 2u);
 }
 
 TEST(Palomar, RejectsOutOfRange) {
   PalomarSwitch ocs(14);
-  EXPECT_FALSE(ocs.Connect(-1, 5).ok());
-  EXPECT_FALSE(ocs.Connect(0, kPalomarPortCount).ok());
-  EXPECT_FALSE(ocs.Disconnect(7).ok());
+  EXPECT_FALSE(ocs.ConnectDelta(Pairs{{-1, 5}}).ok());
+  EXPECT_FALSE(ocs.ConnectDelta(Pairs{{0, kPalomarPortCount}}).ok());
+  EXPECT_FALSE(ocs.DisconnectDelta(Pairs{{7, kPalomarPortCount}}).ok());
+  EXPECT_EQ(ocs.telemetry().rejected_commands, 3u);
+  // A pair that is not a live circuit is in range: it is left alone, not
+  // rejected.
+  EXPECT_TRUE(ocs.DisconnectDelta(Pairs{{7, 70}}).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{7, 70}}).ok());
+  EXPECT_TRUE(ocs.DisconnectDelta(Pairs{{7, 71}}).ok());
+  ASSERT_TRUE(ocs.ConnectionOn(7).has_value());
+  EXPECT_EQ(ocs.ConnectionOn(7)->south, 70);
+  EXPECT_EQ(ocs.telemetry().rejected_commands, 3u);
 }
 
 TEST(Palomar, FullPermutationIsNonBlocking) {
   PalomarSwitch ocs(15);
   // Any-to-any: connect the full reversal permutation over the usable ports.
   for (int n = 0; n < kPalomarUsablePorts; ++n) {
-    ASSERT_TRUE(ocs.Connect(n, kPalomarUsablePorts - 1 - n).ok()) << n;
+    ASSERT_TRUE(ocs.ConnectDelta(Pairs{{n, kPalomarUsablePorts - 1 - n}}).ok()) << n;
   }
   EXPECT_EQ(ocs.ConnectionCount(), kPalomarUsablePorts);
 }
@@ -385,7 +397,7 @@ TEST(Palomar, SparePortPoolStartsFull) {
 
 TEST(Palomar, RemapToSpareMovesActiveConnection) {
   PalomarSwitch ocs(41);
-  ASSERT_TRUE(ocs.Connect(5, 50).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{5, 50}}).ok());
   ASSERT_TRUE(ocs.RemapToSpare(true, 5).ok());
   EXPECT_GE(ocs.PhysicalPort(true, 5), kPalomarUsablePorts);
   EXPECT_EQ(ocs.SparePortsRemaining(true), kPalomarSparePorts - 1);
@@ -397,16 +409,16 @@ TEST(Palomar, RemapToSpareMovesActiveConnection) {
 
 TEST(Palomar, RemapRescuesDeadPort) {
   PalomarSwitch ocs(42);
-  ASSERT_TRUE(ocs.Connect(9, 90).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{9, 90}}).ok());
   // Exhaust the mirror spares behind logical north port 9.
   bool usable = true;
   for (int i = 0; i < 60 && usable; ++i) usable = ocs.InjectMirrorFailure(true, 9);
   ASSERT_FALSE(ocs.PortUsable(true, 9));
-  EXPECT_FALSE(ocs.Connect(9, 91).ok());
+  EXPECT_FALSE(ocs.ConnectDelta(Pairs{{9, 91}}).ok());
   // A spare physical port brings the logical port back.
   ASSERT_TRUE(ocs.RemapToSpare(true, 9).ok());
   EXPECT_TRUE(ocs.PortUsable(true, 9));
-  EXPECT_TRUE(ocs.Connect(9, 90).ok());
+  EXPECT_TRUE(ocs.ConnectDelta(Pairs{{9, 90}}).ok());
 }
 
 TEST(Palomar, RemapPoolExhausts) {
@@ -426,11 +438,56 @@ TEST(Palomar, RemapRejectsOutOfRange) {
   EXPECT_FALSE(ocs.RemapToSpare(true, kPalomarUsablePorts).ok());
 }
 
+TEST(Palomar, SpareRepatchRealignsOutsideAnyTransaction) {
+  // A spare re-patch re-aligns the circuit on the port: one disconnect and
+  // one connect, the command overhead plus the new alignment in cumulative
+  // switch time, the logical circuit kept, and no reconfiguration counted.
+  // A mirror failure that kills the port tears its circuit down: one
+  // disconnect, no switch time.
+  PalomarSwitch ocs(45);
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{6, 60}}).ok());
+  const auto expect_realigned = [&ocs](const SwitchTelemetry& before, const char* step) {
+    const SwitchTelemetry& after = ocs.telemetry();
+    EXPECT_EQ(after.reconfigurations, 1u) << step;
+    EXPECT_EQ(after.connects, before.connects + 1) << step;
+    EXPECT_EQ(after.disconnects, before.disconnects + 1) << step;
+    EXPECT_EQ(after.rejected_commands, 0u) << step;
+    const double realign_ms = ocs.CircuitAlignmentMs(6) + PalomarSwitch::kCommandOverheadMs;
+    EXPECT_EQ(after.cumulative_switch_ms, before.cumulative_switch_ms + realign_ms) << step;
+    ASSERT_TRUE(ocs.ConnectionOn(6).has_value()) << step;
+    EXPECT_EQ(ocs.ConnectionOn(6)->south, 60) << step;
+  };
+  SwitchTelemetry before = ocs.telemetry();
+  ASSERT_TRUE(ocs.RemapToSpare(true, 6).ok());
+  expect_realigned(before, "remap");
+  before = ocs.telemetry();
+  ASSERT_TRUE(ocs.InjectMirrorFailure(/*north_side=*/false, 60));
+  expect_realigned(before, "surviving mirror failure");
+  // Spare mirrors absorb failures behind north port 6 until the pool runs
+  // dry; each one re-aligns, and the last one kills the port.
+  int survived = 0;
+  for (; survived < 100; ++survived) {
+    before = ocs.telemetry();
+    if (!ocs.InjectMirrorFailure(/*north_side=*/true, 6)) break;
+    expect_realigned(before, "surviving mirror failure");
+  }
+  ASSERT_FALSE(ocs.PortUsable(true, 6));
+  EXPECT_FALSE(ocs.ConnectionOn(6).has_value());
+  EXPECT_EQ(ocs.telemetry().reconfigurations, 1u);
+  EXPECT_EQ(ocs.telemetry().connects, before.connects);
+  EXPECT_EQ(ocs.telemetry().disconnects, before.disconnects + 1);
+  EXPECT_EQ(ocs.telemetry().cumulative_switch_ms, before.cumulative_switch_ms);
+  // Pinned totals: one transaction and 33 re-alignments (the remap, the
+  // south-side failure and 31 surviving north-side failures).
+  EXPECT_EQ(survived, 31);
+  EXPECT_EQ(ocs.telemetry().connects, 34u);
+  EXPECT_EQ(ocs.telemetry().disconnects, 34u);
+  EXPECT_EQ(ocs.telemetry().cumulative_switch_ms, 146.00000000000003);
+}
+
 TEST(Palomar, ReconfigurePreservesIntersection) {
   PalomarSwitch ocs(16);
-  ASSERT_TRUE(ocs.Connect(0, 10).ok());
-  ASSERT_TRUE(ocs.Connect(1, 11).ok());
-  ASSERT_TRUE(ocs.Connect(2, 12).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{0, 10}, {1, 11}, {2, 12}}).ok());
   // New target keeps 0->10, moves 1 to 13, drops 2, adds 3->14.
   const std::map<int, int> target = {{0, 10}, {1, 13}, {3, 14}};
   const auto report = ocs.Reconfigure(target);
@@ -446,7 +503,7 @@ TEST(Palomar, ReconfigurePreservesIntersection) {
 
 TEST(Palomar, ReconfigureRejectsNonBijective) {
   PalomarSwitch ocs(17);
-  ASSERT_TRUE(ocs.Connect(0, 5).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{0, 5}}).ok());
   // Two norths to one south.
   const auto report = ocs.Reconfigure({{1, 9}, {2, 9}});
   EXPECT_FALSE(report.ok());
@@ -471,12 +528,12 @@ TEST(Palomar, SelfLoopSupportsWraparound) {
   // A 1-cube torus dimension wraps by connecting a cube's +face to its own
   // -face: north i -> south i.
   PalomarSwitch ocs(19);
-  EXPECT_TRUE(ocs.Connect(42, 42).ok());
+  EXPECT_TRUE(ocs.ConnectDelta(Pairs{{42, 42}}).ok());
 }
 
 TEST(Palomar, MirrorFailureWithSparesKeepsPortAlive) {
   PalomarSwitch ocs(20);
-  ASSERT_TRUE(ocs.Connect(7, 70).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{7, 70}}).ok());
   const bool survived = ocs.InjectMirrorFailure(/*north_side=*/true, 7);
   EXPECT_TRUE(survived);
   EXPECT_TRUE(ocs.PortUsable(true, 7));
@@ -487,7 +544,7 @@ TEST(Palomar, MirrorFailureWithSparesKeepsPortAlive) {
 
 TEST(Palomar, PortDiesWhenSparesExhausted) {
   PalomarSwitch ocs(21);
-  ASSERT_TRUE(ocs.Connect(9, 90).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{9, 90}}).ok());
   bool usable = true;
   for (int i = 0; i < 60 && usable; ++i) {
     usable = ocs.InjectMirrorFailure(true, 9);
@@ -495,13 +552,12 @@ TEST(Palomar, PortDiesWhenSparesExhausted) {
   EXPECT_FALSE(usable);
   EXPECT_FALSE(ocs.PortUsable(true, 9));
   EXPECT_FALSE(ocs.ConnectionOn(9).has_value());
-  EXPECT_FALSE(ocs.Connect(9, 91).ok());
+  EXPECT_FALSE(ocs.ConnectDelta(Pairs{{9, 91}}).ok());
 }
 
 TEST(Palomar, SurveyReportsAllConnections) {
   PalomarSwitch ocs(22);
-  ASSERT_TRUE(ocs.Connect(0, 1).ok());
-  ASSERT_TRUE(ocs.Connect(2, 3).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{0, 1}, {2, 3}}).ok());
   const auto survey = ocs.SurveyConnections();
   EXPECT_EQ(survey.size(), 2u);
   for (const auto& conn : survey) {
@@ -512,15 +568,15 @@ TEST(Palomar, SurveyReportsAllConnections) {
 
 TEST(Palomar, TelemetryCountsCommands) {
   PalomarSwitch ocs(23);
-  (void)ocs.Connect(0, 1);
-  (void)ocs.Connect(0, 2);  // rejected
-  (void)ocs.Disconnect(0);
+  (void)ocs.ConnectDelta(Pairs{{0, 1}});
+  (void)ocs.ConnectDelta(Pairs{{0, 2}});  // rejected
+  (void)ocs.DisconnectDelta(Pairs{{0, 1}});
   (void)ocs.Reconfigure({{5, 6}});
   const auto& t = ocs.telemetry();
   EXPECT_EQ(t.connects, 2u);  // initial connect + reconfigure-established
   EXPECT_EQ(t.disconnects, 1u);
   EXPECT_EQ(t.rejected_commands, 1u);
-  EXPECT_EQ(t.reconfigurations, 1u);
+  EXPECT_EQ(t.reconfigurations, 3u);  // one per transaction that ran
 }
 
 class PalomarPermutationSweep : public ::testing::TestWithParam<int> {};
@@ -551,9 +607,6 @@ TEST_P(PalomarPermutationSweep, ReconfigureToShiftedPermutationIsExact) {
 INSTANTIATE_TEST_SUITE_P(Shifts, PalomarPermutationSweep, ::testing::Values(0, 1, 7, 64));
 
 // --- palomar delta transactions ------------------------------------------------
-
-/// A delta as the span API takes it: (north, south) pairs.
-using Pairs = std::vector<std::pair<int, int>>;
 
 void ExpectSameTelemetry(const SwitchTelemetry& a, const SwitchTelemetry& b) {
   EXPECT_EQ(a.connects, b.connects);

@@ -559,7 +559,8 @@ TEST(FleetService, DuplicateAndGapSubmissions) {
 std::unique_ptr<ctrl::FabricController> MakeController(
     ctrl::MessageBus& bus, std::vector<ocs::PalomarSwitch*> switches,
     std::vector<std::unique_ptr<ctrl::OcsAgent>>& agents) {
-  auto controller = std::make_unique<ctrl::FabricController>(bus, 1);
+  auto controller = std::make_unique<ctrl::FabricController>(
+      bus, ctrl::FabricControllerOptions{.max_retries = 1});
   for (std::size_t i = 0; i < switches.size(); ++i) {
     agents.push_back(std::make_unique<ctrl::OcsAgent>(*switches[i]));
     controller->Register(static_cast<int>(i), agents.back().get());

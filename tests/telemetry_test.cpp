@@ -219,7 +219,7 @@ TEST(CtrlIntegration, TransactionSpansAndRetryMetrics) {
   ctrl::OcsAgent agent(sw);
   ctrl::MessageBus bus(11);
   bus.SetDropProbability(0.4);  // force some retries, deterministically seeded
-  ctrl::FabricController controller(bus, /*max_retries=*/20);
+  ctrl::FabricController controller(bus, ctrl::FabricControllerOptions{.max_retries = 20});
   controller.Register(0, &agent);
 
   Hub hub;

@@ -491,6 +491,31 @@ TEST(SuperpodTest, RepairOcsDropsSliceRemovedWhileDown) {
   EXPECT_TRUE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0)).ok());
 }
 
+TEST(SuperpodTest, RepairOcsSkipsCircuitsOnDeadPorts) {
+  // A running slice whose ring crosses a dead port: the repaired switch
+  // comes back with the slice's other circuits, drops the circuits of a
+  // slice removed while it was down, and frees their ports.
+  Superpod pod(109, 8, 2);
+  auto running = pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 0));
+  ASSERT_TRUE(running.ok());
+  ASSERT_EQ(pod.ocs(0).CurrentMapping(), (std::map<int, int>{{0, 0}, {1, 1}}));
+  // Exhaust the mirror spares behind north port 0: the port dies and takes
+  // the slice's 0->0 circuit with it.
+  for (int i = 0; i < 100 && pod.ocs(0).PortUsable(true, 0); ++i) {
+    pod.ocs(0).InjectMirrorFailure(/*north_side=*/true, 0);
+  }
+  ASSERT_FALSE(pod.ocs(0).PortUsable(true, 0));
+  ASSERT_EQ(pod.ocs(0).CurrentMapping(), (std::map<int, int>{{1, 1}}));
+  auto removed = pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 2));
+  ASSERT_TRUE(removed.ok());
+  pod.FailOcs(0);
+  ASSERT_TRUE(pod.RemoveSlice(removed.value()).ok());
+  pod.RepairOcs(0);
+  EXPECT_EQ(pod.ocs(0).CurrentMapping(), (std::map<int, int>{{1, 1}}));
+  EXPECT_EQ(pod.ocs(0).telemetry().rejected_commands, 0u);
+  EXPECT_TRUE(pod.InstallSlice(MakeSlice(SliceShape{1, 1, 2}, 2)).ok());
+}
+
 /// FNV-1a over every switch's circuits: north, south and the bits of both
 /// losses, which carry the alignment RNG's draws.
 std::uint64_t SwitchDigest(const Superpod& pod) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -42,10 +43,13 @@ class ValidatorTest : public ::testing::Test {
 
 // --- Palomar bijectivity + dead-mirror consistency ---------------------------
 
+/// A delta as the span API takes it: (north, south) pairs.
+using Pairs = std::vector<std::pair<int, int>>;
+
 TEST_F(ValidatorTest, PalomarHealthyStateValidatesClean) {
   ocs::PalomarSwitch ocs(42);
-  ASSERT_TRUE(ocs.Connect(0, 5).ok());
-  ASSERT_TRUE(ocs.Connect(1, 4).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{0, 5}}).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{1, 4}}).ok());
   ASSERT_TRUE(ocs.Reconfigure({{0, 5}, {2, 3}}).ok());
   EXPECT_TRUE(ocs.ValidateInvariants().ok());
   EXPECT_TRUE(failures_.empty());
@@ -53,7 +57,7 @@ TEST_F(ValidatorTest, PalomarHealthyStateValidatesClean) {
 
 TEST_F(ValidatorTest, PalomarDetectsCorruptedMapping) {
   ocs::PalomarSwitch ocs(42);
-  ASSERT_TRUE(ocs.Connect(0, 5).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{0, 5}}).ok());
   // Redirect the established N->S entry without touching S->N: the maps
   // stay the same size but are no longer inverse.
   ocs.TestOnlyCorruptMapping(0, 9);
@@ -61,13 +65,13 @@ TEST_F(ValidatorTest, PalomarDetectsCorruptedMapping) {
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.error().message.find("inverse"), std::string::npos);
   // The next transaction boundary fires the failure handler.
-  (void)ocs.Disconnect(0);
-  EXPECT_TRUE(Reported("after Disconnect"));
+  (void)ocs.DisconnectDelta(Pairs{{0, 9}});
+  EXPECT_TRUE(Reported("after DisconnectDelta"));
 }
 
 TEST_F(ValidatorTest, PalomarDetectsConnectionRidingDeadMirror) {
   ocs::PalomarSwitch ocs(42);
-  ASSERT_TRUE(ocs.Connect(3, 8).ok());
+  ASSERT_TRUE(ocs.ConnectDelta(Pairs{{3, 8}}).ok());
   ocs.TestOnlyKillPortUnderConnection(/*north_side=*/true, /*logical_port=*/3);
   const auto status = ocs.ValidateInvariants();
   ASSERT_FALSE(status.ok());
@@ -136,7 +140,9 @@ TEST_F(ValidatorTest, DcnFabricDetectsOneSidedTrunk) {
   for (int c = 0; c < fabric.ocs_count() && !corrupted; ++c) {
     const auto conns = fabric.ocs(c).Connections();
     if (!conns.empty()) {
-      ASSERT_TRUE(fabric.ocs(c).Disconnect(conns.front().north).ok());
+      const Pairs one_direction{{conns.front().north, conns.front().south}};
+      ASSERT_TRUE(fabric.ocs(c).DisconnectDelta(one_direction).ok());
+      ASSERT_FALSE(fabric.ocs(c).ConnectionOn(conns.front().north).has_value());
       corrupted = true;
     }
   }
